@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import construct, curve, linkage
 from .errors import BadRange, OutOfRange, TrisectrixError
-from .geom import ORIGIN, Point, Ray
+from .geom import ORIGIN, Point, Ray, uniform_grid
 from .svg import (
     COLOR_ASYMPTOTE,
     COLOR_AXIS,
@@ -35,6 +35,7 @@ from .svg import (
     Scene,
     STROKE_BOLD,
     STROKE_THIN,
+    fixed_field,
 )
 
 # Long enough to cross the default window from the origin at any angle.
@@ -43,13 +44,6 @@ _TRISECT_TRACE_SAMPLES = 600
 
 
 # --- formatting ------------------------------------------------------------
-
-
-def _fmt_fixed(x: float, precision: int) -> str:
-    r = round(x, precision)
-    if r == 0.0:
-        r = 0.0  # normalize -0
-    return f"{r:.{precision}f}"
 
 
 def _sig(x: float) -> float:
@@ -76,30 +70,24 @@ def _point_pair(p: Point) -> list[float]:
     return [p.x, p.y]
 
 
-def _degree_grid(lo: float, hi: float, n: int) -> list[float]:
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n - 1)] + [hi]
-
-
 # --- content builders ------------------------------------------------------
 
 
 def curve_csv(t_min_deg: float, t_max_deg: float, samples: int, precision: int) -> str:
+    row = ",".join([fixed_field(precision)] * 3).format
     lines = ["t_deg,x,y"]
-    for t_deg in _degree_grid(t_min_deg, t_max_deg, samples):
+    for t_deg in uniform_grid(t_min_deg, t_max_deg, samples):
         p = curve.trace_point(math.radians(t_deg))
-        lines.append(
-            f"{_fmt_fixed(t_deg, precision)},{_fmt_fixed(p.x, precision)},{_fmt_fixed(p.y, precision)}"
-        )
+        lines.append(row(t_deg, p.x, p.y))
     return "\n".join(lines) + "\n"
 
 
 def simulate_csv(u_min_deg: float, u_max_deg: float, steps: int, precision: int) -> str:
+    row = ",".join([fixed_field(precision)] * 8).format
     lines = ["u_deg,s,Cx,Cy,Dx,Dy,Ex,Ey"]
-    for u_deg in _degree_grid(u_min_deg, u_max_deg, steps):
+    for u_deg in uniform_grid(u_min_deg, u_max_deg, steps):
         st = linkage.state_from_leg_angle(math.radians(u_deg))
-        cells = (u_deg, st.s, st.C.x, st.C.y, st.D.x, st.D.y, st.E.x, st.E.y)
-        lines.append(",".join(_fmt_fixed(v, precision) for v in cells))
+        lines.append(row(u_deg, st.s, st.C.x, st.C.y, st.D.x, st.D.y, st.E.x, st.E.y))
     return "\n".join(lines) + "\n"
 
 
@@ -225,6 +213,11 @@ def _check_precision(precision: int) -> None:
         raise BadRange(f"precision must lie in [1, 15], got {precision}")
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise BadRange(f"tolerance must be finite and positive, got {tol}")
+
+
 def _run_curve(args: argparse.Namespace) -> int:
     _check_precision(args.precision)
     if not 0.0 < args.t_min_deg < args.t_max_deg <= 90.0:
@@ -245,8 +238,7 @@ def _run_trisect(args: argparse.Namespace) -> int:
     _check_precision(args.precision)
     if not 0.0 < args.angle_deg <= 270.0:
         raise OutOfRange(f"angle must lie in (0, 270] degrees, got {args.angle_deg}")
-    if args.tol <= 0.0:
-        raise BadRange(f"tolerance must be positive, got {args.tol}")
+    _check_tol(args.tol)
     fn = construct.trisect_via_curve if args.method == "curve" else construct.trisect_via_scudder
     res = fn(math.radians(args.angle_deg))
     payload, passed = trisect_report(res, args.tol)
@@ -270,8 +262,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    if args.tol <= 0.0:
-        raise BadRange(f"tolerance must be positive, got {args.tol}")
+    _check_tol(args.tol)
     methods = list(construct.METHODS) if args.method == "both" else [args.method]
     reports = [
         construct.sweep_verify(args.from_deg, args.to_deg, args.step_deg, m, args.tol)

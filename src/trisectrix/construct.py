@@ -164,9 +164,9 @@ def sweep_verify(
     """
     if method not in _METHOD_FNS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not 0.0 < phi_min_deg <= phi_max_deg or phi_max_deg >= 270.0 or step_deg <= 0.0:
+    if not (0.0 < phi_min_deg <= phi_max_deg < 270.0 and 0.0 < step_deg < math.inf):
         raise BadRange(
-            f"need 0 < from <= to < 270 and step > 0, got [{phi_min_deg}, {phi_max_deg}] step {step_deg}"
+            f"need 0 < from <= to < 270 and finite step > 0, got [{phi_min_deg}, {phi_max_deg}] step {step_deg}"
         )
     fn = _METHOD_FNS[method]
 

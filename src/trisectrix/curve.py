@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadRange, NoTraceRoot, OutOfDomain, OutOfRange
-from .geom import Point, angle_distance, polar_angle, solve_cubic
+from .geom import Point, angle_distance, polar_angle, solve_cubic, uniform_grid
 
 # Upper end of the trace parameter; the curve closes at (0, -1).
 T_MAX = math.pi / 2
@@ -132,9 +132,7 @@ def sample_trace(t_min: float, t_max: float, n: int) -> list[tuple[float, Point]
         raise BadRange(f"need 0 < t_min < t_max <= pi/2, got [{t_min}, {t_max}]")
     if n < 2:
         raise BadRange(f"need at least 2 samples, got {n}")
-    step = (t_max - t_min) / (n - 1)
-    ts = [t_min + i * step for i in range(n - 1)] + [t_max]
-    return [(t, trace_point(t)) for t in ts]
+    return [(t, trace_point(t)) for t in uniform_grid(t_min, t_max, n)]
 
 
 def _newton_on_ray_cubic(s: float, r: float) -> float:

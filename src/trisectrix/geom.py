@@ -79,8 +79,10 @@ def dot(a: Point, b: Point) -> float:
     return a.x * b.x + a.y * b.y
 
 
-def cross(a: Point, b: Point) -> float:
-    return a.x * b.y - a.y * b.x
+def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced values from lo to hi; the last one is exactly hi."""
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .geom import (
     dot,
     foot_of_perpendicular,
     polar_angle,
+    uniform_grid,
 )
 
 # Query angles the compass covers, like the curve trace: (0, 3*pi/2].
@@ -94,9 +95,7 @@ def trace_curve(u_min: float, u_max: float, steps: int) -> list[LinkageState]:
         raise BadRange(f"need 0 < u_min < u_max < pi, got [{u_min}, {u_max}]")
     if steps < 2:
         raise BadRange(f"need at least 2 steps, got {steps}")
-    du = (u_max - u_min) / (steps - 1)
-    us = [u_min + i * du for i in range(steps - 1)] + [u_max]
-    return [state_from_leg_angle(u) for u in us]
+    return [state_from_leg_angle(u) for u in uniform_grid(u_min, u_max, steps)]
 
 
 def _tip_angle_unwrapped(state: LinkageState) -> float:

@@ -30,6 +30,14 @@ MARKER_HALF_PX = 4.0
 FONT_SIZE_PX = 14
 
 
+def fixed_field(precision: int) -> str:
+    """Format field for every SVG and CSV number, at ``precision`` decimals.
+
+    The ``z`` flag prints a value that rounds to zero unsigned, never "-0.000".
+    """
+    return f"{{:z.{precision}f}}"
+
+
 @dataclass(frozen=True)
 class RenderSpec:
     """Canvas size, world window, and coordinate precision for a diagram."""
@@ -69,6 +77,7 @@ class Scene:
 
     def __init__(self, spec: RenderSpec):
         self.spec = spec
+        self._fmt = fixed_field(spec.precision).format
         self.root = ET.Element(
             "svg",
             {
@@ -83,12 +92,6 @@ class Scene:
             "rect",
             {"x": "0", "y": "0", "width": str(spec.width_px), "height": str(spec.height_px), "fill": "#ffffff"},
         )
-
-    def _fmt(self, v: float) -> str:
-        rounded = round(v, self.spec.precision)
-        if rounded == 0.0:
-            rounded = 0.0  # avoid "-0.000000"
-        return f"{rounded:.{self.spec.precision}f}"
 
     def line(
         self,
@@ -116,9 +119,11 @@ class Scene:
         ET.SubElement(self.root, "line", attrs)
 
     def polyline(self, points: list[Point], color: str, width: float = STROKE_MAIN, cls: str | None = None) -> None:
-        coords = " ".join(
-            f"{self._fmt(sx)},{self._fmt(sy)}" for sx, sy in (self.spec.to_screen(p) for p in points)
-        )
+        spec = self.spec
+        pair = ",".join([fixed_field(spec.precision)] * 2).format
+        # to_screen, inlined with the window read once per polyline
+        x_min, x_scale, y_min, y_scale, height = spec.x_min, spec.x_scale, spec.y_min, spec.y_scale, spec.height_px
+        coords = " ".join([pair((p.x - x_min) * x_scale, height - (p.y - y_min) * y_scale) for p in points])
         attrs = {"points": coords, "fill": "none", "stroke": color, "stroke-width": str(width)}
         if cls:
             attrs["class"] = cls

@@ -7,10 +7,23 @@ import sys
 from xml.etree import ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trisectrix.curve import trace_point
+from trisectrix.svg import fixed_field
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+# A runaway grid loop fails its test under these limits instead of hanging
+# the suite or exhausting the machine's memory.
+_CLI_TIMEOUT_S = 60
+_CLI_MEMORY_BYTES = 512 * 2**20
+
+
+def _cap_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (_CLI_MEMORY_BYTES, _CLI_MEMORY_BYTES))
 
 
 def run_cli(*args):
@@ -18,6 +31,8 @@ def run_cli(*args):
         [sys.executable, "-m", "trisectrix", *args],
         capture_output=True,
         text=True,
+        timeout=_CLI_TIMEOUT_S,
+        preexec_fn=_cap_memory,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -203,3 +218,75 @@ class TestDeterminism:
         code2, _, _ = run_cli("curve", "--samples", "20", "--out", str(out_file))
         assert code2 == 0
         assert out_file.read_text() == stdout
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sweep", "--step-deg", "inf"),
+            ("sweep", "--step-deg", "nan"),
+            ("sweep", "--step-deg=-inf"),
+            ("sweep", "--from-deg", "nan"),
+            ("sweep", "--to-deg", "inf"),
+            ("sweep", "--tol", "nan"),
+            ("sweep", "--tol", "inf"),
+            ("trisect", "--angle-deg", "90", "--tol", "nan"),
+            ("trisect", "--angle-deg", "90", "--tol", "inf"),
+            ("trisect", "--angle-deg", "nan"),
+            ("curve", "--t-min-deg", "nan"),
+            ("simulate", "--u-min-deg", "10", "--u-max-deg", "nan"),
+        ],
+    )
+    def test_is_usage_error_with_one_line_message(self, args):
+        code, out, err = run_cli(*args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
+def _reference_fixed(x, precision):
+    """The fixed-point rule spelled out: round, print, and drop the sign of a zero."""
+    r = round(x, precision)
+    if r == 0.0:
+        r = 0.0
+    return f"{r:.{precision}f}"
+
+
+@st.composite
+def _value_and_precision(draw):
+    precision = draw(st.integers(1, 15))
+    unit = 10.0**-precision
+    ties = st.builds(
+        lambda k, sign: k * unit + sign * 0.5 * unit,
+        st.integers(-(10 ** (8 + precision)), 10 ** (8 + precision)),
+        st.sampled_from((-1.0, 1.0)),
+    )
+    value = draw(
+        st.one_of(
+            ties,
+            st.floats(-1e8, 1e8),
+            st.floats(-unit, 0.0),
+            st.sampled_from((0.0, -0.0, -5e-324, -1e-300, 1e-300)),
+        )
+    )
+    return value, precision
+
+
+class TestFixedPointFormat:
+    @settings(max_examples=2000)
+    @given(_value_and_precision())
+    @example((-0.0, 6))
+    @example((-0.0000005, 6))
+    @example((0.5, 1))
+    @example((2.675, 2))
+    @example((-99999999.99999999, 15))
+    def test_matches_round_then_format(self, case):
+        value, precision = case
+        assert fixed_field(precision).format(value) == _reference_fixed(value, precision)
+
+    @pytest.mark.parametrize("precision", range(1, 16))
+    def test_negative_values_that_round_to_zero_print_unsigned(self, precision):
+        tiny = -0.4 * 10.0**-precision
+        assert fixed_field(precision).format(tiny) == "0." + "0" * precision

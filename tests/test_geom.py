@@ -27,6 +27,7 @@ from trisectrix.geom import (
     intersect_lines,
     polar_angle,
     solve_cubic,
+    uniform_grid,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -62,6 +63,17 @@ class TestPrimitives:
     def test_ray_normalizes_angle(self):
         assert Ray(ORIGIN, 3.0 * math.pi).angle == pytest.approx(math.pi)
         assert Ray(ORIGIN, -math.pi).angle == pytest.approx(math.pi)
+
+
+class TestUniformGrid:
+    def test_ends_exactly_at_both_bounds(self):
+        grid = uniform_grid(0.1, 0.7, 7)
+        assert len(grid) == 7
+        assert grid[0] == 0.1 and grid[-1] == 0.7
+        assert grid[1:-1] == [0.1 + i * ((0.7 - 0.1) / 6) for i in range(1, 6)]
+
+    def test_two_points_are_the_bounds(self):
+        assert uniform_grid(-2.5, 3.0, 2) == [-2.5, 3.0]
 
 
 class TestIntersectLines:

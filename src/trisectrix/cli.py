@@ -31,10 +31,13 @@ from .svg import (
     COLOR_GUIDE,
     COLOR_TRACE,
     COLOR_TRISECTOR,
-    RenderSpec,
-    Scene,
     STROKE_BOLD,
     STROKE_THIN,
+    X_MAX,
+    X_MIN,
+    Y_MAX,
+    Y_MIN,
+    Scene,
     fixed_field,
 )
 
@@ -128,9 +131,8 @@ def sweep_report_dict(report: construct.SweepReport) -> dict:
 
 
 def _paint_axes(scene: Scene) -> None:
-    spec = scene.spec
-    scene.line(Point(spec.x_min, 0.0), Point(spec.x_max, 0.0), COLOR_AXIS, STROKE_THIN, cls="axis")
-    scene.line(Point(0.0, spec.y_min), Point(0.0, spec.y_max), COLOR_AXIS, STROKE_THIN, cls="axis")
+    scene.line(Point(X_MIN, 0.0), Point(X_MAX, 0.0), COLOR_AXIS, STROKE_THIN, cls="axis")
+    scene.line(Point(0.0, Y_MIN), Point(0.0, Y_MAX), COLOR_AXIS, STROKE_THIN, cls="axis")
 
 
 def _trace_points(t_min: float, t_max: float, samples: int) -> list[Point]:
@@ -138,11 +140,10 @@ def _trace_points(t_min: float, t_max: float, samples: int) -> list[Point]:
 
 
 def curve_svg(t_min_deg: float, t_max_deg: float, samples: int, precision: int) -> str:
-    spec = RenderSpec(precision=precision)
-    scene = Scene(spec)
+    scene = Scene(precision)
     _paint_axes(scene)
     scene.line(
-        Point(spec.x_min, 3.0), Point(spec.x_max, 3.0), COLOR_ASYMPTOTE, STROKE_THIN, dashed=True, cls="asymptote"
+        Point(X_MIN, 3.0), Point(X_MAX, 3.0), COLOR_ASYMPTOTE, STROKE_THIN, dashed=True, cls="asymptote"
     )
     scene.polyline(
         _trace_points(math.radians(t_min_deg), math.radians(t_max_deg), samples),
@@ -156,10 +157,9 @@ def curve_svg(t_min_deg: float, t_max_deg: float, samples: int, precision: int) 
 
 
 def trisect_svg(res: construct.TrisectionResult, precision: int) -> str:
-    spec = RenderSpec(precision=precision)
-    scene = Scene(spec)
+    scene = Scene(precision)
     _paint_axes(scene)
-    scene.line(Point(spec.x_min, 1.0), Point(spec.x_max, 1.0), COLOR_GUIDE, STROKE_THIN, cls="guide")
+    scene.line(Point(X_MIN, 1.0), Point(X_MAX, 1.0), COLOR_GUIDE, STROKE_THIN, cls="guide")
     scene.polyline(
         _trace_points(curve.DEFAULT_SAMPLE_T_MIN, curve.T_MAX, _TRISECT_TRACE_SAMPLES),
         COLOR_TRACE,
@@ -179,7 +179,7 @@ def trisect_svg(res: construct.TrisectionResult, precision: int) -> str:
         scene.marker(point, cls="witness")
         scene.text(point, label)
     scene.text(ORIGIN, "O", dx_px=-16.0, dy_px=16.0)
-    scene.text(base.point_at(spec.x_max - 0.8), "A")
+    scene.text(base.point_at(X_MAX - 0.8), "A")
     scene.text(target.point_at(3.3), "B")
     return scene.to_svg()
 

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 from . import curve, linkage
 from .certificate import Certificate
-from .errors import BadRange, EmptyIntersection, OutOfRange
+from .errors import BadRange, EmptyIntersection
 from .geom import (
+    MAX_GRID_POINTS,
     ORIGIN,
     Circle,
     Line,
@@ -36,8 +37,6 @@ from .geom import (
     intersect_circle_line,
     polar_angle,
 )
-
-PHI_MAX = 1.5 * math.pi
 
 METHOD_CURVE = "curve"
 METHOD_SCUDDER = "scudder"
@@ -83,11 +82,6 @@ class SweepReport:
     failures: tuple[float, ...]
 
 
-def _check_phi(phi: float) -> None:
-    if not 0.0 < phi <= PHI_MAX:
-        raise OutOfRange(f"trisection angle must lie in (0, 3*pi/2], got {phi}")
-
-
 def complete_curve_construction(phi: float, d: Point) -> TrisectionResult:
     """Finish the curve-method construction from a given curve point D.
 
@@ -106,13 +100,11 @@ def complete_curve_construction(phi: float, d: Point) -> TrisectionResult:
 
 def trisect_via_curve(phi: float) -> TrisectionResult:
     """Trisect phi in (0, 3*pi/2] using the traced curve."""
-    _check_phi(phi)
     return complete_curve_construction(phi, curve.pick_trisection_point(phi))
 
 
 def trisect_via_scudder(phi: float) -> TrisectionResult:
     """Trisect phi in (0, 3*pi/2] by solving the physical square placement."""
-    _check_phi(phi)
     sol = linkage.scudder_place(phi)
     st = sol.state
     ray1 = Ray.toward(ORIGIN, st.C)
@@ -168,6 +160,8 @@ def sweep_verify(
         raise BadRange(
             f"need 0 < from <= to < 270 and finite step > 0, got [{phi_min_deg}, {phi_max_deg}] step {step_deg}"
         )
+    if (phi_max_deg - phi_min_deg) / step_deg >= MAX_GRID_POINTS:
+        raise BadRange(f"a step of {step_deg} over [{phi_min_deg}, {phi_max_deg}] exceeds {MAX_GRID_POINTS} angles")
     fn = _METHOD_FNS[method]
 
     grid = []

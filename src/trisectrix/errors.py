@@ -46,9 +46,10 @@ class NoTraceRoot(TrisectrixError, RuntimeError):
 
 
 class BracketFailure(TrisectrixError, RuntimeError):
-    """The bracketed root-finder lost its sign change.
+    """The bracketed root-finder got no sign change or ran out of steps.
 
-    Signals that the monotonicity assumption broke; must not occur.
+    The placement solve checks its query angle first, so there it must
+    not occur.
     """
 
 

@@ -1,8 +1,9 @@
 """Minimal plane-geometry kernel.
 
 Points, rays, lines, and circles in the fixed construction frame (origin
-O, +x along the base edge), plus the angle utilities and the real-cubic
-solver that the curve module builds on.  All lengths are dimensionless
+O, +x along the base edge), plus the angle utilities, the real-cubic
+solver that the curve module builds on, and the bracketed root-finder
+the placement solve uses.  All lengths are dimensionless
 multiples of the straightedge width; all angles are radians.
 
 Everything here is a pure function over immutable values.
@@ -15,6 +16,8 @@ from dataclasses import dataclass
 
 from .errors import (
     AllCoefficientsZero,
+    BadRange,
+    BracketFailure,
     DistinctOrigins,
     OriginHasNoAngle,
     ParallelLines,
@@ -25,6 +28,10 @@ PARALLEL_TOL = 1e-12
 
 # |r^2 - d^2| below this fraction of r^2 counts as circle-line tangency.
 TANGENCY_RTOL = 1e-12
+
+# Largest grid any sampler or sweep builds; a bigger request is refused
+# before anything is allocated.
+MAX_GRID_POINTS = 10**6
 
 
 def normalize_angle(a: float) -> float:
@@ -81,6 +88,8 @@ def dot(a: Point, b: Point) -> float:
 
 def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
     """n >= 2 evenly spaced values from lo to hi; the last one is exactly hi."""
+    if n > MAX_GRID_POINTS:
+        raise BadRange(f"grid of {n} points exceeds the limit of {MAX_GRID_POINTS}")
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n - 1)] + [hi]
 
@@ -208,6 +217,63 @@ def bisect_angle(r1: Ray, r2: Ray) -> Ray:
     if r1.origin != r2.origin:
         raise DistinctOrigins("rays must share an origin")
     return Ray(r1.origin, r1.angle + 0.5 * ccw_sweep(r1.angle, r2.angle))
+
+
+# --- bracketed root finding -----------------------------------------------
+
+# Steps find_root takes before it gives up; a simple root takes a handful.
+_FIND_ROOT_MAX_ITERATIONS = 100
+
+
+def find_root(f, lo: float, hi: float, tol: float):
+    """Root of f on [lo, hi] by Illinois regula falsi (Dowell & Jarratt 1971).
+
+    ``f(x)`` returns ``(value, payload)``; the payload rides along so the
+    caller gets back what it computed at the accepted point without a
+    further call.  The values at lo and hi must not share a sign.  Each
+    step is the secant step taken from the bracket end with the smaller
+    |value|, so it moves a short, well-conditioned distance; an end kept
+    by two steps in a row has its secant weight halved (the Illinois
+    rule), so the bracket cannot stall on one side.
+
+    Returns ``(x, value, payload, iterations)`` for the first point with
+    |value| <= tol, or for the better end of the bracket once no step can
+    land strictly inside it.
+    """
+    (f_lo, p_lo), (f_hi, p_hi) = f(lo), f(hi)
+    if abs(f_lo) <= tol:
+        return lo, f_lo, p_lo, 0
+    if abs(f_hi) <= tol:
+        return hi, f_hi, p_hi, 0
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise BracketFailure(f"no sign change over [{lo}, {hi}]: f = {f_lo:.3e}, {f_hi:.3e}")
+    w_lo, w_hi = f_lo, f_hi  # secant weights
+    kept = ""  # the end the last step kept
+    for iteration in range(1, _FIND_ROOT_MAX_ITERATIONS + 1):
+        if abs(w_lo) <= abs(w_hi):
+            x = lo - w_lo * (hi - lo) / (w_hi - w_lo)
+        else:
+            x = hi - w_hi * (hi - lo) / (w_hi - w_lo)
+        if not lo < x < hi:
+            break
+        f_x, p_x = f(x)
+        if abs(f_x) <= tol:
+            return x, f_x, p_x, iteration
+        if (f_x < 0.0) == (f_lo < 0.0):
+            lo, f_lo, p_lo, w_lo = x, f_x, p_x, f_x
+            if kept == "hi":
+                w_hi *= 0.5
+            kept = "hi"
+        else:
+            hi, f_hi, p_hi, w_hi = x, f_x, p_x, f_x
+            if kept == "lo":
+                w_lo *= 0.5
+            kept = "lo"
+    else:
+        raise BracketFailure(f"no root within {tol} after {iteration} steps, bracket [{lo}, {hi}]")
+    if abs(f_lo) <= abs(f_hi):
+        return lo, f_lo, p_lo, iteration - 1
+    return hi, f_hi, p_hi, iteration - 1
 
 
 # --- real-root polynomial solving -----------------------------------------

@@ -18,8 +18,8 @@ the naive quotient cancels to 0/0.
 Placing the square to trisect an angle phi means turning the leg until
 the tracing pencil D lies on the ray at angle phi.  The map from u to
 the polar angle of D is continuous and strictly increasing (it equals
-3u/2; asserted on a grid by the test suite), so a bracketed hybrid
-root-finder resolves the placement without using any closed form.
+3u/2; asserted on a grid by the test suite), so a bracketed root-finder
+resolves the placement without using any closed form.
 """
 
 from __future__ import annotations
@@ -28,26 +28,32 @@ import math
 from dataclasses import dataclass
 
 from .certificate import Certificate
-from .errors import BadRange, BracketFailure, OutOfRange
+from .curve import PHI_MAX
+from .errors import BadRange, OutOfRange
 from .geom import (
     ORIGIN,
     X_AXIS,
     Point,
     ccw_sweep,
     dot,
+    find_root,
     foot_of_perpendicular,
     polar_angle,
     uniform_grid,
 )
 
-# Query angles the compass covers, like the curve trace: (0, 3*pi/2].
-PHI_MAX = 1.5 * math.pi
+# The placement searches the whole leg range (0, pi) that doubles reach:
+# at 1e-300 the slide cot(u/2) = 2e300 is still finite, and the top end
+# is the last double below pi.
+_LEG_MIN = 1e-300
+_LEG_MAX = math.nextafter(math.pi, 0.0)
 
-# Bracket endpoints keep strictly inside (0, pi); the solver resolves a
-# query at exactly 3*pi/2 by returning the bracket-endpoint state.
-_BRACKET_EPS = 1e-9
-_MAX_ITERATIONS = 200
-_RESIDUAL_TARGET = 1e-12
+# The tip angle 3u/2 at _LEG_MIN: no representable placement reaches below.
+PHI_MIN = 1.5 * _LEG_MIN
+
+# A placement is accepted once its tip-angle residual is at most this
+# fraction of phi: a few roundings of the tip-angle evaluation.
+_RESIDUAL_RTOL = 4.0 * math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -112,54 +118,19 @@ def _tip_angle_unwrapped(state: LinkageState) -> float:
 def scudder_place(phi: float) -> PlacementSolution:
     """Place the square so the tracing pencil lies on the ray at angle phi.
 
-    Bracketed hybrid root solve (secant acceleration with bisection
-    fallback) on the monotone map u -> polar angle of D, over the bracket
-    (eps, pi - eps).  A query beyond the bracket's reach (phi at the
-    3*pi/2 closure point) resolves to the endpoint state.
+    One bracketed root solve (geom.find_root) of the monotone map
+    u -> polar angle of D over the whole leg range, stopped once the
+    residual is within _RESIDUAL_RTOL * phi.
     """
-    if not 0.0 < phi <= PHI_MAX:
-        raise OutOfRange(f"trisection angle must lie in (0, 3*pi/2], got {phi}")
+    if not PHI_MIN <= phi <= PHI_MAX:
+        raise OutOfRange(f"trisection angle must lie in [{PHI_MIN}, 3*pi/2], got {phi}")
 
     def residual_at(u: float) -> tuple[float, LinkageState]:
         st = state_from_leg_angle(u)
         return _tip_angle_unwrapped(st) - phi, st
 
-    lo, hi = _BRACKET_EPS, math.pi - _BRACKET_EPS
-    g_lo, st_lo = residual_at(lo)
-    if g_lo >= 0.0:
-        return PlacementSolution(st_lo, phi, abs(g_lo), 0)
-    g_hi, st_hi = residual_at(hi)
-    if g_hi <= 0.0:
-        return PlacementSolution(st_hi, phi, abs(g_hi), 0)
-
-    best_g, best_st = g_hi, st_hi
-    last_side = ""
-    same_side = 0
-    for iteration in range(1, _MAX_ITERATIONS + 1):
-        if same_side >= 2:
-            u_new = 0.5 * (lo + hi)  # force bisection when one side stalls
-        else:
-            u_new = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-            if not math.isfinite(u_new) or not lo < u_new < hi:
-                u_new = 0.5 * (lo + hi)
-        g_new, st_new = residual_at(u_new)
-        if abs(g_new) < abs(best_g):
-            best_g, best_st = g_new, st_new
-        if abs(g_new) <= _RESIDUAL_TARGET or (hi - lo) <= 1e-15:
-            return PlacementSolution(st_new, phi, abs(g_new), iteration)
-        side = "lo" if g_new < 0.0 else "hi"
-        if side == "lo":
-            lo, g_lo = u_new, g_new
-        else:
-            hi, g_hi = u_new, g_new
-        same_side = same_side + 1 if side == last_side else 1
-        last_side = side
-
-    if abs(best_g) <= 1e-10:
-        return PlacementSolution(best_st, phi, abs(best_g), _MAX_ITERATIONS)
-    raise BracketFailure(
-        f"placement solve did not converge for phi={phi}; residual {best_g:.3e}"
-    )
+    _, g, st, iterations = find_root(residual_at, _LEG_MIN, _LEG_MAX, _RESIDUAL_RTOL * phi)
+    return PlacementSolution(st, phi, abs(g), iterations)
 
 
 def verify_placement(sol: PlacementSolution, tol: float) -> Certificate:

@@ -114,6 +114,14 @@ class TestTrisectCommand:
         assert report["method"] == "scudder"
         assert report["ray1_deg"] == pytest.approx(40.0, abs=1e-7)
 
+    @pytest.mark.parametrize("angle, ray1_deg", [("270", 90.0), ("1e-12", 1e-12 / 3.0)])
+    def test_scudder_passes_at_both_ends_of_the_domain(self, angle, ray1_deg):
+        code, out, _ = run_cli("trisect", "--angle-deg", angle, "--method", "scudder")
+        assert code == 0
+        report = json.loads(out)
+        assert report["pass"] is True
+        assert report["ray1_deg"] == pytest.approx(ray1_deg, rel=1e-9)
+
     def test_out_of_range_is_usage_error(self):
         code, _, err = run_cli("trisect", "--angle-deg", "271")
         assert code == 2
@@ -191,6 +199,23 @@ class TestSweepCommand:
     def test_bad_range_is_usage_error(self):
         code, _, _ = run_cli("sweep", "--from-deg", "0", "--to-deg", "30", "--step-deg", "1")
         assert code == 2
+
+
+class TestGridSizeBound:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sweep", "--step-deg", "1e-9"),
+            ("curve", "--samples", "100000000"),
+            ("simulate", "--u-min-deg", "1", "--u-max-deg", "179", "--steps", "100000000"),
+        ],
+    )
+    def test_oversized_grid_is_usage_error_with_one_line_message(self, args):
+        code, out, err = run_cli(*args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 class TestDeterminism:

@@ -91,6 +91,38 @@ class TestScudderMethod:
             trisect_via_scudder(0.0)
 
 
+def _log_grid(lo_exp, hi_exp, n=200):
+    return [10.0 ** (lo_exp + (hi_exp - lo_exp) * k / (n - 1)) for k in range(n)]
+
+
+class TestScudderOracle:
+    """The placement against |OD| = csc(phi/3) at 50 digits, at both ends of the domain.
+
+    Near phi -> 0 the leg angle is tiny and |OD| huge, so only a relative
+    stopping rule resolves it; near 270 degrees the leg closes on pi.
+    """
+
+    @pytest.mark.parametrize(
+        "window, angles",
+        [
+            ("tiny", _log_grid(-9.0, -3.0)),
+            ("below270", [math.radians(270.0 - off) for off in _log_grid(-12.0, -2.0)]),
+        ],
+    )
+    def test_matches_the_closed_form(self, window, angles):
+        mpmath = pytest.importorskip("mpmath")
+        for phi in angles:
+            res = trisect_via_scudder(phi)
+            assert verify_trisection(res, 1e-9).passed, (window, phi)
+            with mpmath.workdps(50):
+                p = mpmath.mpf(phi)
+                csc = mpmath.csc(p / 3)
+                assert abs(mpmath.hypot(res.D.x, res.D.y) - csc) <= 1e-9 * csc, (window, phi)
+                for ray, k in ((res.ray1, 1), (res.ray2, 2)):
+                    gap = (mpmath.mpf(ray.angle) - k * p / 3) % (2 * mpmath.pi)
+                    assert min(gap, 2 * mpmath.pi - gap) <= 1e-9, (window, phi, k)
+
+
 class TestVerifyTrisection:
     def test_curve_result_passes(self):
         assert verify_trisection(trisect_via_curve(math.pi / 2), 1e-9).passed
@@ -200,3 +232,8 @@ class TestSweepVerify:
             sweep_verify(1.0, 30.0, 0.0, "curve")
         with pytest.raises(ValueError):
             sweep_verify(1.0, 30.0, 1.0, "nonsense")
+
+    def test_oversized_grid_is_refused_before_it_is_built(self):
+        # just over the limit, so that even an unbounded sweep would fit in memory
+        with pytest.raises(BadRange, match="exceeds"):
+            sweep_verify(1.0, 2.0, 0.999e-6, "curve")

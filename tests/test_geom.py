@@ -8,11 +8,14 @@ from hypothesis import assume, given, strategies as st
 
 from trisectrix.errors import (
     AllCoefficientsZero,
+    BadRange,
+    BracketFailure,
     DistinctOrigins,
     OriginHasNoAngle,
     ParallelLines,
 )
 from trisectrix.geom import (
+    MAX_GRID_POINTS,
     ORIGIN,
     Circle,
     Line,
@@ -22,6 +25,7 @@ from trisectrix.geom import (
     angle_distance,
     bisect_angle,
     ccw_sweep,
+    find_root,
     foot_of_perpendicular,
     intersect_circle_line,
     intersect_lines,
@@ -74,6 +78,85 @@ class TestUniformGrid:
 
     def test_two_points_are_the_bounds(self):
         assert uniform_grid(-2.5, 3.0, 2) == [-2.5, 3.0]
+
+    def test_oversized_grid_is_refused(self):
+        with pytest.raises(BadRange):
+            uniform_grid(0.0, 1.0, MAX_GRID_POINTS + 1)
+
+
+def counted(g):
+    """f for find_root: (g(x), x), with every evaluation point logged in ``f.calls``."""
+
+    def f(x):
+        f.calls.append(x)
+        return g(x), x
+
+    f.calls = []
+    return f
+
+
+class TestFindRoot:
+    @pytest.mark.parametrize(
+        "g, lo, hi, root",
+        [
+            # convex and increasing: regula falsi keeps hi, so the Illinois
+            # rule halves hi's weight
+            (lambda x: x**3 - 2.0, 0.0, 2.0, 2.0 ** (1.0 / 3.0)),
+            # the same root from above: decreasing, the sign convention flips
+            (lambda x: 2.0 - x**3, 0.0, 2.0, 2.0 ** (1.0 / 3.0)),
+            # concave and increasing: lo is kept, and its weight is halved
+            (math.log, 0.5, 10.0, 1.0),
+            (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+            # steep exponentials, both curvatures
+            (lambda x: math.exp(20.0 * x) - 2.0, 0.0, 1.0, math.log(2.0) / 20.0),
+            (lambda x: 1.0 - 2.0 * math.exp(-20.0 * x), 0.0, 1.0, math.log(2.0) / 20.0),
+        ],
+    )
+    def test_nonlinear_roots(self, g, lo, hi, root):
+        f = counted(g)
+        x, value, payload, iterations = find_root(f, lo, hi, 1e-15)
+        assert x == pytest.approx(root, rel=1e-14)
+        assert abs(value) <= 1e-15 and value == g(x)
+        assert payload == x  # the payload of the accepted point, not recomputed
+        assert 0 < iterations <= 40
+        assert len(f.calls) == 2 + iterations  # both ends, then one per step
+        assert all(lo < c < hi for c in f.calls[2:])
+
+    def test_linear_function_takes_one_step(self):
+        f = counted(lambda x: 1.5 * x - 1.0)
+        x, _, _, iterations = find_root(f, 1e-300, 3.0, 1e-15)
+        assert x == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert iterations == 1
+
+    @pytest.mark.parametrize("g, end", [(lambda x: x, 0.0), (lambda x: x - 1.0, 1.0)])
+    def test_root_at_an_end(self, g, end):
+        f = counted(g)
+        assert find_root(f, 0.0, 1.0, 0.0) == (end, 0.0, end, 0)
+        assert len(f.calls) == 2
+
+    @pytest.mark.parametrize("n, lo, hi, side", [(2.0, 1.0, 2.0, -1.0), (5.0, 2.0, 3.0, 1.0)])
+    def test_unrepresentable_root_ends_at_the_better_of_two_adjacent_floats(self, n, lo, hi, side):
+        # with tol = 0 no double is a root of x^2 - n: the bracket closes
+        # down to two adjacent floats around sqrt(n) and the better one
+        # comes back, the lower end for n = 2 and the upper end for n = 5
+        x, value, _, iterations = find_root(counted(lambda x: x * x - n), lo, hi, 0.0)
+        assert abs(x - math.sqrt(n)) <= math.ulp(math.sqrt(n))
+        assert value == x * x - n
+        assert math.copysign(1.0, value) == side
+        for neighbour in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+            assert abs(value) <= abs(neighbour * neighbour - n)
+        assert iterations <= 20
+
+    def test_no_sign_change_is_refused(self):
+        with pytest.raises(BracketFailure):
+            find_root(counted(lambda x: x * x + 1.0), -1.0, 1.0, 1e-15)
+
+    def test_step_budget_is_bounded(self):
+        # a triple root converges only linearly, so tol = 0 is out of reach
+        f = counted(lambda x: x**3)
+        with pytest.raises(BracketFailure):
+            find_root(f, -1.0, 2.0, 0.0)
+        assert len(f.calls) == 2 + 100
 
 
 class TestIntersectLines:

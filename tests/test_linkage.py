@@ -2,13 +2,17 @@
 
 import dataclasses
 import math
+import random
 
 import pytest
 
+from trisectrix import linkage
+from trisectrix.construct import trisect_via_scudder, verify_trisection
 from trisectrix.curve import trace_point
 from trisectrix.errors import BadRange, OutOfRange
 from trisectrix.geom import ORIGIN, angle_distance, dot, polar_angle
 from trisectrix.linkage import (
+    PHI_MIN,
     scudder_place,
     state_from_leg_angle,
     trace_curve,
@@ -127,10 +131,11 @@ class TestScudderPlace:
 
     def test_closure_angle_resolved_at_bracket_endpoint(self):
         sol = scudder_place(1.5 * math.pi)
-        assert abs(sol.state.D.x) <= 1e-8
-        assert sol.state.D.y == pytest.approx(-1.0, abs=1e-8)
-        assert abs(sol.state.C.x) <= 1e-8
-        assert sol.state.C.y == pytest.approx(1.0, abs=1e-8)
+        assert abs(sol.state.D.x) <= 1e-12
+        assert sol.state.D.y == pytest.approx(-1.0, abs=1e-12)
+        assert abs(sol.state.C.x) <= 1e-12
+        assert sol.state.C.y == pytest.approx(1.0, abs=1e-12)
+        assert verify_trisection(trisect_via_scudder(1.5 * math.pi), 1e-9).passed
 
     def test_round_trip_identity_over_degree_grid(self):
         for deg in range(1, 270):
@@ -143,6 +148,35 @@ class TestScudderPlace:
         for phi in (0.0, -1.0, 1.5 * math.pi + 1e-9):
             with pytest.raises(OutOfRange):
                 scudder_place(phi)
+
+    def test_smallest_reachable_angle(self):
+        # the tip angle at the shortest representable leg; below it no
+        # placement exists in double precision
+        sol = scudder_place(PHI_MIN)
+        assert sol.iterations == 0
+        assert polar_angle(sol.state.D) == pytest.approx(PHI_MIN, rel=1e-15)
+        for phi in (math.nextafter(PHI_MIN, 0.0), 5e-324):
+            with pytest.raises(OutOfRange):
+                scudder_place(phi)
+
+    def test_one_step_and_three_state_evaluations(self, monkeypatch):
+        # the tip angle is linear in u (3u/2), so the first secant step
+        # from the full leg range lands on the placement
+        calls = []
+
+        def counting_state(u):
+            calls.append(u)
+            return state_from_leg_angle(u)
+
+        monkeypatch.setattr(linkage, "state_from_leg_angle", counting_state)
+        rng = random.Random(7)
+        for _ in range(2000):
+            calls.clear()
+            phi = math.radians(270.0 * (1.0 - rng.random()))
+            sol = scudder_place(phi)
+            assert sol.iterations == 1
+            assert len(calls) == 3
+            assert sol.residual <= 4.0 * math.ulp(1.0) * phi
 
 
 class TestVerifyPlacement:

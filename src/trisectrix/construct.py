@@ -92,8 +92,8 @@ def complete_curve_construction(phi: float, d: Point) -> TrisectionResult:
     if not points:
         raise EmptyIntersection(f"radius-2 circle at {d} missed the guide line")
     c = points[-1]  # sorted ascending x: last is the right-most
-    ray1 = Ray.toward(ORIGIN, c)
-    ray2 = bisect_angle(ray1, Ray.toward(ORIGIN, d))
+    ray1 = Ray(ORIGIN, polar_angle(c))
+    ray2 = bisect_angle(ray1, Ray(ORIGIN, polar_angle(d)))
     residual = abs(ray1.angle - phi / 3.0)
     return TrisectionResult(phi, METHOD_CURVE, ray1, ray2, c, d, residual)
 
@@ -107,8 +107,8 @@ def trisect_via_scudder(phi: float) -> TrisectionResult:
     """Trisect phi in (0, 3*pi/2] by solving the physical square placement."""
     sol = linkage.scudder_place(phi)
     st = sol.state
-    ray1 = Ray.toward(ORIGIN, st.C)
-    ray2 = Ray.toward(ORIGIN, st.E)  # the inside-edge ray
+    ray1 = Ray(ORIGIN, polar_angle(st.C))
+    ray2 = Ray(ORIGIN, polar_angle(st.E))  # the inside-edge ray
     residual = abs(ray1.angle - phi / 3.0)
     return TrisectionResult(phi, METHOD_SCUDDER, ray1, ray2, st.C, st.D, residual)
 

@@ -183,13 +183,13 @@ def intersect_circle_line(c: Circle, l: Line) -> list[Point]:
     tol = TANGENCY_RTOL * c.radius * c.radius
     if disc < -tol:
         return []
-    foot = Point(c.center.x - d * l.a, c.center.y - d * l.b)
+    foot_x, foot_y = c.center.x - d * l.a, c.center.y - d * l.b
     if disc <= tol:
-        return [foot]
+        return [Point(foot_x, foot_y)]
     h = math.sqrt(disc)
-    p1 = Point(foot.x - h * l.b, foot.y + h * l.a)
-    p2 = Point(foot.x + h * l.b, foot.y - h * l.a)
-    return sorted((p1, p2), key=lambda p: (p.x, p.y))
+    p1 = Point(foot_x - h * l.b, foot_y + h * l.a)
+    p2 = Point(foot_x + h * l.b, foot_y - h * l.a)
+    return [p2, p1] if (p2.x, p2.y) < (p1.x, p1.y) else [p1, p2]
 
 
 def polar_angle(p: Point) -> float:
@@ -228,23 +228,21 @@ _FIND_ROOT_MAX_ITERATIONS = 100
 def find_root(f, lo: float, hi: float, tol: float):
     """Root of f on [lo, hi] by Illinois regula falsi (Dowell & Jarratt 1971).
 
-    ``f(x)`` returns ``(value, payload)``; the payload rides along so the
-    caller gets back what it computed at the accepted point without a
-    further call.  The values at lo and hi must not share a sign.  Each
-    step is the secant step taken from the bracket end with the smaller
-    |value|, so it moves a short, well-conditioned distance; an end kept
-    by two steps in a row has its secant weight halved (the Illinois
-    rule), so the bracket cannot stall on one side.
+    The values f(lo) and f(hi) must not share a sign.  Each step is the
+    secant step taken from the bracket end with the smaller |f|, so it
+    moves a short, well-conditioned distance; an end kept by two steps in
+    a row has its secant weight halved (the Illinois rule), so the
+    bracket cannot stall on one side.
 
-    Returns ``(x, value, payload, iterations)`` for the first point with
-    |value| <= tol, or for the better end of the bracket once no step can
+    Returns ``(x, f(x), iterations)`` for the first point with
+    |f(x)| <= tol, or for the better end of the bracket once no step can
     land strictly inside it.
     """
-    (f_lo, p_lo), (f_hi, p_hi) = f(lo), f(hi)
+    f_lo, f_hi = f(lo), f(hi)
     if abs(f_lo) <= tol:
-        return lo, f_lo, p_lo, 0
+        return lo, f_lo, 0
     if abs(f_hi) <= tol:
-        return hi, f_hi, p_hi, 0
+        return hi, f_hi, 0
     if (f_lo < 0.0) == (f_hi < 0.0):
         raise BracketFailure(f"no sign change over [{lo}, {hi}]: f = {f_lo:.3e}, {f_hi:.3e}")
     w_lo, w_hi = f_lo, f_hi  # secant weights
@@ -256,24 +254,24 @@ def find_root(f, lo: float, hi: float, tol: float):
             x = hi - w_hi * (hi - lo) / (w_hi - w_lo)
         if not lo < x < hi:
             break
-        f_x, p_x = f(x)
+        f_x = f(x)
         if abs(f_x) <= tol:
-            return x, f_x, p_x, iteration
+            return x, f_x, iteration
         if (f_x < 0.0) == (f_lo < 0.0):
-            lo, f_lo, p_lo, w_lo = x, f_x, p_x, f_x
+            lo, f_lo, w_lo = x, f_x, f_x
             if kept == "hi":
                 w_hi *= 0.5
             kept = "hi"
         else:
-            hi, f_hi, p_hi, w_hi = x, f_x, p_x, f_x
+            hi, f_hi, w_hi = x, f_x, f_x
             if kept == "lo":
                 w_lo *= 0.5
             kept = "lo"
     else:
         raise BracketFailure(f"no root within {tol} after {iteration} steps, bracket [{lo}, {hi}]")
     if abs(f_lo) <= abs(f_hi):
-        return lo, f_lo, p_lo, iteration - 1
-    return hi, f_hi, p_hi, iteration - 1
+        return lo, f_lo, iteration - 1
+    return hi, f_hi, iteration - 1
 
 
 # --- real-root polynomial solving -----------------------------------------
@@ -289,43 +287,43 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
+def _polish(c3: float, c2: float, c1: float, c0: float, x: float) -> float:
+    """Up to two Newton steps on the cubic, each kept only if finite and not raising |f|.
+
+    Two, because one falls short when the closed form lands far off (ill-scaled
+    leading coefficients); f is carried forward, so a step evaluates the cubic once.
+    """
+    fx = ((c3 * x + c2) * x + c1) * x + c0
+    for _ in range(2):
+        d = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        if d == 0.0 or not math.isfinite(step := fx / d):
+            break
+        x_next = x - step
+        f_next = ((c3 * x_next + c2) * x_next + c1) * x_next + c0
+        if abs(f_next) > abs(fx):
+            break
+        x, fx = x_next, f_next
+    return x
+
+
+def _rel_residual(c3: float, c2: float, c1: float, c0: float, x: float) -> float:
+    scale = abs(c3 * x ** 3) + abs(c2 * x * x) + abs(c1 * x) + abs(c0)
+    return abs(((c3 * x + c2) * x + c1) * x + c0) / scale if scale > 0.0 else 0.0
+
+
 def solve_cubic(c3: float, c2: float, c1: float, c0: float) -> list[float]:
     """Real roots of c3*r^3 + c2*r^2 + c1*r + c0, ascending, with multiplicity.
 
     Closed form throughout: the trigonometric method when all three roots
-    are real, Cardano's formula otherwise, with one Newton step on the
-    original coefficients to polish each simple root.  Repeated roots are
-    reported repeated, e.g. -(r-2)^2*(r+1) -> [-1.0, 2.0, 2.0].  A zero
-    leading coefficient degrades to the quadratic/linear solve.
+    are real, Cardano's formula otherwise, then up to two guarded Newton
+    steps (_polish) on the original coefficients for each simple root.
+    Repeated roots are reported repeated, e.g. -(r-2)^2*(r+1) -> [-1.0,
+    2.0, 2.0].  A zero leading coefficient degrades to quadratic/linear.
     """
     if c3 == 0.0:
         if c2 == 0.0 and c1 == 0.0 and c0 == 0.0:
             raise AllCoefficientsZero("cannot solve 0 = 0")
         return _solve_quadratic(c2, c1, c0)
-
-    def poly(x: float) -> float:
-        return ((c3 * x + c2) * x + c1) * x + c0
-
-    def dpoly(x: float) -> float:
-        return (3.0 * c3 * x + 2.0 * c2) * x + c1
-
-    def polish(x: float) -> float:
-        # up to two guarded Newton steps; one is not always enough to meet
-        # the residual bound when the closed form lands far off (severely
-        # ill-scaled leading coefficients)
-        for _ in range(2):
-            d = dpoly(x)
-            if d == 0.0:
-                break
-            step = poly(x) / d
-            if not math.isfinite(step) or abs(poly(x - step)) > abs(poly(x)):
-                break
-            x -= step
-        return x
-
-    def rel_residual(x: float) -> float:
-        scale = abs(c3 * x ** 3) + abs(c2 * x * x) + abs(c1 * x) + abs(c0)
-        return abs(poly(x)) / scale if scale > 0.0 else 0.0
 
     p = c2 / c3
     q = c1 / c3
@@ -343,31 +341,30 @@ def solve_cubic(c3: float, c2: float, c1: float, c0: float) -> list[float]:
         else:
             # (z - alpha)^2 (z + 2*alpha): double root alpha, simple -2*alpha
             alpha = -3.0 * Q / (2.0 * P)
-            candidates = sorted([alpha - shift, alpha - shift, polish(-2.0 * alpha - shift)])
-        if all(rel_residual(x) <= 1e-6 for x in candidates):
+            candidates = sorted([alpha - shift, alpha - shift, _polish(c3, c2, c1, c0, -2.0 * alpha - shift)])
+        if all(_rel_residual(c3, c2, c1, c0, x) <= 1e-6 for x in candidates):
             return candidates
         # A near-zero discriminant can also be an artifact of a depression
         # shift dwarfing the roots (|p| >> |x|); the repeated-root structure
         # is then bogus and the discriminant's sign is pure noise.  The
         # dominant root is still computed stably, so recover the other two
         # by backward deflation from the constant term.
-        return _deflate_from_dominant(c3, c2, c1, c0, P, Q, disc, shift, polish)
+        return _deflate_from_dominant(c3, c2, c1, c0, P, Q, disc, shift)
 
     if disc > 0.0:
         m = 2.0 * math.sqrt(-P / 3.0)
         theta = math.acos(max(-1.0, min(1.0, 3.0 * Q / (P * m))))
-        return sorted(
-            polish(m * math.cos((theta - math.tau * k) / 3.0) - shift) for k in range(3)
-        )
+        closed = (m * math.cos((theta - math.tau * k) / 3.0) - shift for k in range(3))
+        return sorted([_polish(c3, c2, c1, c0, x) for x in closed])
 
     # one real root: take the larger-magnitude cube root and recover the
     # other term from u*v = -P/3 to avoid cancellation
     sq = math.sqrt(max(0.0, -disc) / 108.0)
     w = _cbrt(-Q / 2.0 + sq if Q <= 0.0 else -Q / 2.0 - sq)
-    return [polish(w - P / (3.0 * w) - shift)]
+    return [_polish(c3, c2, c1, c0, w - P / (3.0 * w) - shift)]
 
 
-def _deflate_from_dominant(c3, c2, c1, c0, P, Q, disc, shift, polish) -> list[float]:
+def _deflate_from_dominant(c3, c2, c1, c0, P, Q, disc, shift) -> list[float]:
     """Roots via the largest-|z| depressed root plus backward deflation.
 
     Backward synthetic division (constant term first) keeps the deflated
@@ -384,13 +381,13 @@ def _deflate_from_dominant(c3, c2, c1, c0, P, Q, disc, shift, polish) -> list[fl
         sq = math.sqrt(max(0.0, -disc) / 108.0)
         w = _cbrt(-Q / 2.0 + sq if Q <= 0.0 else -Q / 2.0 - sq)
         z_big = w - P / (3.0 * w)
-    x_big = polish(z_big - shift)
+    x_big = _polish(c3, c2, c1, c0, z_big - shift)
     if x_big == 0.0:
         return [-shift] * 3
     # c3 x^3 + c2 x^2 + c1 x + c0 = (x - x_big)(c3 x^2 + b1 x + b0)
     b0 = -c0 / x_big
     b1 = (b0 - c1) / x_big
-    rest = [polish(x) for x in _solve_quadratic(c3, b1, b0)]
+    rest = [_polish(c3, c2, c1, c0, x) for x in _solve_quadratic(c3, b1, b0)]
     return sorted([x_big] + rest)
 
 

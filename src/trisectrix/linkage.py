@@ -82,13 +82,17 @@ class PlacementSolution:
     iterations: int
 
 
+def _leg(u: float) -> tuple[float, float, float]:
+    """(s, cos u, sin u) at leg angle u: the slide cot(u/2) and the leg direction."""
+    half = 0.5 * u
+    return math.cos(half) / math.sin(half), math.cos(u), math.sin(u)
+
+
 def state_from_leg_angle(u: float) -> LinkageState:
     """Compass configuration at leg angle u in (0, pi)."""
     if not 0.0 < u < math.pi:
         raise OutOfRange(f"leg angle must lie in (0, pi), got {u}")
-    half = 0.5 * u
-    s = math.cos(half) / math.sin(half)
-    cu, su = math.cos(u), math.sin(u)
+    s, cu, su = _leg(u)
     E = Point(s * cu, s * su)
     C = Point(E.x + su, E.y - cu)
     D = Point(E.x - su, E.y + cu)
@@ -104,14 +108,15 @@ def trace_curve(u_min: float, u_max: float, steps: int) -> list[LinkageState]:
     return [state_from_leg_angle(u) for u in uniform_grid(u_min, u_max, steps)]
 
 
-def _tip_angle_unwrapped(state: LinkageState) -> float:
-    """Polar angle of the tracing pencil, unwrapped to (0, 2*pi).
+def _tip_angle(u: float) -> float:
+    """Polar angle of the tracing pencil D = E + (-sin u, cos u), unwrapped to (0, 2*pi).
 
     The tip sweeps from 0+ up through 3*pi/2 as u runs over (0, pi), so
     lifting negative atan2 results by 2*pi makes the map continuous and
     strictly increasing over the whole leg range.
     """
-    a = polar_angle(state.D)
+    s, cu, su = _leg(u)
+    a = math.atan2(s * su + cu, s * cu - su)
     return a + math.tau if a < 0.0 else a
 
 
@@ -125,12 +130,8 @@ def scudder_place(phi: float) -> PlacementSolution:
     if not PHI_MIN <= phi <= PHI_MAX:
         raise OutOfRange(f"trisection angle must lie in [{PHI_MIN}, 3*pi/2], got {phi}")
 
-    def residual_at(u: float) -> tuple[float, LinkageState]:
-        st = state_from_leg_angle(u)
-        return _tip_angle_unwrapped(st) - phi, st
-
-    _, g, st, iterations = find_root(residual_at, _LEG_MIN, _LEG_MAX, _RESIDUAL_RTOL * phi)
-    return PlacementSolution(st, phi, abs(g), iterations)
+    u, g, iterations = find_root(lambda u: _tip_angle(u) - phi, _LEG_MIN, _LEG_MAX, _RESIDUAL_RTOL * phi)
+    return PlacementSolution(state_from_leg_angle(u), phi, abs(g), iterations)
 
 
 def verify_placement(sol: PlacementSolution, tol: float) -> Certificate:

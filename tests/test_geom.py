@@ -15,6 +15,7 @@ from trisectrix.errors import (
     ParallelLines,
 )
 from trisectrix.geom import (
+    _polish,
     MAX_GRID_POINTS,
     ORIGIN,
     Circle,
@@ -85,11 +86,11 @@ class TestUniformGrid:
 
 
 def counted(g):
-    """f for find_root: (g(x), x), with every evaluation point logged in ``f.calls``."""
+    """f for find_root: g, with every evaluation point logged in ``f.calls``."""
 
     def f(x):
         f.calls.append(x)
-        return g(x), x
+        return g(x)
 
     f.calls = []
     return f
@@ -114,24 +115,23 @@ class TestFindRoot:
     )
     def test_nonlinear_roots(self, g, lo, hi, root):
         f = counted(g)
-        x, value, payload, iterations = find_root(f, lo, hi, 1e-15)
+        x, value, iterations = find_root(f, lo, hi, 1e-15)
         assert x == pytest.approx(root, rel=1e-14)
         assert abs(value) <= 1e-15 and value == g(x)
-        assert payload == x  # the payload of the accepted point, not recomputed
         assert 0 < iterations <= 40
         assert len(f.calls) == 2 + iterations  # both ends, then one per step
         assert all(lo < c < hi for c in f.calls[2:])
 
     def test_linear_function_takes_one_step(self):
         f = counted(lambda x: 1.5 * x - 1.0)
-        x, _, _, iterations = find_root(f, 1e-300, 3.0, 1e-15)
+        x, _, iterations = find_root(f, 1e-300, 3.0, 1e-15)
         assert x == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert iterations == 1
 
     @pytest.mark.parametrize("g, end", [(lambda x: x, 0.0), (lambda x: x - 1.0, 1.0)])
     def test_root_at_an_end(self, g, end):
         f = counted(g)
-        assert find_root(f, 0.0, 1.0, 0.0) == (end, 0.0, end, 0)
+        assert find_root(f, 0.0, 1.0, 0.0) == (end, 0.0, 0)
         assert len(f.calls) == 2
 
     @pytest.mark.parametrize("n, lo, hi, side", [(2.0, 1.0, 2.0, -1.0), (5.0, 2.0, 3.0, 1.0)])
@@ -139,7 +139,7 @@ class TestFindRoot:
         # with tol = 0 no double is a root of x^2 - n: the bracket closes
         # down to two adjacent floats around sqrt(n) and the better one
         # comes back, the lower end for n = 2 and the upper end for n = 5
-        x, value, _, iterations = find_root(counted(lambda x: x * x - n), lo, hi, 0.0)
+        x, value, iterations = find_root(counted(lambda x: x * x - n), lo, hi, 0.0)
         assert abs(x - math.sqrt(n)) <= math.ulp(math.sqrt(n))
         assert value == x * x - n
         assert math.copysign(1.0, value) == side
@@ -387,3 +387,101 @@ class TestSolveCubic:
         assert len(got) == 3
         for a, b in zip(got, roots):
             assert abs(a - b) <= 1e-8
+
+
+def polish_three_evaluations(c3, c2, c1, c0, x):
+    """Reference for _polish: the same guarded Newton loop, evaluating the
+    cubic three times per step.  Returns (x, how the loop ended)."""
+
+    def poly(x):
+        return ((c3 * x + c2) * x + c1) * x + c0
+
+    def dpoly(x):
+        return (3.0 * c3 * x + 2.0 * c2) * x + c1
+
+    for _ in range(2):
+        d = dpoly(x)
+        if d == 0.0:
+            return x, "zero slope"
+        step = poly(x) / d
+        if not math.isfinite(step):
+            return x, "non-finite step"
+        if abs(poly(x - step)) > abs(poly(x)):
+            return x, "worse residual"
+        x -= step
+    return x, "two steps"
+
+
+class CountingFloat(float):
+    """A leading coefficient that counts its products: _polish forms c3 * x
+    once per evaluation of the cubic (the slope uses 3.0 * c3)."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingFloat.products += 1
+        return float(self) * other
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+moderate_floats = st.floats(-1e3, 1e3)
+
+
+class TestPolish:
+    @pytest.mark.parametrize(
+        "coeffs, x, ending",
+        [
+            ((1.0, 0.0, 0.0, 1.0), 0.0, "zero slope"),
+            ((1.0, 0.0, 1e-320, 1.0), 0.0, "non-finite step"),  # 1 / 1e-320 overflows
+            ((1.0, 0.0, 0.0, 0.0), 1e200, "non-finite step"),  # f and f' overflow: inf / inf
+            ((1.0, 0.0, -1.0, 0.0), 0.57, "worse residual"),  # near-flat slope overshoots
+            ((1.0, -6.0, 11.0, -6.0), 3.1, "two steps"),
+            ((1e-12, 3.0, 0.0, -4.0), -3e12, "two steps"),
+        ],
+    )
+    def test_every_ending_matches_the_reference(self, coeffs, x, ending):
+        want, how = polish_three_evaluations(*coeffs, x)
+        assert how == ending
+        got = _polish(*coeffs, x)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @given(
+        st.one_of(moderate_floats, finite_floats),
+        st.one_of(moderate_floats, finite_floats),
+        st.one_of(moderate_floats, finite_floats),
+        st.one_of(moderate_floats, finite_floats),
+        st.one_of(moderate_floats, finite_floats),
+    )
+    def test_matches_reference_on_any_cubic(self, c3, c2, c1, c0, x):
+        want, _ = polish_three_evaluations(c3, c2, c1, c0, x)
+        got = _polish(c3, c2, c1, c0, x)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @given(
+        st.lists(st.floats(-10, 10), min_size=3, max_size=3),
+        st.integers(-300, 300),
+        st.floats(-1e-3, 1e-3),
+    )
+    def test_matches_reference_near_roots_of_ill_scaled_cubics(self, roots, exponent, offset):
+        # k (x - a)(x - b)(x - c) with k anywhere from 1e-300 to 1e300,
+        # started near a root as the closed forms are
+        a, b, c = roots
+        k = 10.0**exponent
+        coeffs = (k, -k * (a + b + c), k * (a * b + a * c + b * c), -k * a * b * c)
+        x = a + offset
+        want, _ = polish_three_evaluations(*coeffs, x)
+        got = _polish(*coeffs, x)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize(
+        "coeffs, x, evaluations",
+        [
+            ((1.0, 0.0, 0.0, 1.0), 0.0, 1),  # zero slope: f(x) only
+            ((1.0, 0.0, -1.0, 0.0), 0.57, 2),  # one rejected step
+            ((1.0, -6.0, 11.0, -6.0), 3.1, 3),  # two kept steps
+        ],
+    )
+    def test_one_evaluation_per_step(self, coeffs, x, evaluations):
+        CountingFloat.products = 0
+        _polish(CountingFloat(coeffs[0]), *coeffs[1:], x)
+        assert CountingFloat.products == evaluations

@@ -17,7 +17,7 @@ from trisectrix.linkage import (
     state_from_leg_angle,
     trace_curve,
     verify_placement,
-    _tip_angle_unwrapped,
+    _tip_angle,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -81,10 +81,14 @@ class TestStateFromLegAngle:
             assert st.D.distance_to(trace_point(u / 2.0)) <= 1e-9
 
     def test_tip_angle_monotone_on_grid(self):
-        # the bracketed placement solve leans on this
+        # the bracketed placement solve leans on this; the float tip angle
+        # it solves on is the unwrapped polar angle of the state's D, bit
+        # for bit
         prev = 0.0
         for u in u_grid(2001, 1e-6, math.pi - 1e-6):
-            ang = _tip_angle_unwrapped(state_from_leg_angle(u))
+            ang = _tip_angle(u)
+            a = polar_angle(state_from_leg_angle(u).D)
+            assert ang == (a + math.tau if a < 0.0 else a)
             assert ang > prev
             prev = ang
 
@@ -159,9 +163,10 @@ class TestScudderPlace:
             with pytest.raises(OutOfRange):
                 scudder_place(phi)
 
-    def test_one_step_and_three_state_evaluations(self, monkeypatch):
+    def test_one_step_and_one_state_evaluation(self, monkeypatch):
         # the tip angle is linear in u (3u/2), so the first secant step
-        # from the full leg range lands on the placement
+        # from the full leg range lands on the placement; the state is
+        # built once, at the accepted leg angle
         calls = []
 
         def counting_state(u):
@@ -175,7 +180,7 @@ class TestScudderPlace:
             phi = math.radians(270.0 * (1.0 - rng.random()))
             sol = scudder_place(phi)
             assert sol.iterations == 1
-            assert len(calls) == 3
+            assert calls == [sol.state.u]
             assert sol.residual <= 4.0 * math.ulp(1.0) * phi
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,31 @@ def test_lib_trisect_failures_do_not_grow():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] <= LIB_TRISECT_MAX_FAILED
+    # the benchmark's oracle still excuses two placement cells, so the
+    # cells are checked here: lines "failed <method> <window> <kind> <n> ..."
+    cells = Counter()
+    for line in proc.stdout.splitlines():
+        fields = line.split()
+        if fields and fields[0] == "failed":
+            cells[fields[1], fields[2]] += int(fields[4])
+    assert not [cell for cell in cells if cell[0] == "scudder"]
+    assert cells == {("curve", "tiny"): 250, ("curve", "near90"): 117, ("curve", "below270"): 174}
+
+
+def test_lib_trisect_traced_run_reaches_every_layer():
+    # the traced run exits 1 if a traced function is no longer bound or
+    # records no calls, so a refactor cannot route around a layer unseen
+    pytest.importorskip("mpmath")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "lib_trisect", "--seed", "1", "--seconds", "2", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    metrics = result["metrics"]
+    assert metrics["linkage.state_from_leg_angle.calls_per_op"]["value"] == 1.0  # one state per placement
+    assert metrics["linkage.scudder_place.iterations"]["value"] == 1.0

@@ -24,14 +24,10 @@ from .curve import (
 )
 from .geom import (
     ORIGIN,
-    Circle,
-    Line,
     Point,
     Ray,
     bisect_angle,
-    foot_of_perpendicular,
     intersect_circle_line,
-    intersect_lines,
     polar_angle,
     solve_cubic,
 )
@@ -40,15 +36,12 @@ from .linkage import (
     PlacementSolution,
     scudder_place,
     state_from_leg_angle,
-    trace_curve,
     verify_placement,
 )
 
 __all__ = [
     "Certificate",
-    "Circle",
     "CurveIntersection",
-    "Line",
     "LinkageState",
     "METHOD_CURVE",
     "METHOD_SCUDDER",
@@ -59,12 +52,10 @@ __all__ = [
     "SweepReport",
     "TrisectionResult",
     "bisect_angle",
-    "foot_of_perpendicular",
     "half_chord",
     "implicit_gradient",
     "implicit_value",
     "intersect_circle_line",
-    "intersect_lines",
     "intersect_ray",
     "on_trace",
     "pick_trisection_point",
@@ -74,7 +65,6 @@ __all__ = [
     "solve_cubic",
     "state_from_leg_angle",
     "sweep_verify",
-    "trace_curve",
     "trace_point",
     "trisect_via_curve",
     "trisect_via_scudder",

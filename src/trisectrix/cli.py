@@ -13,6 +13,7 @@ or I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -116,20 +117,6 @@ def trisect_report(res: construct.TrisectionResult, tol: float) -> tuple[dict, b
     return payload, cert.passed
 
 
-def sweep_report_dict(report: construct.SweepReport) -> dict:
-    return {
-        "phi_min_deg": report.phi_min_deg,
-        "phi_max_deg": report.phi_max_deg,
-        "step_deg": report.step_deg,
-        "method": report.method,
-        "count": report.count,
-        "max_error_rad": report.max_error_rad,
-        "mean_error_rad": report.mean_error_rad,
-        "argmax_phi_deg": report.argmax_phi_deg,
-        "failures": list(report.failures),
-    }
-
-
 def _paint_axes(scene: Scene) -> None:
     scene.line(Point(X_MIN, 0.0), Point(X_MAX, 0.0), COLOR_AXIS, STROKE_THIN, cls="axis")
     scene.line(Point(0.0, Y_MIN), Point(0.0, Y_MAX), COLOR_AXIS, STROKE_THIN, cls="axis")
@@ -192,9 +179,14 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         return
     path = Path(out_path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
+            # mkstemp makes the file owner-only; give it the mode open(path, "w")
+            # would.  The umask can only be read by setting it, so set it back.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp_name, path)
     except BaseException:
@@ -269,9 +261,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
         for m in methods
     ]
     if len(reports) == 1:
-        payload = sweep_report_dict(reports[0])
+        payload = dataclasses.asdict(reports[0])
     else:
-        payload = {r.method: sweep_report_dict(r) for r in reports}
+        payload = {r.method: dataclasses.asdict(r) for r in reports}
     _emit(_to_json(payload), args.out)
     return 0 if all(not r.failures for r in reports) else 1
 

@@ -27,8 +27,6 @@ from .errors import BadRange, EmptyIntersection
 from .geom import (
     MAX_GRID_POINTS,
     ORIGIN,
-    Circle,
-    Line,
     Point,
     Ray,
     angle_distance,
@@ -42,7 +40,7 @@ METHOD_CURVE = "curve"
 METHOD_SCUDDER = "scudder"
 METHODS = (METHOD_CURVE, METHOD_SCUDDER)
 
-GUIDE_LINE = Line.horizontal(1.0)
+GUIDE_Y = 1.0
 TOP_LENGTH = 2.0
 
 
@@ -88,12 +86,12 @@ def complete_curve_construction(phi: float, d: Point) -> TrisectionResult:
     Split out so the spurious (mirror-branch) candidate can be forced
     through the identical steps and shown to fail verification.
     """
-    points = intersect_circle_line(Circle(d, TOP_LENGTH), GUIDE_LINE)
+    points = intersect_circle_line(d, TOP_LENGTH, GUIDE_Y)
     if not points:
         raise EmptyIntersection(f"radius-2 circle at {d} missed the guide line")
     c = points[-1]  # sorted ascending x: last is the right-most
     ray1 = Ray(ORIGIN, polar_angle(c))
-    ray2 = bisect_angle(ray1, Ray(ORIGIN, polar_angle(d)))
+    ray2 = Ray(ORIGIN, bisect_angle(ray1.angle, polar_angle(d)))
     residual = abs(ray1.angle - phi / 3.0)
     return TrisectionResult(phi, METHOD_CURVE, ray1, ray2, c, d, residual)
 

@@ -10,16 +10,8 @@ class TrisectrixError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ParallelLines(TrisectrixError, ValueError):
-    """Line-line intersection requested for (near-)parallel lines."""
-
-
 class OriginHasNoAngle(TrisectrixError, ValueError):
     """Polar angle requested for the origin."""
-
-
-class DistinctOrigins(TrisectrixError, ValueError):
-    """Angle bisection requested for rays with different origins."""
 
 
 class AllCoefficientsZero(TrisectrixError, ValueError):

@@ -1,10 +1,11 @@
-"""Minimal plane-geometry kernel.
+"""Minimal plane-geometry kernel for the fixed construction frame.
 
-Points, rays, lines, and circles in the fixed construction frame (origin
-O, +x along the base edge), plus the angle utilities, the real-cubic
-solver that the curve module builds on, and the bracketed root-finder
-the placement solve uses.  All lengths are dimensionless
-multiples of the straightedge width; all angles are radians.
+Points and rays (origin O, +x along the base edge), the angle
+utilities, the one circle step the construction needs (a circle meeting
+a horizontal line), the real-cubic solver that the curve module builds
+on, and the bracketed root-finder the placement solve uses.  All lengths
+are dimensionless multiples of the straightedge width; all angles are
+radians.
 
 Everything here is a pure function over immutable values.
 """
@@ -14,17 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    AllCoefficientsZero,
-    BadRange,
-    BracketFailure,
-    DistinctOrigins,
-    OriginHasNoAngle,
-    ParallelLines,
-)
-
-# Two unit normals are considered parallel below this cross product.
-PARALLEL_TOL = 1e-12
+from .errors import AllCoefficientsZero, BadRange, BracketFailure, OriginHasNoAngle
 
 # |r^2 - d^2| below this fraction of r^2 counts as circle-line tangency.
 TANGENCY_RTOL = 1e-12
@@ -104,10 +95,6 @@ class Ray:
     def __post_init__(self) -> None:
         object.__setattr__(self, "angle", normalize_angle(self.angle))
 
-    @classmethod
-    def toward(cls, origin: Point, target: Point) -> "Ray":
-        return cls(origin, polar_angle(target - origin))
-
     def point_at(self, distance: float) -> Point:
         return Point(
             self.origin.x + distance * math.cos(self.angle),
@@ -115,81 +102,25 @@ class Ray:
         )
 
 
-@dataclass(frozen=True)
-class Line:
-    """Implicit line a*x + b*y = c with the normal (a, b) kept unit length."""
+def intersect_circle_line(center: Point, radius: float, y0: float) -> list[Point]:
+    """Points where the circle about ``center`` meets the horizontal line y = y0.
 
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        n = math.hypot(self.a, self.b)
-        if n == 0.0 or not math.isfinite(n) or not math.isfinite(self.c):
-            raise ValueError("degenerate line coefficients")
-        object.__setattr__(self, "a", self.a / n)
-        object.__setattr__(self, "b", self.b / n)
-        object.__setattr__(self, "c", self.c / n)
-
-    @classmethod
-    def horizontal(cls, y0: float) -> "Line":
-        return cls(0.0, 1.0, y0)
-
-    @classmethod
-    def vertical(cls, x0: float) -> "Line":
-        return cls(1.0, 0.0, x0)
-
-    @classmethod
-    def from_points(cls, p: Point, q: Point) -> "Line":
-        d = q - p
-        return cls(-d.y, d.x, -d.y * p.x + d.x * p.y)
-
-    def signed_distance(self, p: Point) -> float:
-        return self.a * p.x + self.b * p.y - self.c
-
-
-X_AXIS = Line.horizontal(0.0)
-
-
-@dataclass(frozen=True)
-class Circle:
-    center: Point
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"circle radius must be finite and positive, got {self.radius}")
-
-
-def intersect_lines(l1: Line, l2: Line) -> Point:
-    """Intersection point of two non-parallel lines."""
-    det = l1.a * l2.b - l2.a * l1.b
-    if abs(det) <= PARALLEL_TOL:
-        raise ParallelLines(f"lines are parallel within {PARALLEL_TOL}")
-    x = (l1.c * l2.b - l2.c * l1.b) / det
-    y = (l1.a * l2.c - l2.a * l1.c) / det
-    return Point(x, y)
-
-
-def intersect_circle_line(c: Circle, l: Line) -> list[Point]:
-    """Circle-line intersection: 0, 1 (tangency), or 2 points.
-
-    Sorted by ascending x, ties broken by ascending y.  A discriminant
-    within TANGENCY_RTOL * radius^2 of zero collapses to the single
-    tangency point.
+    0, 1 (tangency) or 2 points, in ascending x.  A discriminant within
+    TANGENCY_RTOL * radius^2 of zero collapses to the single tangency
+    point, the foot of the perpendicular from the center.
     """
-    d = l.signed_distance(c.center)
-    disc = c.radius * c.radius - d * d
-    tol = TANGENCY_RTOL * c.radius * c.radius
+    d = center.y - y0
+    disc = radius * radius - d * d
+    tol = TANGENCY_RTOL * radius * radius
     if disc < -tol:
         return []
-    foot_x, foot_y = c.center.x - d * l.a, c.center.y - d * l.b
+    # center.y - d, not y0: the two differ by an ulp for some centers, and
+    # the construction's corner C takes its height from here
+    foot_x, foot_y = center.x, center.y - d
     if disc <= tol:
         return [Point(foot_x, foot_y)]
     h = math.sqrt(disc)
-    p1 = Point(foot_x - h * l.b, foot_y + h * l.a)
-    p2 = Point(foot_x + h * l.b, foot_y - h * l.a)
-    return [p2, p1] if (p2.x, p2.y) < (p1.x, p1.y) else [p1, p2]
+    return [Point(foot_x - h, foot_y), Point(foot_x + h, foot_y)]
 
 
 def polar_angle(p: Point) -> float:
@@ -202,21 +133,13 @@ def polar_angle(p: Point) -> float:
     return a
 
 
-def foot_of_perpendicular(p: Point, l: Line) -> Point:
-    """Orthogonal projection of p onto l."""
-    d = l.signed_distance(p)
-    return Point(p.x - d * l.a, p.y - d * l.b)
-
-
-def bisect_angle(r1: Ray, r2: Ray) -> Ray:
-    """Ray halving the counterclockwise sweep from r1 to r2.
+def bisect_angle(a1: float, a2: float) -> float:
+    """Direction halving the counterclockwise sweep from a1 to a2, not wrapped.
 
     The sweep is taken in [0, 2*pi), so bisect(90deg, 270deg) points at
-    180deg while bisect(270deg, 90deg) points at 0deg.
+    180deg while bisect(270deg, 90deg) points at 0deg (360deg).
     """
-    if r1.origin != r2.origin:
-        raise DistinctOrigins("rays must share an origin")
-    return Ray(r1.origin, r1.angle + 0.5 * ccw_sweep(r1.angle, r2.angle))
+    return a1 + 0.5 * ccw_sweep(a1, a2)
 
 
 # --- bracketed root finding -----------------------------------------------

@@ -29,18 +29,8 @@ from dataclasses import dataclass
 
 from .certificate import Certificate
 from .curve import PHI_MAX
-from .errors import BadRange, OutOfRange
-from .geom import (
-    ORIGIN,
-    X_AXIS,
-    Point,
-    ccw_sweep,
-    dot,
-    find_root,
-    foot_of_perpendicular,
-    polar_angle,
-    uniform_grid,
-)
+from .errors import OutOfRange
+from .geom import ORIGIN, Point, ccw_sweep, dot, find_root, polar_angle
 
 # The placement searches the whole leg range (0, pi) that doubles reach:
 # at 1e-300 the slide cot(u/2) = 2e300 is still finite, and the top end
@@ -99,15 +89,6 @@ def state_from_leg_angle(u: float) -> LinkageState:
     return LinkageState(u, s, C, D, E)
 
 
-def trace_curve(u_min: float, u_max: float, steps: int) -> list[LinkageState]:
-    """Sweep the leg over [u_min, u_max] in ``steps`` uniform increments, inclusive."""
-    if not 0.0 < u_min < u_max < math.pi:
-        raise BadRange(f"need 0 < u_min < u_max < pi, got [{u_min}, {u_max}]")
-    if steps < 2:
-        raise BadRange(f"need at least 2 steps, got {steps}")
-    return [state_from_leg_angle(u) for u in uniform_grid(u_min, u_max, steps)]
-
-
 def _tip_angle(u: float) -> float:
     """Polar angle of the tracing pencil D = E + (-sin u, cos u), unwrapped to (0, 2*pi).
 
@@ -149,7 +130,6 @@ def verify_placement(sol: PlacementSolution, tol: float) -> Certificate:
     top = st.D - st.C
     top_len = top.norm()
     leg_len = st.E.norm()
-    foot = foot_of_perpendicular(st.C, X_AXIS)
 
     ang_c = polar_angle(st.C)
     ang_e = polar_angle(st.E)
@@ -162,7 +142,7 @@ def verify_placement(sol: PlacementSolution, tol: float) -> Certificate:
         "top_length": abs(top_len - 2.0),
         "corner_on_guide": abs(st.C.y - 1.0),
         "leg_perpendicular_to_top": abs(dot(st.E, top)) / (leg_len * top_len),
-        "corner_height_above_base": abs(st.C.distance_to(foot) - 1.0),
+        "corner_height_above_base": abs(abs(st.C.y) - 1.0),
         "equal_hypotenuses": abs(st.C.distance_to(ORIGIN) - st.D.distance_to(ORIGIN)),
         "sectors_base_vs_mid": abs(sector_1 - sector_2),
         "sectors_mid_vs_top": abs(sector_2 - sector_3),

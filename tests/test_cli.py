@@ -2,6 +2,7 @@
 
 import json
 import math
+import stat
 import subprocess
 import sys
 from xml.etree import ElementTree as ET
@@ -26,13 +27,14 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (_CLI_MEMORY_BYTES, _CLI_MEMORY_BYTES))
 
 
-def run_cli(*args):
+def run_cli(*args, umask=-1):
     proc = subprocess.run(
         [sys.executable, "-m", "trisectrix", *args],
         capture_output=True,
         text=True,
         timeout=_CLI_TIMEOUT_S,
         preexec_fn=_cap_memory,
+        umask=umask,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -243,6 +245,18 @@ class TestDeterminism:
         code2, _, _ = run_cli("curve", "--samples", "20", "--out", str(out_file))
         assert code2 == 0
         assert out_file.read_text() == stdout
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["umask022", "umask027"])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # the mode open(path, "w") would give, both new and replacing a file
+        out_file = tmp_path / "curve.csv"
+        for _ in range(2):
+            code, _, _ = run_cli("curve", "--samples", "5", "--out", str(out_file), umask=umask)
+            assert code == 0
+            assert stat.S_IMODE(out_file.stat().st_mode) == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
 
 
 class TestNonFiniteInput:

@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import random
 
 import pytest
 
 from trisectrix.construct import (
-    GUIDE_LINE,
+    GUIDE_Y,
     METHOD_CURVE,
     TOP_LENGTH,
     TrisectionResult,
@@ -18,15 +19,7 @@ from trisectrix.construct import (
 )
 from trisectrix.curve import intersect_ray, pick_trisection_point
 from trisectrix.errors import BadRange, OutOfRange
-from trisectrix.geom import (
-    ORIGIN,
-    Circle,
-    Line,
-    Ray,
-    angle_distance,
-    bisect_angle,
-    intersect_circle_line,
-)
+from trisectrix.geom import ORIGIN, Ray, angle_distance, bisect_angle, intersect_circle_line, polar_angle
 
 SQRT3 = math.sqrt(3.0)
 
@@ -56,7 +49,7 @@ class TestCurveMethod:
         assert angle_distance(res.ray1.angle, math.pi / 2) <= 1e-9
         assert angle_distance(res.ray2.angle, math.pi) <= 1e-9
         # the radius-2 circle is tangent to the guide line down there
-        assert len(intersect_circle_line(Circle(res.D, TOP_LENGTH), GUIDE_LINE)) == 1
+        assert len(intersect_circle_line(res.D, TOP_LENGTH, GUIDE_Y)) == 1
 
     def test_range_validation(self):
         for phi in (0.0, -0.2, 1.5 * math.pi + 1e-9):
@@ -95,6 +88,25 @@ def _log_grid(lo_exp, hi_exp, n=200):
     return [10.0 ** (lo_exp + (hi_exp - lo_exp) * k / (n - 1)) for k in range(n)]
 
 
+def _uniform_grid_rad(n, seed):
+    """n seeded angles uniform in (0, 270] degrees, in radians."""
+    rng = random.Random(seed)
+    return [math.radians(270.0 * (1.0 - rng.random())) for _ in range(n)]
+
+
+def _assert_matches_closed_form(res, phi, where):
+    """|OD| = csc(phi/3) to 1e-9 relative and both rays to 1e-9 mod 2*pi, at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    assert verify_trisection(res, 1e-9).passed, (where, phi)
+    with mpmath.workdps(50):
+        p = mpmath.mpf(phi)
+        csc = mpmath.csc(p / 3)
+        assert abs(mpmath.hypot(res.D.x, res.D.y) - csc) <= 1e-9 * csc, (where, phi)
+        for ray, k in ((res.ray1, 1), (res.ray2, 2)):
+            gap = (mpmath.mpf(ray.angle) - k * p / 3) % (2 * mpmath.pi)
+            assert min(gap, 2 * mpmath.pi - gap) <= 1e-9, (where, phi, k)
+
+
 class TestScudderOracle:
     """The placement against |OD| = csc(phi/3) at 50 digits, at both ends of the domain.
 
@@ -110,17 +122,28 @@ class TestScudderOracle:
         ],
     )
     def test_matches_the_closed_form(self, window, angles):
-        mpmath = pytest.importorskip("mpmath")
         for phi in angles:
-            res = trisect_via_scudder(phi)
-            assert verify_trisection(res, 1e-9).passed, (window, phi)
-            with mpmath.workdps(50):
-                p = mpmath.mpf(phi)
-                csc = mpmath.csc(p / 3)
-                assert abs(mpmath.hypot(res.D.x, res.D.y) - csc) <= 1e-9 * csc, (window, phi)
-                for ray, k in ((res.ray1, 1), (res.ray2, 2)):
-                    gap = (mpmath.mpf(ray.angle) - k * p / 3) % (2 * mpmath.pi)
-                    assert min(gap, 2 * mpmath.pi - gap) <= 1e-9, (window, phi, k)
+            _assert_matches_closed_form(trisect_via_scudder(phi), phi, window)
+
+
+class TestCurveOracle:
+    """The curve method against |OD| = csc(phi/3) at 50 digits.
+
+    Around 180 degrees the ray-curve cubic loses its leading coefficient
+    -sin(phi), and within |sin(phi)| <= 1e-5 the solve switches to an
+    asymptotic root; the offsets cross that switch on both sides.
+    """
+
+    @pytest.mark.parametrize(
+        "window, angles",
+        [
+            ("near180", [math.radians(180.0 + sign * off) for off in _log_grid(-12.0, -2.0) for sign in (1, -1)]),
+            ("uniform", _uniform_grid_rad(2400, seed=180)),
+        ],
+    )
+    def test_matches_the_closed_form(self, window, angles):
+        for phi in angles:
+            _assert_matches_closed_form(trisect_via_curve(phi), phi, window)
 
 
 class TestVerifyTrisection:
@@ -160,15 +183,15 @@ class TestRightmostRule:
         for deg in range(5, 270, 11):
             phi = math.radians(deg)
             d = pick_trisection_point(phi)
-            points = intersect_circle_line(Circle(d, TOP_LENGTH), GUIDE_LINE)
+            points = intersect_circle_line(d, TOP_LENGTH, GUIDE_Y)
             rightmost = points[-1]
             res = complete_curve_construction(phi, d)
             assert res.C == rightmost
             assert verify_trisection(res, 1e-9).passed
             if len(points) == 2:
                 wrong_c = points[0]
-                ray1 = Ray.toward(ORIGIN, wrong_c)
-                ray2 = bisect_angle(ray1, Ray.toward(ORIGIN, d))
+                ray1 = Ray(ORIGIN, polar_angle(wrong_c))
+                ray2 = Ray(ORIGIN, bisect_angle(ray1.angle, polar_angle(d)))
                 wrong = TrisectionResult(
                     phi, METHOD_CURVE, ray1, ray2, wrong_c, d, abs(ray1.angle - phi / 3.0)
                 )
@@ -184,13 +207,11 @@ class TestScaleInvariance:
                 phi = math.radians(deg)
                 unit = trisect_via_curve(phi)
                 d_scaled = lam * pick_trisection_point(phi)
-                points = intersect_circle_line(
-                    Circle(d_scaled, TOP_LENGTH * lam), Line.horizontal(lam)
-                )
+                points = intersect_circle_line(d_scaled, TOP_LENGTH * lam, lam)
                 c_scaled = points[-1]
                 assert c_scaled.distance_to(lam * unit.C) <= 1e-12 * lam * max(1.0, unit.C.norm())
-                ray1 = Ray.toward(ORIGIN, c_scaled)
-                ray2 = bisect_angle(ray1, Ray.toward(ORIGIN, d_scaled))
+                ray1 = Ray(ORIGIN, polar_angle(c_scaled))
+                ray2 = Ray(ORIGIN, bisect_angle(ray1.angle, polar_angle(d_scaled)))
                 assert angle_distance(ray1.angle, unit.ray1.angle) <= 1e-12
                 assert angle_distance(ray2.angle, unit.ray2.angle) <= 1e-12
 

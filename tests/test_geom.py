@@ -6,30 +6,18 @@ import random
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from trisectrix.errors import (
-    AllCoefficientsZero,
-    BadRange,
-    BracketFailure,
-    DistinctOrigins,
-    OriginHasNoAngle,
-    ParallelLines,
-)
+from trisectrix.errors import AllCoefficientsZero, BadRange, BracketFailure, OriginHasNoAngle
 from trisectrix.geom import (
     _polish,
     MAX_GRID_POINTS,
     ORIGIN,
-    Circle,
-    Line,
     Point,
     Ray,
-    X_AXIS,
     angle_distance,
     bisect_angle,
     ccw_sweep,
     find_root,
-    foot_of_perpendicular,
     intersect_circle_line,
-    intersect_lines,
     polar_angle,
     solve_cubic,
     uniform_grid,
@@ -44,26 +32,6 @@ class TestPrimitives:
             Point(math.inf, 0.0)
         with pytest.raises(ValueError):
             Point(0.0, math.nan)
-
-    def test_line_normalizes_normal(self):
-        l = Line(2.0, 0.0, 6.0)
-        assert l.a == 1.0 and l.b == 0.0 and l.c == 3.0
-
-    def test_line_rejects_zero_normal(self):
-        with pytest.raises(ValueError):
-            Line(0.0, 0.0, 1.0)
-
-    def test_line_from_points_contains_both(self):
-        p, q = Point(1.0, 2.0), Point(-3.0, 0.5)
-        l = Line.from_points(p, q)
-        assert abs(l.signed_distance(p)) <= 1e-12
-        assert abs(l.signed_distance(q)) <= 1e-12
-
-    def test_circle_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            Circle(ORIGIN, 0.0)
-        with pytest.raises(ValueError):
-            Circle(ORIGIN, -1.0)
 
     def test_ray_normalizes_angle(self):
         assert Ray(ORIGIN, 3.0 * math.pi).angle == pytest.approx(math.pi)
@@ -159,86 +127,44 @@ class TestFindRoot:
         assert len(f.calls) == 2 + 100
 
 
-class TestIntersectLines:
-    def test_axes_cross_at_origin(self):
-        p = intersect_lines(X_AXIS, Line.vertical(0.0))
-        assert p == Point(0.0, 0.0)
-
-    def test_coordinate_lines(self):
-        p = intersect_lines(Line.horizontal(1.0), Line.vertical(SQRT3))
-        assert p.x == pytest.approx(SQRT3, abs=1e-12)
-        assert p.y == pytest.approx(1.0, abs=1e-12)
-
-    def test_parallel_raises(self):
-        with pytest.raises(ParallelLines):
-            intersect_lines(Line.horizontal(1.0), Line.horizontal(2.0))
-
-    def test_result_satisfies_both_equations(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            l1 = Line(rng.uniform(-1, 1), rng.uniform(-1, 1) + 1.1, rng.uniform(-5, 5))
-            l2 = Line(rng.uniform(-1, 1) + 1.1, rng.uniform(-1, 1), rng.uniform(-5, 5))
-            p = intersect_lines(l1, l2)
-            assert abs(l1.signed_distance(p)) <= 1e-9
-            assert abs(l2.signed_distance(p)) <= 1e-9
-
-
 class TestIntersectCircleLine:
     def test_two_point_case(self):
-        pts = intersect_circle_line(Circle(Point(0.0, 2.0), 2.0), Line.horizontal(1.0))
+        pts = intersect_circle_line(Point(0.0, 2.0), 2.0, 1.0)
         assert len(pts) == 2
         assert pts[0].x == pytest.approx(-SQRT3, abs=1e-12)
         assert pts[1].x == pytest.approx(SQRT3, abs=1e-12)
         assert pts[0].y == pts[1].y == 1.0
 
     def test_tangency_collapses_to_one_point(self):
-        pts = intersect_circle_line(Circle(Point(0.0, -1.0), 2.0), Line.horizontal(1.0))
+        pts = intersect_circle_line(Point(0.0, -1.0), 2.0, 1.0)
         assert len(pts) == 1
         assert pts[0].x == pytest.approx(0.0, abs=1e-12)
         assert pts[0].y == pytest.approx(1.0, abs=1e-12)
 
     def test_miss_is_empty(self):
-        assert intersect_circle_line(Circle(Point(0.0, 5.0), 2.0), Line.horizontal(1.0)) == []
+        assert intersect_circle_line(Point(0.0, 5.0), 2.0, 1.0) == []
 
     def test_points_satisfy_both_equations(self):
         rng = random.Random(11)
         for _ in range(300):
-            c = Circle(Point(rng.uniform(-4, 4), rng.uniform(-4, 4)), rng.uniform(0.1, 5.0))
-            l = Line(rng.uniform(-1, 1), rng.uniform(-1, 1) + 1.1, rng.uniform(-4, 4))
-            for p in intersect_circle_line(c, l):
-                assert abs(p.distance_to(c.center) - c.radius) <= 1e-9
-                assert abs(l.signed_distance(p)) <= 1e-9
-
-    def test_sorted_by_x_then_y(self):
-        pts = intersect_circle_line(Circle(Point(2.0, 0.0), 1.0), Line.vertical(2.0))
-        assert len(pts) == 2
-        assert pts[0].x == pts[1].x
-        assert pts[0].y < pts[1].y
+            center = Point(rng.uniform(-4, 4), rng.uniform(-4, 4))
+            radius, y0 = rng.uniform(0.1, 5.0), rng.uniform(-4, 4)
+            pts = intersect_circle_line(center, radius, y0)
+            for p in pts:
+                assert abs(p.distance_to(center) - radius) <= 1e-9
+                assert abs(p.y - y0) <= 1e-9
+            assert [p.x for p in pts] == sorted(p.x for p in pts)
 
     def test_translation_invariance(self):
         rng = random.Random(13)
-        base_c = Circle(Point(0.5, 1.5), 2.0)
-        base_l = Line(0.3, 1.0, 1.0)
-        base = intersect_circle_line(base_c, base_l)
+        base = intersect_circle_line(Point(0.5, 1.5), 2.0, 1.0)
         for _ in range(100):
             dx, dy = rng.uniform(-20, 20), rng.uniform(-20, 20)
-            moved_c = Circle(Point(0.5 + dx, 1.5 + dy), 2.0)
-            moved_l = Line(base_l.a, base_l.b, base_l.c + base_l.a * dx + base_l.b * dy)
-            moved = intersect_circle_line(moved_c, moved_l)
+            moved = intersect_circle_line(Point(0.5 + dx, 1.5 + dy), 2.0, 1.0 + dy)
             assert len(moved) == len(base)
             for p, q in zip(base, moved):
                 assert abs(q.x - (p.x + dx)) <= 1e-9
                 assert abs(q.y - (p.y + dy)) <= 1e-9
-
-    def test_construction_order_does_not_matter(self):
-        # the same line built from swapped point pairs yields the same hits
-        p, q = Point(-4.0, 0.2), Point(5.0, 1.7)
-        c = Circle(Point(0.3, 0.8), 2.5)
-        a = intersect_circle_line(c, Line.from_points(p, q))
-        b = intersect_circle_line(c, Line.from_points(q, p))
-        assert len(a) == len(b) == 2
-        for u, v in zip(a, b):
-            assert u.distance_to(v) <= 1e-9
 
 
 class TestAngles:
@@ -260,58 +186,34 @@ class TestAngles:
             for d in (1e-3, 0.7, 5.0, 1e4):
                 assert angle_distance(polar_angle(r.point_at(d)), r.angle) <= 1e-12
 
-    def test_foot_of_perpendicular_examples(self):
-        f = foot_of_perpendicular(Point(SQRT3, 1.0), X_AXIS)
-        assert f.x == pytest.approx(SQRT3, abs=1e-15) and f.y == 0.0
-        f = foot_of_perpendicular(Point(0.0, 2.0), Line.horizontal(1.0))
-        assert f.x == 0.0 and f.y == pytest.approx(1.0, abs=1e-15)
-        on_line = Point(0.4, 1.0)
-        f = foot_of_perpendicular(on_line, Line.horizontal(1.0))
-        assert f.distance_to(on_line) <= 1e-15
-
-    def test_foot_is_perpendicular(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            p = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            l = Line(rng.uniform(-1, 1) + 1.1, rng.uniform(-1, 1), rng.uniform(-3, 3))
-            f = foot_of_perpendicular(p, l)
-            assert abs(l.signed_distance(f)) <= 1e-12
-            drop = p - f
-            if drop.norm() > 1e-9:
-                along = Point(-l.b, l.a)
-                assert abs(drop.x * along.x + drop.y * along.y) / drop.norm() <= 1e-12
-
 
 class TestBisectAngle:
     def test_simple_bisection(self):
-        r = bisect_angle(Ray(ORIGIN, math.radians(30)), Ray(ORIGIN, math.radians(90)))
-        assert angle_distance(r.angle, math.radians(60)) <= 1e-12
+        a = bisect_angle(math.radians(30), math.radians(90))
+        assert angle_distance(a, math.radians(60)) <= 1e-12
 
     def test_ccw_convention_through_the_back(self):
-        r = bisect_angle(Ray(ORIGIN, math.radians(90)), Ray(ORIGIN, math.radians(270)))
-        assert angle_distance(r.angle, math.pi) <= 1e-12
+        assert angle_distance(bisect_angle(math.radians(90), math.radians(270)), math.pi) <= 1e-12
+        # the other way round the sweep passes 0 and the result is not wrapped
+        assert bisect_angle(math.radians(270), math.radians(90)) == pytest.approx(math.tau)
 
     def test_zero_sweep_returns_same_ray(self):
         r1 = Ray(ORIGIN, 0.7)
-        assert bisect_angle(r1, r1) == r1
-
-    def test_distinct_origins_rejected(self):
-        with pytest.raises(DistinctOrigins):
-            bisect_angle(Ray(ORIGIN, 0.0), Ray(Point(1.0, 0.0), 0.0))
+        assert Ray(ORIGIN, bisect_angle(r1.angle, r1.angle)) == r1
 
     @given(
         st.floats(-math.pi, math.pi, allow_nan=False, allow_infinity=False),
         st.floats(1e-6, math.tau - 1e-6),
     )
     def test_repeated_bisection_gives_quarters(self, base, sweep):
-        r1 = Ray(ORIGIN, base)
-        r2 = Ray(ORIGIN, base + sweep)
-        measured = ccw_sweep(r1.angle, r2.angle)
-        mid = bisect_angle(r1, r2)
-        q1 = bisect_angle(r1, mid)
-        q3 = bisect_angle(mid, r2)
-        assert angle_distance(q1.angle, r1.angle + measured / 4) <= 1e-12
-        assert angle_distance(q3.angle, r1.angle + 3 * measured / 4) <= 1e-12
+        a1 = Ray(ORIGIN, base).angle
+        a2 = Ray(ORIGIN, base + sweep).angle
+        measured = ccw_sweep(a1, a2)
+        mid = bisect_angle(a1, a2)
+        q1 = bisect_angle(a1, mid)
+        q3 = bisect_angle(mid, a2)
+        assert angle_distance(q1, a1 + measured / 4) <= 1e-12
+        assert angle_distance(q3, a1 + 3 * measured / 4) <= 1e-12
 
 
 class TestSolveCubic:

@@ -9,13 +9,12 @@ import pytest
 from trisectrix import linkage
 from trisectrix.construct import trisect_via_scudder, verify_trisection
 from trisectrix.curve import trace_point
-from trisectrix.errors import BadRange, OutOfRange
+from trisectrix.errors import OutOfRange
 from trisectrix.geom import ORIGIN, angle_distance, dot, polar_angle
 from trisectrix.linkage import (
     PHI_MIN,
     scudder_place,
     state_from_leg_angle,
-    trace_curve,
     verify_placement,
     _tip_angle,
 )
@@ -91,30 +90,6 @@ class TestStateFromLegAngle:
             assert ang == (a + math.tau if a < 0.0 else a)
             assert ang > prev
             prev = ang
-
-
-class TestTraceCurve:
-    def test_bad_ranges(self):
-        with pytest.raises(BadRange):
-            trace_curve(math.pi / 3, math.pi / 3, 5)
-        with pytest.raises(BadRange):
-            trace_curve(0.5, 0.4, 5)
-        with pytest.raises(BadRange):
-            trace_curve(0.1, 0.2, 1)
-        with pytest.raises(BadRange):
-            trace_curve(0.0, 0.2, 5)
-
-    def test_three_step_sweep(self):
-        states = trace_curve(math.pi / 6, math.pi / 2, 3)
-        assert len(states) == 3
-        assert states[1].u == pytest.approx(math.pi / 3, abs=1e-15)
-        assert abs(states[1].D.x) <= 1e-12
-        assert states[1].D.y == pytest.approx(2.0, abs=1e-12)
-
-    def test_full_sweep_properties(self):
-        for st in trace_curve(0.01, 3.13, 1000):
-            assert abs(st.C.y - 1.0) <= 1e-12
-            assert abs(st.C.distance_to(st.D) - 2.0) <= 1e-12
 
 
 class TestScudderPlace:

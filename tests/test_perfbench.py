@@ -1,5 +1,7 @@
 """Smoke tests of the benchmark harness: short runs must pass their own output oracle."""
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -9,6 +11,25 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_functions_resolve():
+    # the traced runs cover only the spans their workload reaches; this
+    # catches a deleted or renamed traced function in any layer, at once
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for span, (module, attr_path) in tracing.TRACED.items():
+        obj = importlib.import_module(module)
+        for attr in attr_path.split("."):
+            obj = getattr(obj, attr, None)
+        assert callable(obj), span
+
+
+def test_public_names_resolve():
+    import trisectrix
+
+    assert [name for name in trisectrix.__all__ if not hasattr(trisectrix, name)] == []
 
 
 def test_render_run_is_correct():

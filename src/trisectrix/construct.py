@@ -2,10 +2,11 @@
 
 Two independent routes produce the trisecting rays for an angle phi:
 
-curve method -- intersect the ray at phi with the traced curve to get D,
-draw the circle of radius 2 about D, take its right-most intersection C
-with the guide line y = 1, and bisect the angle COD.  OC is the first
-trisecting ray; the bisector is the second.
+curve method -- intersect the ray at phi with the traced curve to get D
+(one bracketed solve of the triple-angle cubic), draw the circle of
+radius 2 about D, take its right-most intersection C with the guide line
+y = 1, and bisect the angle COD.  OC is the first trisecting ray; the
+bisector is the second.
 
 Scudder method -- solve the physical placement of the T-square (inside
 edge through the vertex, 2-unit top mark on the far side of the angle,
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from . import curve, linkage
 from .certificate import Certificate
-from .errors import BadRange, EmptyIntersection
+from .errors import BadRange
 from .geom import (
     MAX_GRID_POINTS,
     ORIGIN,
@@ -80,16 +81,20 @@ class SweepReport:
     failures: tuple[float, ...]
 
 
-def complete_curve_construction(phi: float, d: Point) -> TrisectionResult:
-    """Finish the curve-method construction from a given curve point D.
+def complete_curve_construction(phi: float, hit: curve.CurveIntersection) -> TrisectionResult:
+    """Finish the curve-method construction from a ray-curve hit D.
 
-    Split out so the spurious (mirror-branch) candidate can be forced
-    through the identical steps and shown to fail verification.
+    The radius-2 circle about D meets the guide line at C.  It is solved
+    in the frame of the closure line y = -1, where D sits at height
+    1 + D.y = 4 cos^2 t and the guide line at 2: near 270 degrees D.y
+    rounds to -1, but the lift keeps the half-chord (tiny there) exact.
+    Split out so the spurious (mirror-branch) hit can be forced through
+    the identical steps and shown to fail verification.
     """
-    points = intersect_circle_line(d, TOP_LENGTH, GUIDE_Y)
-    if not points:
-        raise EmptyIntersection(f"radius-2 circle at {d} missed the guide line")
-    c = points[-1]  # sorted ascending x: last is the right-most
+    d = hit.point
+    lift = 4.0 * math.cos(hit.t) ** 2
+    points = intersect_circle_line(Point(d.x, lift), TOP_LENGTH, GUIDE_Y + 1.0)
+    c = Point(points[-1].x, GUIDE_Y)  # sorted ascending x: last is the right-most
     ray1 = Ray(ORIGIN, polar_angle(c))
     ray2 = Ray(ORIGIN, bisect_angle(ray1.angle, polar_angle(d)))
     residual = abs(ray1.angle - phi / 3.0)
@@ -97,12 +102,12 @@ def complete_curve_construction(phi: float, d: Point) -> TrisectionResult:
 
 
 def trisect_via_curve(phi: float) -> TrisectionResult:
-    """Trisect phi in (0, 3*pi/2] using the traced curve."""
-    return complete_curve_construction(phi, curve.pick_trisection_point(phi))
+    """Trisect phi in [PHI_MIN, 3*pi/2] using the traced curve."""
+    return complete_curve_construction(phi, curve.intersect_ray(phi)[0])
 
 
 def trisect_via_scudder(phi: float) -> TrisectionResult:
-    """Trisect phi in (0, 3*pi/2] by solving the physical square placement."""
+    """Trisect phi in [PHI_MIN, 3*pi/2] by solving the physical square placement."""
     sol = linkage.scudder_place(phi)
     st = sol.state
     ray1 = Ray(ORIGIN, polar_angle(st.C))

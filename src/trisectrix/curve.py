@@ -19,6 +19,11 @@ origin -- which is exactly why the curve trisects: the ray at angle phi
 meets the trace at the point whose construction angle is phi / 3.
 The parametric form is validated against the implicit equation by the
 test suite (dense-grid oracle) before anything else relies on it.
+
+The ray is met by solving the triple-angle identity 4x^3 - 3x = -sin(phi)
+(x = sin t = 1/r) or = cos(phi) (x = cos t) for x with one bracketed
+root solve, then reading t off x; membership is the polar test 3t = phi.
+Nothing here divides an angle by three.
 """
 
 from __future__ import annotations
@@ -27,30 +32,26 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadRange, NoTraceRoot, OutOfDomain, OutOfRange
-from .geom import Point, angle_distance, polar_angle, solve_cubic, uniform_grid
+from .geom import Point, angle_distance, solve_cubic, uniform_grid
 
 # Upper end of the trace parameter; the curve closes at (0, -1).
 T_MAX = math.pi / 2
 
-# Query angles the trace covers (in radians): (0, 3*pi/2].
+# Query angles the trace covers (in radians): [PHI_MIN, 3*pi/2].  Both
+# trisection methods check this one range.  PHI_MIN is the tip angle of
+# the shortest leg the placement can represent; the curve's point there
+# sits csc(PHI_MIN / 3) = 2e300 units out, still a finite double.
+PHI_MIN = 1.5e-300
 PHI_MAX = 1.5 * math.pi
 
-# Below this query angle the on-trace point lies csc(phi/3) > 3e6 units
-# out, where 3 - y = 4/r^2 falls under double-precision resolution around
-# y = 3 and membership can no longer be decided; rejected as out of range.
-PHI_MIN = 1e-6
+# x-windows of the ray equation T3(x) = 4x^3 - 3x = k (below) where T3 is
+# monotone and the trace root lies: [0, sin 15deg] and [sin 45deg,
+# sin 75deg], each widened a little so that rounding at a band edge
+# cannot push the root out of its window.
+_LOW_WINDOW = (0.0, 0.26)
+_HIGH_WINDOW = (0.7, 0.97)
 
-# Below this |sin(phi)| the ray-curve cubic is solved structurally instead
-# of by the general closed form: the leading coefficient vanishes at
-# phi = pi, where the depression shift (~3/sin) dwarfs the two moderate
-# roots and destroys their closed-form accuracy.  The moderate pair comes
-# from the quadratic 3 r^2 - 4, the extreme root from its asymptotic
-# expansion 3/sin - 4 sin/9, and a Newton step against the full cubic
-# restores each to machine accuracy.
-_DEGENERATE_SIN = 1e-5
-
-# Roots closer than this (relative) are one geometric intersection.
-_ROOT_CLUSTER_RTOL = 1e-9
+_SQRT3 = math.sqrt(3.0)
 
 # Default residual/angle tolerance for trace-membership checks.
 DEFAULT_TRACE_TOL = 1e-9
@@ -94,36 +95,16 @@ def trace_point(t: float) -> Point:
     return Point(math.cos(3.0 * t) / st, math.sin(3.0 * t) / st)
 
 
-def on_trace(p: Point, tol: float = DEFAULT_TRACE_TOL) -> bool:
-    """True iff p lies on the traced (right-hand) branch, within tol.
+def on_trace(t: float, phi: float, tol: float = DEFAULT_TRACE_TOL) -> bool:
+    """True iff the traced point D(t) lies on the ray at angle phi, within tol.
 
-    Membership needs both |F(p)| <= tol * (1 + |x|^3) (the cubic growth
-    scale keeps far points near the asymptote checkable) and the polar
-    angle of p to equal 3t mod 2*pi, where t = asin(sqrt((3 - y) / 4))
-    recovers the parameter from the height.  Points with y >= 3 are never
-    on the trace; y below -1 (beyond tolerance slack) is outside the
-    curve's real locus entirely.
+    D(t) sits at polar angle 3t, so this is the polar membership test
+    3t = phi (mod 2*pi).  The mirror image of D(t) sits at pi - 3t and
+    passes only where it coincides with D(t): at the node, t = pi/6.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    y = p.y
-    if y >= 3.0:
-        return False
-    if y < -1.0 - 4.0 * tol:
-        raise OutOfDomain(f"no curve locus below y = -1, got y = {y}")
-    if p.x == 0.0 and p.y == 0.0:
-        return False
-    scale = 1.0 + abs(p.x) ** 3
-    if abs(implicit_value(p)) > tol * scale:
-        return False
-    q = (3.0 - y) / 4.0
-    t = math.asin(min(1.0, math.sqrt(q)))
-    # recovering t from the height is ill-conditioned where asin flattens
-    # (q near 1: the closure point y = -1; q near 0: the asymptote), so the
-    # angle comparison gets the roundoff-propagation allowance on top of tol
-    eps_q = 2.2e-16
-    slack = 3.0 * eps_q / (2.0 * math.sqrt(max(q, eps_q) * max(1.0 - q, eps_q)))
-    return angle_distance(polar_angle(p), 3.0 * t) <= tol + slack
+    return angle_distance(3.0 * t, phi) <= tol
 
 
 def sample_trace(t_min: float, t_max: float, n: int) -> list[tuple[float, Point]]:
@@ -135,82 +116,71 @@ def sample_trace(t_min: float, t_max: float, n: int) -> list[tuple[float, Point]
     return [(t, trace_point(t)) for t in uniform_grid(t_min, t_max, n)]
 
 
-def _newton_on_ray_cubic(s: float, r: float) -> float:
-    """One Newton step of -s r^3 + 3 r^2 - 4 at r; exact for s = 0."""
-    d = (-3.0 * s * r + 6.0) * r
-    if d != 0.0:
-        step = ((-s * r + 3.0) * r * r - 4.0) / d
-        if math.isfinite(step):
-            return r - step
-    return r
-
-
 @dataclass(frozen=True)
 class CurveIntersection:
-    """One root of the ray-curve cubic: where the ray at the query angle meets the curve.
+    """Where the ray at the query angle meets the curve.
 
-    ``on_trace`` distinguishes the drawn branch from its algebraic mirror
-    image; ``multiplicity`` counts coincident roots (tangential crossings).
+    ``t`` is the trace parameter: the point is trace_point(t) when
+    ``on_trace``, else its mirror image in the y-axis (the algebraic
+    branch the compass does not draw).  Either way 1 + y = 4 cos^2 t.
+    ``multiplicity`` counts coincident roots (the tangential crossing at
+    the node).
     """
 
     point: Point
     r: float
+    t: float
     on_trace: bool
     multiplicity: int
 
 
 def intersect_ray(phi: float, tol: float = DEFAULT_TRACE_TOL) -> list[CurveIntersection]:
-    """All curve points on the ray from the origin at angle phi in [PHI_MIN, 3*pi/2].
+    """The curve points on the ray from the origin at angle phi in [PHI_MIN, 3*pi/2].
 
-    Substituting (r cos phi, r sin phi) into the implicit form collapses to
+    Substituting (r cos phi, r sin phi) into the implicit form gives the
+    ray cubic -sin(phi) r^3 + 3 r^2 - 4 = 0.  In x = 1/r = sin t it is
+    the triple-angle identity T3(x) = 4x^3 - 3x = -sin(3t) = -sin(phi);
+    in x = cos t it reads T3(x) = cos(3t) = cos(phi).  The reading with
+    the smaller right-hand side keeps |k| <= sqrt(1/2), so the trace root
+    is simple and lies in a fixed window where T3 is monotone; one
+    bracketed solve finds it, and t comes from asin or acos.
 
-        -sin(phi) * r^3 + 3 r^2 - 4 = 0.
-
-    Real roots are kept when r > 0 and y = r sin(phi) lies in the curve's
-    band [-1, 3) (a hair of slack below -1 absorbs float dust at the
-    phi = 3*pi/2 endpoint), then classified against the traced branch.
-    Exactly one surviving intersection is on-trace for every valid phi.
+    The trace hit comes first.  The ray cubic's other positive root,
+    sin(pi/3 - t), is the mirror-branch hit, present while phi < pi; at
+    the node it coincides with the trace hit, which then has
+    multiplicity 2.
     """
     if not PHI_MIN <= phi <= PHI_MAX:
-        raise OutOfRange(
-            f"query angle must lie in [{PHI_MIN}, 3*pi/2] radians, got {phi}"
-        )
+        raise OutOfRange(f"query angle must lie in [{PHI_MIN}, 3*pi/2] radians, got {phi}")
     s = math.sin(phi)
     c = math.cos(phi)
-    if abs(s) <= _DEGENERATE_SIN:
-        roots = solve_cubic(0.0, 3.0, 0.0, -4.0)
-        if s > 0.0:
-            roots.append(3.0 / s - 4.0 * s / 9.0)  # the root past csc(phi/3)
-        roots = sorted(_newton_on_ray_cubic(s, root) for root in roots)
-    else:
-        roots = solve_cubic(-s, 3.0, 0.0, -4.0)
-
-    # cluster coincident roots into (value, multiplicity)
-    clustered: list[tuple[float, int]] = []
-    for root in roots:
-        if clustered and abs(root - clustered[-1][0]) <= _ROOT_CLUSTER_RTOL * max(1.0, abs(root)):
-            clustered[-1] = (clustered[-1][0], clustered[-1][1] + 1)
+    if abs(s) <= abs(c):  # x = sin t
+        lo, hi = _LOW_WINDOW if phi < 0.5 * math.pi else _HIGH_WINDOW
+        (x,) = solve_cubic(4.0, 0.0, -3.0, s, lo, hi)
+        t = math.asin(x)
+    else:  # x = cos t
+        lo, hi = _LOW_WINDOW if phi > math.pi else _HIGH_WINDOW
+        (x,) = solve_cubic(4.0, 0.0, -3.0, -c, lo, hi)
+        t = math.acos(x)
+    if not on_trace(t, phi, tol):
+        raise NoTraceRoot(f"the trace root at phi={phi} misses the ray by more than {tol}")
+    r = 1.0 / math.sin(t)
+    multiplicity = 1
+    mirror = []
+    w = 0.5 * (_SQRT3 * math.cos(t) - math.sin(t))  # sin(pi/3 - t), deflated from the ray cubic
+    if w > 0.0:
+        t_mirror = math.asin(w)
+        if on_trace(t_mirror, phi, tol):
+            multiplicity = 2
         else:
-            clustered.append((root, 1))
-
-    hits: list[CurveIntersection] = []
-    for root, mult in clustered:
-        y = root * s
-        if root <= 0.0 or y >= 3.0 or y < -1.0 - _ROOT_CLUSTER_RTOL:
-            continue
-        point = Point(root * c, y)
-        hits.append(CurveIntersection(point, root, on_trace(point, tol), mult))
-
-    traced = sum(1 for h in hits if h.on_trace)
-    if traced != 1:
-        raise NoTraceRoot(f"expected exactly one on-trace root at phi={phi}, found {traced}")
-    return hits
+            mirror.append(CurveIntersection(Point(c / w, s / w), 1.0 / w, t_mirror, False, 1))
+    return [CurveIntersection(Point(r * c, r * s), r, t, True, multiplicity), *mirror]
 
 
 def pick_trisection_point(phi: float) -> Point:
-    """The unique on-trace intersection of the ray at angle phi.
+    """The on-trace intersection of the ray at angle phi.
 
     Its distance from the origin is csc(phi / 3), though that closed form
     is only used to cross-check, never to construct.
     """
-    return next(h.point for h in intersect_ray(phi) if h.on_trace)
+    return intersect_ray(phi)[0].point

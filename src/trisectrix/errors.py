@@ -43,7 +43,3 @@ class BracketFailure(TrisectrixError, RuntimeError):
     The placement solve checks its query angle first, so there it must
     not occur.
     """
-
-
-class EmptyIntersection(TrisectrixError, RuntimeError):
-    """A construction step that must intersect produced nothing."""

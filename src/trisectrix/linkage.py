@@ -28,18 +28,16 @@ import math
 from dataclasses import dataclass
 
 from .certificate import Certificate
-from .curve import PHI_MAX
+from .curve import PHI_MAX, PHI_MIN
 from .errors import OutOfRange
 from .geom import ORIGIN, Point, ccw_sweep, dot, find_root, polar_angle
 
 # The placement searches the whole leg range (0, pi) that doubles reach:
 # at 1e-300 the slide cot(u/2) = 2e300 is still finite, and the top end
-# is the last double below pi.
+# is the last double below pi.  The tip angle 3u/2 at _LEG_MIN is the
+# shared lower angle limit curve.PHI_MIN.
 _LEG_MIN = 1e-300
 _LEG_MAX = math.nextafter(math.pi, 0.0)
-
-# The tip angle 3u/2 at _LEG_MIN: no representable placement reaches below.
-PHI_MIN = 1.5 * _LEG_MIN
 
 # A placement is accepted once its tip-angle residual is at most this
 # fraction of phi: a few roundings of the tip-angle evaluation.
@@ -119,10 +117,10 @@ def verify_placement(sol: PlacementSolution, tol: float) -> Certificate:
     """Check the congruence conditions that make the placement a trisection.
 
     The three right triangles sharing the hypotenuses OC and OD are
-    congruent exactly when: the top has length 2 with the guide pencil on
-    y = 1 (so the corner hangs one unit above the base), the leg is
-    perpendicular to the top, and |OC| = |OD|.  Those give three equal
-    sectors between the base ray, OC, OE, and OD.
+    congruent exactly when: the top has length 2, the guide pencil C is
+    on y = 1 (one unit above the base, as wide as the straightedge), the
+    leg is perpendicular to the top, and |OC| = |OD|.  Those give three
+    equal sectors between the base ray, OC, OE, and OD.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -142,7 +140,6 @@ def verify_placement(sol: PlacementSolution, tol: float) -> Certificate:
         "top_length": abs(top_len - 2.0),
         "corner_on_guide": abs(st.C.y - 1.0),
         "leg_perpendicular_to_top": abs(dot(st.E, top)) / (leg_len * top_len),
-        "corner_height_above_base": abs(abs(st.C.y) - 1.0),
         "equal_hypotenuses": abs(st.C.distance_to(ORIGIN) - st.D.distance_to(ORIGIN)),
         "sectors_base_vs_mid": abs(sector_1 - sector_2),
         "sectors_mid_vs_top": abs(sector_2 - sector_3),

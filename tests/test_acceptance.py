@@ -125,7 +125,7 @@ def test_criterion_09_spurious_branch_rejection():
         assert len(hits) >= 2
         assert sum(1 for h in hits if h.on_trace) == 1
         mirror = next(h for h in hits if not h.on_trace)
-        forced = complete_curve_construction(phi, mirror.point)
+        forced = complete_curve_construction(phi, mirror)
         assert not verify_trisection(forced, 1e-9).passed
     _report(9, "mirror-branch candidates at 30 and 120 deg rejected by verification")
 
@@ -138,7 +138,8 @@ def test_criterion_10_cubic_solver_oracle():
         c2 = -(roots[0] + roots[1] + roots[2])
         c1 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
         c0 = -roots[0] * roots[1] * roots[2]
-        got = solve_cubic(1.0, c2, c1, c0)
+        bound = 1.0 + max(abs(c2), abs(c1), abs(c0))  # Cauchy's bound on the roots
+        got = solve_cubic(1.0, c2, c1, c0, -bound, bound)
         assert len(got) == 3
         worst = max(worst, max(abs(a - b) for a, b in zip(got, roots)))
     assert worst <= 1e-8
@@ -191,8 +192,10 @@ def test_criterion_13_cli_determinism_and_exit_codes():
         assert first == second, args
         assert first[0] == 0
 
-    code, out = _run_cli("trisect", "--angle-deg", "90")
-    assert code == 0 and json.loads(out)["pass"] is True
+    # 90 and its near-node neighbours, a tiny angle, and the closure sliver
+    for angle in ("90", "90.000001", "89.9999999", "1e-10", "269.99999"):
+        code, out = _run_cli("trisect", "--angle-deg", angle)
+        assert code == 0 and json.loads(out)["pass"] is True, angle
     code, out = _run_cli("trisect", "--angle-deg", "90", "--tol", "1e-18")
     assert code == 1 and json.loads(out)["pass"] is False
     code, _ = _run_cli("trisect", "--angle-deg", "271")

@@ -129,6 +129,15 @@ class TestTrisectCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("method", ["curve", "scudder"])
+    def test_angle_below_the_shared_limit_is_usage_error(self, method):
+        # 1e-320 degrees is a positive double, below either method's reach
+        code, out, err = run_cli("trisect", "--angle-deg", "1e-320", "--method", method)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
     def test_impossible_tolerance_is_verification_failure(self):
         code, out, _ = run_cli("trisect", "--angle-deg", "90", "--tol", "1e-18")
         assert code == 1

@@ -17,7 +17,7 @@ from trisectrix.construct import (
     trisect_via_scudder,
     verify_trisection,
 )
-from trisectrix.curve import intersect_ray, pick_trisection_point
+from trisectrix.curve import PHI_MIN, intersect_ray, pick_trisection_point
 from trisectrix.errors import BadRange, OutOfRange
 from trisectrix.geom import ORIGIN, Ray, angle_distance, bisect_angle, intersect_circle_line, polar_angle
 
@@ -129,9 +129,11 @@ class TestScudderOracle:
 class TestCurveOracle:
     """The curve method against |OD| = csc(phi/3) at 50 digits.
 
-    Around 180 degrees the ray-curve cubic loses its leading coefficient
-    -sin(phi), and within |sin(phi)| <= 1e-5 the solve switches to an
-    asymptotic root; the offsets cross that switch on both sides.
+    Each window is a special point of the curve or of the ray cubic: the
+    asymptote (tiny angles, down to the shared limit PHI_MIN), the node
+    (90 degrees, where the mirror root meets the trace root), 180 degrees
+    (where the r-form cubic loses its leading coefficient) and the
+    closure (just below 270 degrees, where D.y rounds to -1).
     """
 
     @pytest.mark.parametrize(
@@ -139,6 +141,9 @@ class TestCurveOracle:
         [
             ("near180", [math.radians(180.0 + sign * off) for off in _log_grid(-12.0, -2.0) for sign in (1, -1)]),
             ("uniform", _uniform_grid_rad(2400, seed=180)),
+            ("tiny", [PHI_MIN] + _log_grid(-300.0, -3.0, 400)[1:]),
+            ("near90", [math.radians(90.0 + sign * off) for off in _log_grid(-12.0, -2.0) for sign in (1, -1)]),
+            ("below270", [math.radians(270.0 - off) for off in _log_grid(-12.0, -2.0)]),
         ],
     )
     def test_matches_the_closed_form(self, window, angles):
@@ -182,11 +187,14 @@ class TestRightmostRule:
     def test_wrong_candidate_fails_verification(self):
         for deg in range(5, 270, 11):
             phi = math.radians(deg)
-            d = pick_trisection_point(phi)
+            hit = intersect_ray(phi)[0]
+            d = hit.point
             points = intersect_circle_line(d, TOP_LENGTH, GUIDE_Y)
             rightmost = points[-1]
-            res = complete_curve_construction(phi, d)
-            assert res.C == rightmost
+            res = complete_curve_construction(phi, hit)
+            # the construction solves the same circle in the frame of y = -1
+            assert res.C.y == rightmost.y == GUIDE_Y
+            assert res.C.x == pytest.approx(rightmost.x, rel=1e-12, abs=1e-12)
             assert verify_trisection(res, 1e-9).passed
             if len(points) == 2:
                 wrong_c = points[0]
@@ -224,7 +232,7 @@ class TestSpuriousBranch:
             assert len(hits) >= 2
             mirrors = [h for h in hits if not h.on_trace]
             assert mirrors
-            forced = complete_curve_construction(phi, mirrors[0].point)
+            forced = complete_curve_construction(phi, mirrors[0])
             assert not verify_trisection(forced, 1e-9).passed
 
 

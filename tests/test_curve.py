@@ -6,6 +6,7 @@ import random
 import pytest
 
 from trisectrix.curve import (
+    PHI_MIN,
     T_MAX,
     implicit_gradient,
     implicit_value,
@@ -16,7 +17,7 @@ from trisectrix.curve import (
     sample_trace,
     trace_point,
 )
-from trisectrix.errors import BadRange, OutOfDomain, OutOfRange
+from trisectrix.errors import BadRange, NoTraceRoot, OutOfDomain, OutOfRange
 from trisectrix.geom import Point, angle_distance, polar_angle
 
 
@@ -139,30 +140,20 @@ class TestTracePoint:
 
 class TestOnTrace:
     def test_node_is_on_trace(self):
-        assert on_trace(Point(0.0, 2.0), 1e-9)
+        assert on_trace(math.pi / 6, math.pi / 2, 1e-9)
 
     def test_trace_point_is_on_trace(self):
-        p = trace_point(math.radians(20))
-        assert on_trace(p, 1e-9)
+        t = math.radians(20)
+        assert on_trace(t, polar_angle(trace_point(t)), 1e-9)
 
     def test_mirror_image_is_off_trace(self):
-        p = trace_point(math.radians(20))
-        assert not on_trace(Point(-p.x, p.y), 1e-9)
-
-    def test_off_curve_point(self):
-        assert not on_trace(Point(1.0, 1.0), 1e-9)
-
-    def test_above_asymptote_is_false(self):
-        assert not on_trace(Point(100.0, 3.0), 1e-9)
-        assert not on_trace(Point(100.0, 3.5), 1e-9)
-
-    def test_below_band_is_out_of_domain(self):
-        with pytest.raises(OutOfDomain):
-            on_trace(Point(0.0, -1.5), 1e-9)
+        t = math.radians(20)
+        p = trace_point(t)
+        assert not on_trace(t, polar_angle(Point(-p.x, p.y)), 1e-9)
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
-            on_trace(Point(0.0, 2.0), 0.0)
+            on_trace(math.pi / 6, math.pi / 2, 0.0)
 
 
 class TestSampleTrace:
@@ -186,7 +177,7 @@ class TestSampleTrace:
 
     def test_all_samples_pass_membership(self):
         for t, p in sample_trace(0.001, math.pi / 2, 2000):
-            assert on_trace(p, 1e-9), t
+            assert on_trace(t, polar_angle(p), 1e-9), t
 
 
 class TestIntersectRay:
@@ -228,15 +219,15 @@ class TestIntersectRay:
         assert hits[0].point.y == pytest.approx(-1.0, abs=1e-12)
 
     def test_closure_sliver_keeps_trace_root(self):
-        # within ~2e-8 rad of the closure the t-from-height recovery is at
-        # its conditioning limit; membership must still resolve
+        # within ~2e-8 rad of the closure D.y rounds to -1; the x = cos t
+        # reading still resolves the trace root there
         for delta in (1e-7, 1e-8, 3.5e-9, 1e-9, 1e-12):
             hits = intersect_ray(1.5 * math.pi - delta)
             assert sum(1 for h in hits if h.on_trace) == 1, delta
 
     def test_near_straight_angles_keep_trace_root(self):
-        # the cubic's leading coefficient vanishes at phi = pi; the
-        # structural solve must hand back an accurate root on both sides
+        # the r-form cubic's leading coefficient vanishes at phi = pi;
+        # the x = sin t reading has no such degeneracy on either side
         for delta in (1e-5, 1e-6, 1e-8, 3.35e-9, 1e-12, 0.0, -1e-12, -3.35e-9, -1e-6):
             phi = math.pi + delta
             traced = [h for h in intersect_ray(phi) if h.on_trace]
@@ -249,10 +240,17 @@ class TestIntersectRay:
                 intersect_ray(phi)
 
     def test_sub_resolution_angle_rejected(self):
-        # at 1e-7 rad the trace point would sit ~3e7 units out, beyond
-        # what the y-band membership test can resolve in doubles
-        with pytest.raises(OutOfRange):
-            intersect_ray(1e-7)
+        # below the shared lower limit PHI_MIN; at 1e-320 rad the trace
+        # point would sit past the largest double
+        for phi in (math.nextafter(PHI_MIN, 0.0), 1e-320, 5e-324):
+            with pytest.raises(OutOfRange):
+                intersect_ray(phi)
+
+    def test_membership_tolerance_below_rounding_is_an_internal_error(self):
+        # the trace root is on the ray to a few ulps; a tolerance no float
+        # can meet leaves no on-trace root
+        with pytest.raises(NoTraceRoot):
+            intersect_ray(1.0, 1e-300)
 
     def test_exactly_one_trace_root_across_the_range(self):
         for i in range(1500):

@@ -2,20 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .geom import _Record
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """Record of residuals from checking a construction against its defining conditions.
 
     ``passed`` is true iff every residual is at most ``tolerance``; a NaN
     residual always fails.
     """
 
-    residuals: dict[str, float]
-    tolerance: float
-    passed: bool
+    __slots__ = ("residuals", "tolerance", "passed")
+
+    def __init__(self, residuals: dict[str, float], tolerance: float, passed: bool) -> None:
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "passed", passed)
 
     @classmethod
     def from_residuals(cls, residuals: dict[str, float], tolerance: float) -> "Certificate":

@@ -13,8 +13,6 @@ or I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import os
 import sys
@@ -67,6 +65,8 @@ def _jsonify(value):
 
 
 def _to_json(payload: dict) -> str:
+    import json  # only JSON output needs it; kept out of the CLI's start-up
+
     return json.dumps(_jsonify(payload), indent=2) + "\n"
 
 
@@ -261,9 +261,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
         for m in methods
     ]
     if len(reports) == 1:
-        payload = dataclasses.asdict(reports[0])
+        payload = reports[0]._asdict()
     else:
-        payload = {r.method: dataclasses.asdict(r) for r in reports}
+        payload = {r.method: r._asdict() for r in reports}
     _emit(_to_json(payload), args.out)
     return 0 if all(not r.failures for r in reports) else 1
 

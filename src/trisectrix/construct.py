@@ -20,7 +20,6 @@ congruence residuals rather than by re-running either pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import curve, linkage
 from .certificate import Certificate
@@ -30,6 +29,7 @@ from .geom import (
     ORIGIN,
     Point,
     Ray,
+    _Record,
     angle_distance,
     bisect_angle,
     ccw_sweep,
@@ -45,40 +45,67 @@ GUIDE_Y = 1.0
 TOP_LENGTH = 2.0
 
 
-@dataclass(frozen=True)
-class TrisectionResult:
+class TrisectionResult(_Record):
     """The two claimed trisecting rays plus the witness points they came from.
 
     ray1 claims angle phi/3, ray2 claims 2*phi/3; both originate at O.
     residual_rad is |ray1.angle - phi/3|.
     """
 
-    phi: float
-    method: str
-    ray1: Ray
-    ray2: Ray
-    C: Point
-    D: Point
-    residual_rad: float
+    __slots__ = ("phi", "method", "ray1", "ray2", "C", "D", "residual_rad")
+
+    def __init__(
+        self, phi: float, method: str, ray1: Ray, ray2: Ray, C: Point, D: Point, residual_rad: float
+    ) -> None:
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "ray1", ray1)
+        object.__setattr__(self, "ray2", ray2)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "residual_rad", residual_rad)
 
     def midpoint_e(self) -> Point:
         """Midpoint of CD; lies on ray2 because OCD is isosceles."""
         return Point(0.5 * (self.C.x + self.D.x), 0.5 * (self.C.y + self.D.y))
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(_Record):
     """Aggregate error statistics for one method over a grid of angles (degrees in/out)."""
 
-    phi_min_deg: float
-    phi_max_deg: float
-    step_deg: float
-    method: str
-    count: int
-    max_error_rad: float
-    mean_error_rad: float
-    argmax_phi_deg: float
-    failures: tuple[float, ...]
+    __slots__ = (
+        "phi_min_deg",
+        "phi_max_deg",
+        "step_deg",
+        "method",
+        "count",
+        "max_error_rad",
+        "mean_error_rad",
+        "argmax_phi_deg",
+        "failures",
+    )
+
+    def __init__(
+        self,
+        phi_min_deg: float,
+        phi_max_deg: float,
+        step_deg: float,
+        method: str,
+        count: int,
+        max_error_rad: float,
+        mean_error_rad: float,
+        argmax_phi_deg: float,
+        failures: tuple[float, ...],
+    ) -> None:
+        object.__setattr__(self, "phi_min_deg", phi_min_deg)
+        object.__setattr__(self, "phi_max_deg", phi_max_deg)
+        object.__setattr__(self, "step_deg", step_deg)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "max_error_rad", max_error_rad)
+        object.__setattr__(self, "mean_error_rad", mean_error_rad)
+        object.__setattr__(self, "argmax_phi_deg", argmax_phi_deg)
+        object.__setattr__(self, "failures", failures)
 
 
 def complete_curve_construction(phi: float, hit: curve.CurveIntersection) -> TrisectionResult:

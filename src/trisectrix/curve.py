@@ -29,10 +29,9 @@ Nothing here divides an angle by three.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import BadRange, NoTraceRoot, OutOfDomain, OutOfRange
-from .geom import Point, angle_distance, solve_cubic, uniform_grid
+from .geom import Point, _Record, angle_distance, solve_cubic, uniform_grid
 
 # Upper end of the trace parameter; the curve closes at (0, -1).
 T_MAX = math.pi / 2
@@ -116,8 +115,7 @@ def sample_trace(t_min: float, t_max: float, n: int) -> list[tuple[float, Point]
     return [(t, trace_point(t)) for t in uniform_grid(t_min, t_max, n)]
 
 
-@dataclass(frozen=True)
-class CurveIntersection:
+class CurveIntersection(_Record):
     """Where the ray at the query angle meets the curve.
 
     ``t`` is the trace parameter: the point is trace_point(t) when
@@ -127,11 +125,14 @@ class CurveIntersection:
     the node).
     """
 
-    point: Point
-    r: float
-    t: float
-    on_trace: bool
-    multiplicity: int
+    __slots__ = ("point", "r", "t", "on_trace", "multiplicity")
+
+    def __init__(self, point: Point, r: float, t: float, on_trace: bool, multiplicity: int) -> None:
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "on_trace", on_trace)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
 def intersect_ray(phi: float, tol: float = DEFAULT_TRACE_TOL) -> list[CurveIntersection]:

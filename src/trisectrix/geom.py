@@ -8,13 +8,16 @@ real-cubic solver, which splits an interval into monotone pieces and
 hands each piece to the root-finder.  All lengths are dimensionless
 multiples of the straightedge width; all angles are radians.
 
-Everything here is a pure function over immutable values.
+Everything here is a pure function over immutable values.  The package's
+values (points, rays and the records built from them) are frozen
+``__slots__`` classes on one small private base, ``_Record``: equal and
+hashed field-wise, printed as ``Name(field=value, ...)``, picklable, and
+refusing assignment.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import AllCoefficientsZero, BadRange, BracketFailure, OriginHasNoAngle
 
@@ -41,25 +44,57 @@ def angle_distance(a: float, b: float) -> float:
     return abs(normalize_angle(a - b))
 
 
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
+class _Record:
+    """Frozen value record whose fields are its subclass's ``__slots__``, in order.
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y})")
+    A subclass lists its fields in ``__slots__`` and sets them in
+    ``__init__`` through ``object.__setattr__``; assignment and deletion
+    raise AttributeError afterwards.  Pickling and copying rebuild the
+    record through its constructor from the field values.
+    """
 
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _asdict(self) -> dict:
+        """The fields by name, in declaration order; nested records stay records."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Point(_Record):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite point ({x}, {y})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, k: float) -> "Point":
-        return Point(self.x * k, self.y * k)
-
-    __rmul__ = __mul__
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
@@ -83,15 +118,14 @@ def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo + i * step for i in range(n - 1)] + [hi]
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(_Record):
     """Half-line from ``origin`` in direction ``angle`` (wrapped to (-pi, pi])."""
 
-    origin: Point
-    angle: float
+    __slots__ = ("origin", "angle")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "angle", normalize_angle(self.angle))
+    def __init__(self, origin: Point, angle: float) -> None:
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "angle", normalize_angle(angle))
 
     def point_at(self, distance: float) -> Point:
         return Point(

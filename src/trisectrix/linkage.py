@@ -25,12 +25,11 @@ resolves the placement without using any closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .certificate import Certificate
 from .curve import PHI_MAX, PHI_MIN
 from .errors import OutOfRange
-from .geom import ORIGIN, Point, ccw_sweep, dot, find_root, polar_angle
+from .geom import ORIGIN, Point, _Record, ccw_sweep, dot, find_root, polar_angle
 
 # The placement searches the whole leg range (0, pi) that doubles reach:
 # at 1e-300 the slide cot(u/2) = 2e300 is still finite, and the top end
@@ -44,8 +43,7 @@ _LEG_MAX = math.nextafter(math.pi, 0.0)
 _RESIDUAL_RTOL = 4.0 * math.ulp(1.0)
 
 
-@dataclass(frozen=True)
-class LinkageState:
+class LinkageState(_Record):
     """One configuration of the compass.
 
     u: leg angle from the origin ring, in (0, pi).
@@ -53,21 +51,26 @@ class LinkageState:
     C: guide pencil, on y = 1.   D: tracing pencil.   E: midpoint of CD.
     """
 
-    u: float
-    s: float
-    C: Point
-    D: Point
-    E: Point
+    __slots__ = ("u", "s", "C", "D", "E")
+
+    def __init__(self, u: float, s: float, C: Point, D: Point, E: Point) -> None:
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "E", E)
 
 
-@dataclass(frozen=True)
-class PlacementSolution:
+class PlacementSolution(_Record):
     """A solved placement: the state whose tracing pencil lies on the target ray."""
 
-    state: LinkageState
-    phi: float
-    residual: float
-    iterations: int
+    __slots__ = ("state", "phi", "residual", "iterations")
+
+    def __init__(self, state: LinkageState, phi: float, residual: float, iterations: int) -> None:
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "iterations", iterations)
 
 
 def _leg(u: float) -> tuple[float, float, float]:

@@ -186,6 +186,19 @@ class TestSimulateCommand:
         assert code == 2
 
 
+SWEEP_KEYS = [
+    "phi_min_deg",
+    "phi_max_deg",
+    "step_deg",
+    "method",
+    "count",
+    "max_error_rad",
+    "mean_error_rad",
+    "argmax_phi_deg",
+    "failures",
+]
+
+
 class TestSweepCommand:
     def test_single_method_report(self):
         code, out, _ = run_cli(
@@ -193,6 +206,7 @@ class TestSweepCommand:
         )
         assert code == 0
         report = json.loads(out)
+        assert list(report) == SWEEP_KEYS
         assert report["method"] == "curve"
         assert report["count"] == 30
         assert report["max_error_rad"] <= 1e-9
@@ -204,7 +218,8 @@ class TestSweepCommand:
         )
         assert code == 0
         report = json.loads(out)
-        assert set(report) == {"curve", "scudder"}
+        assert list(report) == ["curve", "scudder"]
+        assert all(list(r) == SWEEP_KEYS for r in report.values())
         assert report["scudder"]["max_error_rad"] <= 1e-7
 
     def test_bad_range_is_usage_error(self):

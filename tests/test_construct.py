@@ -1,6 +1,5 @@
 """Tests for the end-to-end trisection pipelines and their verification."""
 
-import dataclasses
 import math
 import random
 
@@ -19,7 +18,7 @@ from trisectrix.construct import (
 )
 from trisectrix.curve import PHI_MIN, intersect_ray, pick_trisection_point
 from trisectrix.errors import BadRange, OutOfRange
-from trisectrix.geom import ORIGIN, Ray, angle_distance, bisect_angle, intersect_circle_line, polar_angle
+from trisectrix.geom import ORIGIN, Point, Ray, angle_distance, bisect_angle, intersect_circle_line, polar_angle
 
 SQRT3 = math.sqrt(3.0)
 
@@ -160,7 +159,9 @@ class TestVerifyTrisection:
 
     def test_skewed_ray_is_detected(self):
         res = trisect_via_curve(math.pi / 2)
-        bad = dataclasses.replace(res, ray1=Ray(ORIGIN, res.ray1.angle + 1e-3))
+        bad = TrisectionResult(
+            res.phi, res.method, Ray(ORIGIN, res.ray1.angle + 1e-3), res.ray2, res.C, res.D, res.residual_rad
+        )
         cert = verify_trisection(bad, 1e-9)
         assert not cert.passed
         failing = cert.failing()
@@ -214,10 +215,12 @@ class TestScaleInvariance:
             for deg in (25.0, 90.0, 150.0, 230.0):
                 phi = math.radians(deg)
                 unit = trisect_via_curve(phi)
-                d_scaled = lam * pick_trisection_point(phi)
+                d = pick_trisection_point(phi)
+                d_scaled = Point(lam * d.x, lam * d.y)
                 points = intersect_circle_line(d_scaled, TOP_LENGTH * lam, lam)
                 c_scaled = points[-1]
-                assert c_scaled.distance_to(lam * unit.C) <= 1e-12 * lam * max(1.0, unit.C.norm())
+                c_unit_scaled = Point(lam * unit.C.x, lam * unit.C.y)
+                assert c_scaled.distance_to(c_unit_scaled) <= 1e-12 * lam * max(1.0, unit.C.norm())
                 ray1 = Ray(ORIGIN, polar_angle(c_scaled))
                 ray2 = Ray(ORIGIN, bisect_angle(ray1.angle, polar_angle(d_scaled)))
                 assert angle_distance(ray1.angle, unit.ray1.angle) <= 1e-12

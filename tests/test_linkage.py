@@ -1,6 +1,5 @@
 """Tests for the T-square compass kinematics and the placement solve."""
 
-import dataclasses
 import math
 import random
 
@@ -10,9 +9,11 @@ from trisectrix import linkage
 from trisectrix.construct import trisect_via_scudder, verify_trisection
 from trisectrix.curve import trace_point
 from trisectrix.errors import OutOfRange
-from trisectrix.geom import ORIGIN, angle_distance, dot, polar_angle
+from trisectrix.geom import ORIGIN, Point, angle_distance, dot, polar_angle
 from trisectrix.linkage import (
     PHI_MIN,
+    LinkageState,
+    PlacementSolution,
     scudder_place,
     state_from_leg_angle,
     verify_placement,
@@ -24,6 +25,13 @@ SQRT3 = math.sqrt(3.0)
 
 def u_grid(n=1000, lo=0.01, hi=3.13):
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def _with_tip_nudged(sol, dy):
+    """The solution with its tracing pencil D moved by dy along +y."""
+    st = sol.state
+    bad_state = LinkageState(st.u, st.s, st.C, Point(st.D.x, st.D.y + dy), st.E)
+    return PlacementSolution(bad_state, sol.phi, sol.residual, sol.iterations)
 
 
 class TestStateFromLegAngle:
@@ -60,7 +68,7 @@ class TestStateFromLegAngle:
             st = state_from_leg_angle(u)
             assert abs(st.C.distance_to(st.D) - 2.0) <= 1e-12
             assert abs(st.C.y - 1.0) <= 1e-12
-            mid = (st.C + st.D) * 0.5
+            mid = Point((st.C.x + st.D.x) * 0.5, (st.C.y + st.D.y) * 0.5)
             assert mid.distance_to(st.E) <= 1e-12
             top = st.D - st.C
             assert abs(dot(st.E, top)) / (st.E.norm() * top.norm()) <= 1e-12
@@ -175,8 +183,7 @@ class TestVerifyPlacement:
 
     def test_perturbed_tip_is_detected(self):
         sol = scudder_place(math.pi / 2)
-        bad_state = dataclasses.replace(sol.state, D=sol.state.D + type(sol.state.D)(0.0, 1e-3))
-        bad = dataclasses.replace(sol, state=bad_state)
+        bad = _with_tip_nudged(sol, 1e-3)
         cert = verify_placement(bad, 1e-9)
         assert not cert.passed
         failing = cert.failing()
@@ -187,8 +194,7 @@ class TestVerifyPlacement:
 
     def test_perturbed_tip_breaks_sector_equality(self):
         sol = scudder_place(2.0)
-        bad_state = dataclasses.replace(sol.state, D=sol.state.D + type(sol.state.D)(0.0, 1e-3))
-        bad = dataclasses.replace(sol, state=bad_state)
+        bad = _with_tip_nudged(sol, 1e-3)
         failing = verify_placement(bad, 1e-9).failing()
         assert any(name.startswith("sectors_") for name in failing)
 

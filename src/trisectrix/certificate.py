@@ -1,4 +1,4 @@
-"""Verification certificates: named numeric residuals plus a pass flag."""
+"""Verification certificates: named numeric residuals and the verdict they give."""
 
 from __future__ import annotations
 
@@ -8,27 +8,35 @@ from .geom import _Record
 class Certificate(_Record):
     """Record of residuals from checking a construction against its defining conditions.
 
-    ``passed`` is true iff every residual is at most ``tolerance``; a NaN
-    residual always fails.
+    The residuals are stored as ``(name, value)`` pairs, so the record is
+    immutable in fact and hashable.  ``passed`` is true iff every residual
+    is at most ``tolerance``; a NaN residual always fails.  It is computed
+    from the pairs, so it cannot disagree with them.
     """
 
-    __slots__ = ("residuals", "tolerance", "passed")
+    __slots__ = ("pairs", "tolerance")
 
-    def __init__(self, residuals: dict[str, float], tolerance: float, passed: bool) -> None:
-        object.__setattr__(self, "residuals", residuals)
+    def __init__(self, pairs: tuple[tuple[str, float], ...], tolerance: float) -> None:
+        object.__setattr__(self, "pairs", tuple(pairs))
         object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "passed", passed)
 
     @classmethod
     def from_residuals(cls, residuals: dict[str, float], tolerance: float) -> "Certificate":
-        ok = all(v <= tolerance for v in residuals.values())
-        return cls(dict(residuals), tolerance, ok)
+        return cls(tuple(residuals.items()), tolerance)
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        """The residuals by name, as a new dict."""
+        return dict(self.pairs)
+
+    @property
+    def passed(self) -> bool:
+        return all(v <= self.tolerance for _, v in self.pairs)
 
     def worst(self) -> tuple[str, float]:
         """Name and value of the largest residual."""
-        name = max(self.residuals, key=lambda k: self.residuals[k])
-        return name, self.residuals[name]
+        return max(self.pairs, key=lambda pair: pair[1])
 
     def failing(self) -> dict[str, float]:
         """Residuals exceeding the tolerance (NaN counts as failing)."""
-        return {k: v for k, v in self.residuals.items() if not v <= self.tolerance}
+        return {k: v for k, v in self.pairs if not v <= self.tolerance}

@@ -100,6 +100,7 @@ def trisect_report(res: construct.TrisectionResult, tol: float) -> tuple[dict, b
     # worst residual over the whole certificate keeps `pass` exactly
     # equivalent to `error_rad <= tolerance`
     error_rad = cert.worst()[1]
+    passed = cert.passed
     payload = {
         "angle_deg": math.degrees(res.phi),
         "method": res.method,
@@ -112,9 +113,9 @@ def trisect_report(res: construct.TrisectionResult, tol: float) -> tuple[dict, b
             "e": _point_pair(res.midpoint_e()),
         },
         "tolerance": tol,
-        "pass": cert.passed,
+        "pass": passed,
     }
-    return payload, cert.passed
+    return payload, passed
 
 
 def _paint_axes(scene: Scene) -> None:

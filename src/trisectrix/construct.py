@@ -210,7 +210,8 @@ def sweep_verify(
     for phi_deg in grid:
         res = fn(math.radians(phi_deg))
         cert = verify_trisection(res, tol)
-        err = max(cert.residuals["ray1_at_third"], cert.residuals["ray2_at_two_thirds"])
+        residuals = cert.residuals
+        err = max(residuals["ray1_at_third"], residuals["ray2_at_two_thirds"])
         err_sum += err
         if err > max_err:
             max_err, argmax = err, phi_deg

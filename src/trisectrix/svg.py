@@ -2,12 +2,13 @@
 
 World coordinates are y-up; the renderer flips to SVG's y-down screen
 space.  All numbers are emitted at a fixed decimal precision so repeated
-runs produce byte-identical files.
+runs produce byte-identical files.  Each shape is written as one element
+string, with no XML library.  Nothing is escaped because nothing needs it:
+every attribute value and every label is a formatted number or a constant
+of this package.
 """
 
 from __future__ import annotations
-
-from xml.etree import ElementTree as ET
 
 from .geom import Point
 
@@ -44,6 +45,14 @@ def fixed_field(precision: int) -> str:
     return f"{{:z.{precision}f}}"
 
 
+_PROLOGUE = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH_PX}" height="{HEIGHT_PX}"'
+    f' viewBox="0 0 {WIDTH_PX} {HEIGHT_PX}">'
+    f'<rect x="0" y="0" width="{WIDTH_PX}" height="{HEIGHT_PX}" fill="#ffffff" />'
+)
+
+
 def to_screen(p: Point) -> tuple[float, float]:
     """Screen position of a world point: x to the right, y flipped downward."""
     return (p.x - X_MIN) * SCALE, HEIGHT_PX - (p.y - Y_MIN) * SCALE
@@ -53,101 +62,54 @@ class Scene:
     """Accumulates shapes in draw order and serializes to an SVG document."""
 
     def __init__(self, precision: int):
-        if not 1 <= precision <= 15:
-            raise ValueError(f"precision must lie in [1, 15], got {precision}")
         field = fixed_field(precision)
         self._fmt = field.format
         self._pair = f"{field},{field}".format
-        self.root = ET.Element(
-            "svg",
-            {
-                "xmlns": "http://www.w3.org/2000/svg",
-                "width": str(WIDTH_PX),
-                "height": str(HEIGHT_PX),
-                "viewBox": f"0 0 {WIDTH_PX} {HEIGHT_PX}",
-            },
-        )
-        ET.SubElement(
-            self.root,
-            "rect",
-            {"x": "0", "y": "0", "width": str(WIDTH_PX), "height": str(HEIGHT_PX), "fill": "#ffffff"},
-        )
+        self._parts = [_PROLOGUE]
 
     def line(
-        self,
-        p1: Point,
-        p2: Point,
-        color: str,
-        width: float = STROKE_MAIN,
-        dashed: bool = False,
-        cls: str | None = None,
+        self, p1: Point, p2: Point, color: str, width: float = STROKE_MAIN, dashed: bool = False, *, cls: str
     ) -> None:
-        x1, y1 = to_screen(p1)
-        x2, y2 = to_screen(p2)
-        attrs = {
-            "x1": self._fmt(x1),
-            "y1": self._fmt(y1),
-            "x2": self._fmt(x2),
-            "y2": self._fmt(y2),
-            "stroke": color,
-            "stroke-width": str(width),
-        }
-        if dashed:
-            attrs["stroke-dasharray"] = "6 4"
-        if cls:
-            attrs["class"] = cls
-        ET.SubElement(self.root, "line", attrs)
+        fmt = self._fmt
+        (x1, y1), (x2, y2) = to_screen(p1), to_screen(p2)
+        dash = ' stroke-dasharray="6 4"' if dashed else ""
+        self._parts.append(
+            f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}"'
+            f' stroke="{color}" stroke-width="{width}"{dash} class="{cls}" />'
+        )
 
-    def polyline(self, points: list[Point], color: str, width: float = STROKE_MAIN, cls: str | None = None) -> None:
+    def polyline(self, points: list[Point], color: str, width: float = STROKE_MAIN, *, cls: str) -> None:
         # to_screen inlined: one call fewer per point of a long trace
         pair = self._pair
         coords = " ".join([pair((p.x - X_MIN) * SCALE, HEIGHT_PX - (p.y - Y_MIN) * SCALE) for p in points])
-        attrs = {"points": coords, "fill": "none", "stroke": color, "stroke-width": str(width)}
-        if cls:
-            attrs["class"] = cls
-        ET.SubElement(self.root, "polyline", attrs)
+        self._parts.append(
+            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="{width}" class="{cls}" />'
+        )
 
-    def circle(self, center: Point, radius: float, color: str, cls: str | None = None) -> None:
+    def circle(self, center: Point, radius: float, color: str, *, cls: str) -> None:
+        fmt = self._fmt
         cx, cy = to_screen(center)
-        attrs = {
-            "cx": self._fmt(cx),
-            "cy": self._fmt(cy),
-            "r": self._fmt(radius * SCALE),
-            "fill": "none",
-            "stroke": color,
-            "stroke-width": str(STROKE_MAIN),
-        }
-        if cls:
-            attrs["class"] = cls
-        ET.SubElement(self.root, "circle", attrs)
+        self._parts.append(
+            f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(radius * SCALE)}"'
+            f' fill="none" stroke="{color}" stroke-width="{STROKE_MAIN}" class="{cls}" />'
+        )
 
-    def marker(self, p: Point, cls: str | None = None) -> None:
+    def marker(self, p: Point, *, cls: str) -> None:
         """Cross marker; drawn as a path so circle counts stay meaningful."""
         cx, cy = to_screen(p)
         h = MARKER_HALF_PX
-        d = (
-            f"M {self._fmt(cx - h)} {self._fmt(cy - h)} L {self._fmt(cx + h)} {self._fmt(cy + h)} "
-            f"M {self._fmt(cx - h)} {self._fmt(cy + h)} L {self._fmt(cx + h)} {self._fmt(cy - h)}"
+        left, top, right, bottom = map(self._fmt, (cx - h, cy - h, cx + h, cy + h))
+        self._parts.append(
+            f'<path d="M {left} {top} L {right} {bottom} M {left} {bottom} L {right} {top}"'
+            f' stroke="{COLOR_MARKER}" stroke-width="{STROKE_BOLD}" fill="none" class="{cls}" />'
         )
-        attrs = {"d": d, "stroke": COLOR_MARKER, "stroke-width": str(STROKE_BOLD), "fill": "none"}
-        if cls:
-            attrs["class"] = cls
-        ET.SubElement(self.root, "path", attrs)
 
     def text(self, p: Point, label: str, dx_px: float = 6.0, dy_px: float = -6.0) -> None:
         cx, cy = to_screen(p)
-        ET.SubElement(
-            self.root,
-            "text",
-            {
-                "x": self._fmt(cx + dx_px),
-                "y": self._fmt(cy + dy_px),
-                "font-family": "monospace",
-                "font-size": str(FONT_SIZE_PX),
-                "fill": COLOR_MARKER,
-            },
-        ).text = label
+        self._parts.append(
+            f'<text x="{self._fmt(cx + dx_px)}" y="{self._fmt(cy + dy_px)}" font-family="monospace"'
+            f' font-size="{FONT_SIZE_PX}" fill="{COLOR_MARKER}">{label}</text>'
+        )
 
     def to_svg(self) -> str:
-        body = ET.tostring(self.root, encoding="unicode")
-        return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
+        return "".join(self._parts) + "</svg>\n"

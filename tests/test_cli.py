@@ -1,5 +1,6 @@
 """CLI tests: golden rows, report shapes, SVG structure, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import stat
@@ -269,6 +270,41 @@ class TestDeterminism:
         code2, _, _ = run_cli("curve", "--samples", "20", "--out", str(out_file))
         assert code2 == 0
         assert out_file.read_text() == stdout
+
+
+class TestSvgBytes:
+    """The SVG documents are pinned by the sha256 of their bytes."""
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ("curve", "--format", "svg", "--samples", "64"),
+                "69cd829bdabc0cad5fbbdf9314713a3bb2f7ebdaab8a7e8366ec01c7910e06e1",
+            ),
+            (
+                ("trisect", "--angle-deg", "137.5", "--format", "svg"),
+                "ed074cfba5bf33980149900bf8ce17fb58ba9ca49ae24bce9e2c611f98fa71f3",
+            ),
+            (
+                ("trisect", "--angle-deg", "137.5", "--format", "svg", "--method", "scudder"),
+                "39726e1e4cdd5514dd7cea795f4a7339d1020bd33a8970e5b7af3c8b70578aac",
+            ),
+            (
+                ("trisect", "--angle-deg", "1e-9", "--format", "svg", "--precision", "15"),
+                "b6b5704a33cbf02bdc17d65a3b41d38b9e31e8714aaf6751607d8bb01c552f8e",
+            ),
+            (
+                ("trisect", "--angle-deg", "270", "--format", "svg", "--method", "scudder"),
+                "ed4f1692ba6ef3f07382e586b32b91d741f9d9dcc8067ae888d590010bb95796",
+            ),
+        ],
+        ids=["curve-64", "trisect-137.5-curve", "trisect-137.5-scudder", "trisect-1e-9-p15", "trisect-270-scudder"],
+    )
+    def test_document_digest(self, args, digest):
+        code, out, _ = run_cli(*args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOutFile:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from trisectrix.construct import trisect_via_curve
+from trisectrix.construct import trisect_via_curve, verify_trisection
 from trisectrix.geom import Point
 from trisectrix.linkage import scudder_place
 
@@ -40,10 +40,20 @@ class TestRecordContract:
         with pytest.raises(AttributeError):
             delattr(record, name)
 
-    @pytest.mark.parametrize("record", [trisect_via_curve(1.0), scudder_place(1.0)])
+    @pytest.mark.parametrize(
+        "record", [trisect_via_curve(1.0), scudder_place(1.0), verify_trisection(trisect_via_curve(1.0), 1e-9)]
+    )
     def test_pickle_and_deepcopy_round_trip(self, record):
         assert pickle.loads(pickle.dumps(record)) == record
         assert copy.deepcopy(record) == record
+
+    def test_certificate_cannot_disagree_with_itself(self):
+        cert = verify_trisection(trisect_via_curve(1.0), 1e-9)
+        assert cert.passed
+        for name in cert.residuals:
+            cert.residuals[name] = 1.0
+        assert cert.passed and cert.failing() == {}
+        assert hash(cert) == hash(verify_trisection(trisect_via_curve(1.0), 1e-9))
 
 
 def _new_modules(statement: str) -> list[str]:
@@ -72,7 +82,8 @@ class TestLeanImport:
         ]
         assert set(extra) <= {"math", "__future__"}, extra
 
-    def test_cli_import_skips_dataclasses_inspect_and_json(self):
+    def test_cli_import_skips_dataclasses_inspect_json_and_xml(self):
         loaded = _new_modules("import trisectrix.cli")
         assert "trisectrix.cli" in loaded
-        assert not {"dataclasses", "inspect", "json"} & set(loaded)
+        forbidden = {"dataclasses", "inspect", "json", "xml.etree.ElementTree", "pyexpat"}
+        assert not forbidden & set(loaded)

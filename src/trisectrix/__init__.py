@@ -13,12 +13,9 @@ from .construct import (
 )
 from .curve import (
     CurveIntersection,
-    half_chord,
-    implicit_gradient,
     implicit_value,
     intersect_ray,
     on_trace,
-    pick_trisection_point,
     sample_trace,
     trace_point,
 )
@@ -52,13 +49,10 @@ __all__ = [
     "SweepReport",
     "TrisectionResult",
     "bisect_angle",
-    "half_chord",
-    "implicit_gradient",
     "implicit_value",
     "intersect_circle_line",
     "intersect_ray",
     "on_trace",
-    "pick_trisection_point",
     "polar_angle",
     "sample_trace",
     "scudder_place",

@@ -123,10 +123,6 @@ def _paint_axes(scene: Scene) -> None:
     scene.line(Point(0.0, Y_MIN), Point(0.0, Y_MAX), COLOR_AXIS, STROKE_THIN, cls="axis")
 
 
-def _trace_points(t_min: float, t_max: float, samples: int) -> list[Point]:
-    return [p for _, p in curve.sample_trace(t_min, t_max, samples)]
-
-
 def curve_svg(t_min_deg: float, t_max_deg: float, samples: int, precision: int) -> str:
     scene = Scene(precision)
     _paint_axes(scene)
@@ -134,7 +130,7 @@ def curve_svg(t_min_deg: float, t_max_deg: float, samples: int, precision: int) 
         Point(X_MIN, 3.0), Point(X_MAX, 3.0), COLOR_ASYMPTOTE, STROKE_THIN, dashed=True, cls="asymptote"
     )
     scene.polyline(
-        _trace_points(math.radians(t_min_deg), math.radians(t_max_deg), samples),
+        curve.sample_trace(math.radians(t_min_deg), math.radians(t_max_deg), samples),
         COLOR_TRACE,
         STROKE_BOLD,
         cls="trace",
@@ -149,13 +145,13 @@ def trisect_svg(res: construct.TrisectionResult, precision: int) -> str:
     _paint_axes(scene)
     scene.line(Point(X_MIN, 1.0), Point(X_MAX, 1.0), COLOR_GUIDE, STROKE_THIN, cls="guide")
     scene.polyline(
-        _trace_points(curve.DEFAULT_SAMPLE_T_MIN, curve.T_MAX, _TRISECT_TRACE_SAMPLES),
+        curve.sample_trace(curve.DEFAULT_SAMPLE_T_MIN, curve.T_MAX, _TRISECT_TRACE_SAMPLES),
         COLOR_TRACE,
         STROKE_THIN,
         cls="trace",
     )
-    base = Ray(ORIGIN, 0.0)
-    target = Ray(ORIGIN, res.phi)
+    base = Ray(0.0)
+    target = Ray(res.phi)
     scene.line(ORIGIN, base.point_at(_RAY_REACH), COLOR_BASE_RAY, cls="base-ray")
     scene.line(ORIGIN, target.point_at(_RAY_REACH), COLOR_BASE_RAY, cls="base-ray")
     if res.method == construct.METHOD_CURVE:

@@ -26,7 +26,6 @@ from .certificate import Certificate
 from .errors import BadRange
 from .geom import (
     MAX_GRID_POINTS,
-    ORIGIN,
     Point,
     Ray,
     _Record,
@@ -49,21 +48,17 @@ class TrisectionResult(_Record):
     """The two claimed trisecting rays plus the witness points they came from.
 
     ray1 claims angle phi/3, ray2 claims 2*phi/3; both originate at O.
-    residual_rad is |ray1.angle - phi/3|.
     """
 
-    __slots__ = ("phi", "method", "ray1", "ray2", "C", "D", "residual_rad")
+    __slots__ = ("phi", "method", "ray1", "ray2", "C", "D")
 
-    def __init__(
-        self, phi: float, method: str, ray1: Ray, ray2: Ray, C: Point, D: Point, residual_rad: float
-    ) -> None:
+    def __init__(self, phi: float, method: str, ray1: Ray, ray2: Ray, C: Point, D: Point) -> None:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "method", method)
         object.__setattr__(self, "ray1", ray1)
         object.__setattr__(self, "ray2", ray2)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", D)
-        object.__setattr__(self, "residual_rad", residual_rad)
 
     def midpoint_e(self) -> Point:
         """Midpoint of CD; lies on ray2 because OCD is isosceles."""
@@ -122,10 +117,9 @@ def complete_curve_construction(phi: float, hit: curve.CurveIntersection) -> Tri
     lift = 4.0 * math.cos(hit.t) ** 2
     points = intersect_circle_line(Point(d.x, lift), TOP_LENGTH, GUIDE_Y + 1.0)
     c = Point(points[-1].x, GUIDE_Y)  # sorted ascending x: last is the right-most
-    ray1 = Ray(ORIGIN, polar_angle(c))
-    ray2 = Ray(ORIGIN, bisect_angle(ray1.angle, polar_angle(d)))
-    residual = abs(ray1.angle - phi / 3.0)
-    return TrisectionResult(phi, METHOD_CURVE, ray1, ray2, c, d, residual)
+    ray1 = Ray(polar_angle(c))
+    ray2 = Ray(bisect_angle(ray1.angle, polar_angle(d)))
+    return TrisectionResult(phi, METHOD_CURVE, ray1, ray2, c, d)
 
 
 def trisect_via_curve(phi: float) -> TrisectionResult:
@@ -137,10 +131,9 @@ def trisect_via_scudder(phi: float) -> TrisectionResult:
     """Trisect phi in [PHI_MIN, 3*pi/2] by solving the physical square placement."""
     sol = linkage.scudder_place(phi)
     st = sol.state
-    ray1 = Ray(ORIGIN, polar_angle(st.C))
-    ray2 = Ray(ORIGIN, polar_angle(st.E))  # the inside-edge ray
-    residual = abs(ray1.angle - phi / 3.0)
-    return TrisectionResult(phi, METHOD_SCUDDER, ray1, ray2, st.C, st.D, residual)
+    ray1 = Ray(polar_angle(st.C))
+    ray2 = Ray(polar_angle(st.E))  # the inside-edge ray
+    return TrisectionResult(phi, METHOD_SCUDDER, ray1, ray2, st.C, st.D)
 
 
 def verify_trisection(res: TrisectionResult, tol: float) -> Certificate:

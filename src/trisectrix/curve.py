@@ -52,8 +52,8 @@ _HIGH_WINDOW = (0.7, 0.97)
 
 _SQRT3 = math.sqrt(3.0)
 
-# Default residual/angle tolerance for trace-membership checks.
-DEFAULT_TRACE_TOL = 1e-9
+# Angle tolerance of the trace-membership test.
+TRACE_TOL = 1e-9
 
 # Default lower sampling bound; x ~ 1/t blows up as t -> 0.
 DEFAULT_SAMPLE_T_MIN = 0.005
@@ -62,24 +62,6 @@ DEFAULT_SAMPLE_T_MIN = 0.005
 def implicit_value(p: Point) -> float:
     """F(x, y) = x^2 (3 - y) - (y - 2)^2 (y + 1); zero exactly on the curve."""
     return p.x * p.x * (3.0 - p.y) - (p.y - 2.0) ** 2 * (p.y + 1.0)
-
-
-def implicit_gradient(p: Point) -> tuple[float, float]:
-    """(dF/dx, dF/dy); both components vanish at the node (0, 2)."""
-    dx = 2.0 * p.x * (3.0 - p.y)
-    dy = -p.x * p.x - 2.0 * (p.y - 2.0) * (p.y + 1.0) - (p.y - 2.0) ** 2
-    return (dx, dy)
-
-
-def half_chord(y: float) -> float:
-    """Horizontal offset a = sqrt((3 - y)(y + 1)) from a curve point to the guide line.
-
-    This is half the chord the 2-unit top cuts at height y, so it satisfies
-    a^2 + (1 - y)^2 = 4.  Defined for y in [-1, 3].
-    """
-    if not -1.0 <= y <= 3.0:
-        raise OutOfDomain(f"half chord needs y in [-1, 3], got {y}")
-    return math.sqrt(max(0.0, (3.0 - y) * (y + 1.0)))
 
 
 def trace_point(t: float) -> Point:
@@ -94,25 +76,23 @@ def trace_point(t: float) -> Point:
     return Point(math.cos(3.0 * t) / st, math.sin(3.0 * t) / st)
 
 
-def on_trace(t: float, phi: float, tol: float = DEFAULT_TRACE_TOL) -> bool:
-    """True iff the traced point D(t) lies on the ray at angle phi, within tol.
+def on_trace(t: float, phi: float) -> bool:
+    """True iff the traced point D(t) lies on the ray at angle phi, within TRACE_TOL.
 
     D(t) sits at polar angle 3t, so this is the polar membership test
     3t = phi (mod 2*pi).  The mirror image of D(t) sits at pi - 3t and
     passes only where it coincides with D(t): at the node, t = pi/6.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    return angle_distance(3.0 * t, phi) <= tol
+    return angle_distance(3.0 * t, phi) <= TRACE_TOL
 
 
-def sample_trace(t_min: float, t_max: float, n: int) -> list[tuple[float, Point]]:
-    """n uniformly spaced (t, point) samples over [t_min, t_max], both ends included."""
+def sample_trace(t_min: float, t_max: float, n: int) -> list[Point]:
+    """Trace points at n uniformly spaced t over [t_min, t_max], both ends included."""
     if not 0.0 < t_min < t_max <= T_MAX:
         raise BadRange(f"need 0 < t_min < t_max <= pi/2, got [{t_min}, {t_max}]")
     if n < 2:
         raise BadRange(f"need at least 2 samples, got {n}")
-    return [(t, trace_point(t)) for t in uniform_grid(t_min, t_max, n)]
+    return [trace_point(t) for t in uniform_grid(t_min, t_max, n)]
 
 
 class CurveIntersection(_Record):
@@ -135,7 +115,7 @@ class CurveIntersection(_Record):
         object.__setattr__(self, "multiplicity", multiplicity)
 
 
-def intersect_ray(phi: float, tol: float = DEFAULT_TRACE_TOL) -> list[CurveIntersection]:
+def intersect_ray(phi: float) -> list[CurveIntersection]:
     """The curve points on the ray from the origin at angle phi in [PHI_MIN, 3*pi/2].
 
     Substituting (r cos phi, r sin phi) into the implicit form gives the
@@ -163,25 +143,16 @@ def intersect_ray(phi: float, tol: float = DEFAULT_TRACE_TOL) -> list[CurveInter
         lo, hi = _LOW_WINDOW if phi > math.pi else _HIGH_WINDOW
         (x,) = solve_cubic(4.0, 0.0, -3.0, -c, lo, hi)
         t = math.acos(x)
-    if not on_trace(t, phi, tol):
-        raise NoTraceRoot(f"the trace root at phi={phi} misses the ray by more than {tol}")
+    if not on_trace(t, phi):
+        raise NoTraceRoot(f"the trace root at phi={phi} misses the ray by more than {TRACE_TOL}")
     r = 1.0 / math.sin(t)
     multiplicity = 1
     mirror = []
     w = 0.5 * (_SQRT3 * math.cos(t) - math.sin(t))  # sin(pi/3 - t), deflated from the ray cubic
     if w > 0.0:
         t_mirror = math.asin(w)
-        if on_trace(t_mirror, phi, tol):
+        if on_trace(t_mirror, phi):
             multiplicity = 2
         else:
             mirror.append(CurveIntersection(Point(c / w, s / w), 1.0 / w, t_mirror, False, 1))
     return [CurveIntersection(Point(r * c, r * s), r, t, True, multiplicity), *mirror]
-
-
-def pick_trisection_point(phi: float) -> Point:
-    """The on-trace intersection of the ray at angle phi.
-
-    Its distance from the origin is csc(phi / 3), though that closed form
-    is only used to cross-check, never to construct.
-    """
-    return intersect_ray(phi)[0].point

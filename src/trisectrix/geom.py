@@ -1,6 +1,6 @@
 """Minimal plane-geometry kernel for the fixed construction frame.
 
-Points and rays (origin O, +x along the base edge), the angle
+Points and rays from the origin O (+x along the base edge), the angle
 utilities, the one circle step the construction needs (a circle meeting
 a horizontal line), and the bracketed root-finder both trisection
 methods solve with: the placement directly, the curve through the
@@ -119,19 +119,15 @@ def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
 
 
 class Ray(_Record):
-    """Half-line from ``origin`` in direction ``angle`` (wrapped to (-pi, pi])."""
+    """Half-line from the origin in direction ``angle`` (wrapped to (-pi, pi])."""
 
-    __slots__ = ("origin", "angle")
+    __slots__ = ("angle",)
 
-    def __init__(self, origin: Point, angle: float) -> None:
-        object.__setattr__(self, "origin", origin)
+    def __init__(self, angle: float) -> None:
         object.__setattr__(self, "angle", normalize_angle(angle))
 
     def point_at(self, distance: float) -> Point:
-        return Point(
-            self.origin.x + distance * math.cos(self.angle),
-            self.origin.y + distance * math.sin(self.angle),
-        )
+        return Point(distance * math.cos(self.angle), distance * math.sin(self.angle))
 
 
 def intersect_circle_line(center: Point, radius: float, y0: float) -> list[Point]:

@@ -19,8 +19,6 @@ from trisectrix.construct import (
 )
 from trisectrix.curve import (
     T_MAX,
-    half_chord,
-    implicit_gradient,
     implicit_value,
     intersect_ray,
     trace_point,
@@ -85,11 +83,10 @@ def test_criterion_04_implicit_parametric_consistency():
 
 def test_criterion_05_node():
     assert implicit_value(Point(0.0, 2.0)) == 0.0
-    assert implicit_gradient(Point(0.0, 2.0)) == (0.0, 0.0)
     p = trace_point(math.pi / 6)
     assert abs(p.x) <= 1e-12
     assert abs(p.y - 2.0) <= 1e-12
-    _report(5, "node at (0, 2): F = 0 and gradient (0, 0) exactly; trace hits it at t = pi/6")
+    _report(5, "node at (0, 2): F = 0 exactly; trace hits it at t = pi/6")
 
 
 def test_criterion_06_asymptote():
@@ -97,16 +94,6 @@ def test_criterion_06_asymptote():
     assert abs(p.y - 3.0) <= 4.1e-4
     assert abs(p.x) >= 99.0
     _report(6, f"at t = 0.01: |y - 3| = {abs(p.y - 3.0):.3e}, |x| = {abs(p.x):.2f}")
-
-
-def test_criterion_07_half_chord_identity():
-    worst = 0.0
-    for i in range(1000):
-        y = -1.0 + 4.0 * i / 999
-        a = half_chord(y)
-        worst = max(worst, abs(a * a + (1.0 - y) ** 2 - 4.0))
-    assert worst <= 1e-12
-    _report(7, f"half-chord identity a^2 + (1-y)^2 = 4 to {worst:.3e} on 10^3 samples")
 
 
 def test_criterion_08_congruence_certificates():

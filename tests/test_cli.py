@@ -227,6 +227,17 @@ class TestSweepCommand:
         code, _, _ = run_cli("sweep", "--from-deg", "0", "--to-deg", "30", "--step-deg", "1")
         assert code == 2
 
+    def test_impossible_tolerance_is_verification_failure(self):
+        code, out, err = run_cli(
+            "sweep", "--method", "scudder", "--from-deg", "1", "--to-deg", "3", "--step-deg", "1",
+            "--tol", "1e-300",
+        )
+        assert code == 1
+        assert err == ""
+        report = json.loads(out)
+        assert report["count"] == 3
+        assert report["failures"] == [1.0, 2.0, 3.0]
+
 
 class TestGridSizeBound:
     @pytest.mark.parametrize(
@@ -300,6 +311,35 @@ class TestSvgBytes:
             ),
         ],
         ids=["curve-64", "trisect-137.5-curve", "trisect-137.5-scudder", "trisect-1e-9-p15", "trisect-270-scudder"],
+    )
+    def test_document_digest(self, args, digest):
+        code, out, _ = run_cli(*args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestJsonAndCsvBytes:
+    """The JSON reports and CSV tables are pinned by the sha256 of their bytes."""
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ("trisect", "--angle-deg", "137.5"),
+                "ed23b20f4ceccd76ba06ad11ff24864e0fb220ef40419cbc7a8a5182b0877425",
+            ),
+            (
+                ("trisect", "--angle-deg", "137.5", "--method", "scudder"),
+                "2d2b302feaecc88dcb89428f51d4f7e0451b3f581e08460203bbca23031d39a0",
+            ),
+            (("sweep",), "c327784c64742cb8046cf963e49668fa68b6fe9ef68cae234369e6bda17d6ca7"),
+            (("curve",), "e5b9ef7ebd6f687df81150399c103071a6637b3d1f32d6e7c4cbfd05397619df"),
+            (
+                ("simulate", "--u-min-deg", "1", "--u-max-deg", "179", "--steps", "500"),
+                "5ba82d7734f0437c0581933814bed1b9d974e956294cf99a18abff30a8dfb9d6",
+            ),
+        ],
+        ids=["trisect-137.5-curve", "trisect-137.5-scudder", "sweep", "curve-csv", "simulate-500"],
     )
     def test_document_digest(self, args, digest):
         code, out, _ = run_cli(*args)

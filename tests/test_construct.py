@@ -16,9 +16,9 @@ from trisectrix.construct import (
     trisect_via_scudder,
     verify_trisection,
 )
-from trisectrix.curve import PHI_MIN, intersect_ray, pick_trisection_point
+from trisectrix.curve import PHI_MIN, intersect_ray
 from trisectrix.errors import BadRange, OutOfRange
-from trisectrix.geom import ORIGIN, Point, Ray, angle_distance, bisect_angle, intersect_circle_line, polar_angle
+from trisectrix.geom import Point, Ray, angle_distance, bisect_angle, intersect_circle_line, polar_angle
 
 SQRT3 = math.sqrt(3.0)
 
@@ -31,7 +31,7 @@ class TestCurveMethod:
         assert res.C.y == pytest.approx(1.0, abs=1e-12)
         assert angle_distance(res.ray1.angle, math.pi / 6) <= 1e-12
         assert angle_distance(res.ray2.angle, math.pi / 3) <= 1e-12
-        assert res.residual_rad <= 1e-12
+        assert angle_distance(res.ray1.angle, res.phi / 3) <= 1e-12
 
     def test_straight_angle(self):
         res = trisect_via_curve(math.pi)
@@ -159,9 +159,7 @@ class TestVerifyTrisection:
 
     def test_skewed_ray_is_detected(self):
         res = trisect_via_curve(math.pi / 2)
-        bad = TrisectionResult(
-            res.phi, res.method, Ray(ORIGIN, res.ray1.angle + 1e-3), res.ray2, res.C, res.D, res.residual_rad
-        )
+        bad = TrisectionResult(res.phi, res.method, Ray(res.ray1.angle + 1e-3), res.ray2, res.C, res.D)
         cert = verify_trisection(bad, 1e-9)
         assert not cert.passed
         failing = cert.failing()
@@ -199,11 +197,9 @@ class TestRightmostRule:
             assert verify_trisection(res, 1e-9).passed
             if len(points) == 2:
                 wrong_c = points[0]
-                ray1 = Ray(ORIGIN, polar_angle(wrong_c))
-                ray2 = Ray(ORIGIN, bisect_angle(ray1.angle, polar_angle(d)))
-                wrong = TrisectionResult(
-                    phi, METHOD_CURVE, ray1, ray2, wrong_c, d, abs(ray1.angle - phi / 3.0)
-                )
+                ray1 = Ray(polar_angle(wrong_c))
+                ray2 = Ray(bisect_angle(ray1.angle, polar_angle(d)))
+                wrong = TrisectionResult(phi, METHOD_CURVE, ray1, ray2, wrong_c, d)
                 assert not verify_trisection(wrong, 1e-9).passed
 
 
@@ -215,14 +211,14 @@ class TestScaleInvariance:
             for deg in (25.0, 90.0, 150.0, 230.0):
                 phi = math.radians(deg)
                 unit = trisect_via_curve(phi)
-                d = pick_trisection_point(phi)
+                d = intersect_ray(phi)[0].point
                 d_scaled = Point(lam * d.x, lam * d.y)
                 points = intersect_circle_line(d_scaled, TOP_LENGTH * lam, lam)
                 c_scaled = points[-1]
                 c_unit_scaled = Point(lam * unit.C.x, lam * unit.C.y)
                 assert c_scaled.distance_to(c_unit_scaled) <= 1e-12 * lam * max(1.0, unit.C.norm())
-                ray1 = Ray(ORIGIN, polar_angle(c_scaled))
-                ray2 = Ray(ORIGIN, bisect_angle(ray1.angle, polar_angle(d_scaled)))
+                ray1 = Ray(polar_angle(c_scaled))
+                ray2 = Ray(bisect_angle(ray1.angle, polar_angle(d_scaled)))
                 assert angle_distance(ray1.angle, unit.ray1.angle) <= 1e-12
                 assert angle_distance(ray2.angle, unit.ray2.angle) <= 1e-12
 
@@ -252,6 +248,11 @@ class TestSweepVerify:
         assert rep.count == 30
         assert rep.max_error_rad >= rep.mean_error_rad >= 0.0
         assert rep.failures == ()
+
+    def test_impossible_tolerance_lists_every_angle(self):
+        rep = sweep_verify(1.0, 3.0, 1.0, "scudder", 1e-300)
+        assert rep.count == 3
+        assert rep.failures == (1.0, 2.0, 3.0)
 
     def test_range_validation(self):
         with pytest.raises(BadRange):

@@ -5,20 +5,18 @@ import random
 
 import pytest
 
+from trisectrix import curve
 from trisectrix.curve import (
     PHI_MIN,
     T_MAX,
-    implicit_gradient,
     implicit_value,
-    half_chord,
     intersect_ray,
     on_trace,
-    pick_trisection_point,
     sample_trace,
     trace_point,
 )
 from trisectrix.errors import BadRange, NoTraceRoot, OutOfDomain, OutOfRange
-from trisectrix.geom import Point, angle_distance, polar_angle
+from trisectrix.geom import Point, angle_distance, polar_angle, uniform_grid
 
 
 def rel_scale(p: Point) -> float:
@@ -37,41 +35,6 @@ class TestImplicitForm:
         for _ in range(500):
             x, y = rng.uniform(-50, 50), rng.uniform(-10, 10)
             assert implicit_value(Point(x, y)) == implicit_value(Point(-x, y))
-
-    def test_gradient_values(self):
-        assert implicit_gradient(Point(0.0, 2.0)) == (0.0, 0.0)
-        assert implicit_gradient(Point(2.0, 1.0)) == (8.0, -1.0)
-        assert implicit_gradient(Point(0.0, 0.0)) == (0.0, 0.0)
-
-    def test_gradient_matches_finite_differences(self):
-        rng = random.Random(17)
-        h = 1e-6
-        for _ in range(100):
-            p = Point(rng.uniform(-3, 3), rng.uniform(-2, 4))
-            gx, gy = implicit_gradient(p)
-            fx = (implicit_value(Point(p.x + h, p.y)) - implicit_value(Point(p.x - h, p.y))) / (2 * h)
-            fy = (implicit_value(Point(p.x, p.y + h)) - implicit_value(Point(p.x, p.y - h))) / (2 * h)
-            assert abs(gx - fx) <= 1e-5
-            assert abs(gy - fy) <= 1e-5
-
-
-class TestHalfChord:
-    def test_known_values(self):
-        assert half_chord(2.0) == pytest.approx(math.sqrt(3.0), abs=1e-12)
-        assert half_chord(-1.0) == 0.0
-        assert half_chord(1.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(OutOfDomain):
-            half_chord(-1.0000001)
-        with pytest.raises(OutOfDomain):
-            half_chord(3.0000001)
-
-    def test_chord_identity(self):
-        for i in range(1001):
-            y = -1.0 + 4.0 * i / 1000
-            a = half_chord(y)
-            assert abs(a * a + (1.0 - y) ** 2 - 4.0) <= 1e-12
 
 
 class TestTracePoint:
@@ -129,7 +92,7 @@ class TestTracePoint:
         for i in range(400):
             t = 0.02 + (T_MAX - 0.03) * i / 399
             d = trace_point(t)
-            a = half_chord(d.y)
+            a = math.sqrt((3.0 - d.y) * (d.y + 1.0))  # half the chord the top cuts at height d.y
             ex = d.x + a / 2.0
             if abs(ex) < 1e-6 or abs(1.0 - d.y) < 1e-6:
                 continue
@@ -140,20 +103,16 @@ class TestTracePoint:
 
 class TestOnTrace:
     def test_node_is_on_trace(self):
-        assert on_trace(math.pi / 6, math.pi / 2, 1e-9)
+        assert on_trace(math.pi / 6, math.pi / 2)
 
     def test_trace_point_is_on_trace(self):
         t = math.radians(20)
-        assert on_trace(t, polar_angle(trace_point(t)), 1e-9)
+        assert on_trace(t, polar_angle(trace_point(t)))
 
     def test_mirror_image_is_off_trace(self):
         t = math.radians(20)
         p = trace_point(t)
-        assert not on_trace(t, polar_angle(Point(-p.x, p.y)), 1e-9)
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            on_trace(math.pi / 6, math.pi / 2, 0.0)
+        assert not on_trace(t, polar_angle(Point(-p.x, p.y)))
 
 
 class TestSampleTrace:
@@ -168,16 +127,18 @@ class TestSampleTrace:
     def test_endpoints_included(self):
         samples = sample_trace(math.pi / 18, math.pi / 2, 3)
         assert len(samples) == 3
-        assert samples[0][0] == math.pi / 18
-        assert samples[-1][0] == math.pi / 2
-        assert samples[0][1].x == pytest.approx(4.987241532966373, abs=1e-9)
-        assert samples[-1][1].y == pytest.approx(-1.0, abs=1e-12)
-        mid_t = (math.pi / 18 + math.pi / 2) / 2.0
-        assert samples[1][0] == pytest.approx(mid_t, abs=1e-15)
+        assert samples[0] == trace_point(math.pi / 18)
+        assert samples[-1] == trace_point(math.pi / 2)
+        assert samples[0].x == pytest.approx(4.987241532966373, abs=1e-9)
+        assert samples[-1].y == pytest.approx(-1.0, abs=1e-12)
+        mid = trace_point((math.pi / 18 + math.pi / 2) / 2.0)
+        assert samples[1].x == pytest.approx(mid.x, abs=1e-14)
+        assert samples[1].y == pytest.approx(mid.y, abs=1e-14)
 
     def test_all_samples_pass_membership(self):
-        for t, p in sample_trace(0.001, math.pi / 2, 2000):
-            assert on_trace(t, polar_angle(p), 1e-9), t
+        ts = uniform_grid(0.001, math.pi / 2, 2000)
+        for t, p in zip(ts, sample_trace(0.001, math.pi / 2, 2000)):
+            assert on_trace(t, polar_angle(p)), t
 
 
 class TestIntersectRay:
@@ -246,11 +207,25 @@ class TestIntersectRay:
             with pytest.raises(OutOfRange):
                 intersect_ray(phi)
 
-    def test_membership_tolerance_below_rounding_is_an_internal_error(self):
+    def test_membership_tolerance_below_rounding_is_an_internal_error(self, monkeypatch):
         # the trace root is on the ray to a few ulps; a tolerance no float
         # can meet leaves no on-trace root
+        monkeypatch.setattr(curve, "TRACE_TOL", 1e-300)
         with pytest.raises(NoTraceRoot):
-            intersect_ray(1.0, 1e-300)
+            intersect_ray(1.0)
+
+    def test_trace_root_off_the_ray_is_an_internal_error(self, monkeypatch):
+        # a solver fault that nudges the root off the ray is caught by the
+        # membership test, not passed on as a trace point
+        solve_cubic = curve.solve_cubic
+
+        def nudged(*args):
+            return [x + 1e-6 for x in solve_cubic(*args)]
+
+        monkeypatch.setattr(curve, "solve_cubic", nudged)
+        for phi in (0.3, 1.0, 2.5, 4.0):
+            with pytest.raises(NoTraceRoot):
+                intersect_ray(phi)
 
     def test_exactly_one_trace_root_across_the_range(self):
         for i in range(1500):
@@ -266,19 +241,22 @@ class TestIntersectRay:
 
 
 class TestPickTrisectionPoint:
+    """The curve method's D: the trace hit, first in intersect_ray's list."""
+
     def test_examples(self):
-        p = pick_trisection_point(math.pi / 2)
+        p = intersect_ray(math.pi / 2)[0].point
         assert abs(p.x) <= 1e-12 and p.y == pytest.approx(2.0, abs=1e-12)
-        p = pick_trisection_point(2.0 * math.pi / 3)
+        p = intersect_ray(2.0 * math.pi / 3)[0].point
         assert p.x == pytest.approx(-0.777862, abs=1e-6)
         assert p.y == pytest.approx(1.347296, abs=1e-6)
-        p = pick_trisection_point(1.5 * math.pi)
+        p = intersect_ray(1.5 * math.pi)[0].point
         assert abs(p.x) <= 1e-9 and p.y == pytest.approx(-1.0, abs=1e-12)
 
     def test_distance_is_cosecant_of_a_third(self):
+        # csc(phi / 3) is only a cross-check here; the construction never uses it
         for deg in range(1, 270):
             phi = math.radians(deg)
-            p = pick_trisection_point(phi)
+            p = intersect_ray(phi)[0].point
             assert abs(p.norm() - 1.0 / math.sin(phi / 3.0)) <= 1e-9 * max(
                 1.0, 1.0 / math.sin(phi / 3.0)
             )

@@ -28,7 +28,7 @@ class TestRecordContract:
     def test_repr_lists_fields_in_declaration_order(self):
         assert repr(Point(1.0, 2.0)) == "Point(x=1.0, y=2.0)"
         res = trisect_via_curve(math.pi / 2)
-        fields = ["phi", "method", "ray1", "ray2", "C", "D", "residual_rad"]
+        fields = ["phi", "method", "ray1", "ray2", "C", "D"]
         listed = ", ".join(f"{name}={getattr(res, name)!r}" for name in fields)
         assert repr(res) == f"TrisectionResult({listed})"
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .geom import _Record
+from .geom import _Record, _set
 
 
 class Certificate(_Record):
@@ -17,8 +17,8 @@ class Certificate(_Record):
     __slots__ = ("pairs", "tolerance")
 
     def __init__(self, pairs: tuple[tuple[str, float], ...], tolerance: float) -> None:
-        object.__setattr__(self, "pairs", tuple(pairs))
-        object.__setattr__(self, "tolerance", tolerance)
+        _set(self, "pairs", tuple(pairs))
+        _set(self, "tolerance", tolerance)
 
     @classmethod
     def from_residuals(cls, residuals: dict[str, float], tolerance: float) -> "Certificate":

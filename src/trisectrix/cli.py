@@ -310,10 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first main call, not at import, and reused by later in-process calls.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

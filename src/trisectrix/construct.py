@@ -29,6 +29,7 @@ from .geom import (
     Point,
     Ray,
     _Record,
+    _set,
     angle_distance,
     bisect_angle,
     ccw_sweep,
@@ -53,12 +54,12 @@ class TrisectionResult(_Record):
     __slots__ = ("phi", "method", "ray1", "ray2", "C", "D")
 
     def __init__(self, phi: float, method: str, ray1: Ray, ray2: Ray, C: Point, D: Point) -> None:
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "ray1", ray1)
-        object.__setattr__(self, "ray2", ray2)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
+        _set(self, "phi", phi)
+        _set(self, "method", method)
+        _set(self, "ray1", ray1)
+        _set(self, "ray2", ray2)
+        _set(self, "C", C)
+        _set(self, "D", D)
 
     def midpoint_e(self) -> Point:
         """Midpoint of CD; lies on ray2 because OCD is isosceles."""
@@ -92,15 +93,15 @@ class SweepReport(_Record):
         argmax_phi_deg: float,
         failures: tuple[float, ...],
     ) -> None:
-        object.__setattr__(self, "phi_min_deg", phi_min_deg)
-        object.__setattr__(self, "phi_max_deg", phi_max_deg)
-        object.__setattr__(self, "step_deg", step_deg)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "max_error_rad", max_error_rad)
-        object.__setattr__(self, "mean_error_rad", mean_error_rad)
-        object.__setattr__(self, "argmax_phi_deg", argmax_phi_deg)
-        object.__setattr__(self, "failures", failures)
+        _set(self, "phi_min_deg", phi_min_deg)
+        _set(self, "phi_max_deg", phi_max_deg)
+        _set(self, "step_deg", step_deg)
+        _set(self, "method", method)
+        _set(self, "count", count)
+        _set(self, "max_error_rad", max_error_rad)
+        _set(self, "mean_error_rad", mean_error_rad)
+        _set(self, "argmax_phi_deg", argmax_phi_deg)
+        _set(self, "failures", failures)
 
 
 def complete_curve_construction(phi: float, hit: curve.CurveIntersection) -> TrisectionResult:
@@ -115,8 +116,8 @@ def complete_curve_construction(phi: float, hit: curve.CurveIntersection) -> Tri
     """
     d = hit.point
     lift = 4.0 * math.cos(hit.t) ** 2
-    points = intersect_circle_line(Point(d.x, lift), TOP_LENGTH, GUIDE_Y + 1.0)
-    c = Point(points[-1].x, GUIDE_Y)  # sorted ascending x: last is the right-most
+    xs = intersect_circle_line(Point(d.x, lift), TOP_LENGTH, GUIDE_Y + 1.0)
+    c = Point(xs[-1], GUIDE_Y)  # ascending: the last is the right-most
     ray1 = Ray(polar_angle(c))
     ray2 = Ray(bisect_angle(ray1.angle, polar_angle(d)))
     return TrisectionResult(phi, METHOD_CURVE, ray1, ray2, c, d)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 
 from .errors import BadRange, NoTraceRoot, OutOfDomain, OutOfRange
-from .geom import Point, _Record, angle_distance, solve_cubic, uniform_grid
+from .geom import Point, _Record, _set, angle_distance, solve_cubic, uniform_grid
 
 # Upper end of the trace parameter; the curve closes at (0, -1).
 T_MAX = math.pi / 2
@@ -108,11 +108,11 @@ class CurveIntersection(_Record):
     __slots__ = ("point", "r", "t", "on_trace", "multiplicity")
 
     def __init__(self, point: Point, r: float, t: float, on_trace: bool, multiplicity: int) -> None:
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "on_trace", on_trace)
-        object.__setattr__(self, "multiplicity", multiplicity)
+        _set(self, "point", point)
+        _set(self, "r", r)
+        _set(self, "t", t)
+        _set(self, "on_trace", on_trace)
+        _set(self, "multiplicity", multiplicity)
 
 
 def intersect_ray(phi: float) -> list[CurveIntersection]:

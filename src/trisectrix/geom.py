@@ -44,11 +44,16 @@ def angle_distance(a: float, b: float) -> float:
     return abs(normalize_angle(a - b))
 
 
+# object.__setattr__, bound once: how a record's __init__ stores a field
+# past _Record.__setattr__.
+_set = object.__setattr__
+
+
 class _Record:
     """Frozen value record whose fields are its subclass's ``__slots__``, in order.
 
     A subclass lists its fields in ``__slots__`` and sets them in
-    ``__init__`` through ``object.__setattr__``; assignment and deletion
+    ``__init__`` through ``_set``; assignment and deletion
     raise AttributeError afterwards.  Pickling and copying rebuild the
     record through its constructor from the field values.
     """
@@ -90,8 +95,8 @@ class Point(_Record):
     def __init__(self, x: float, y: float) -> None:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"non-finite point ({x}, {y})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
@@ -124,16 +129,16 @@ class Ray(_Record):
     __slots__ = ("angle",)
 
     def __init__(self, angle: float) -> None:
-        object.__setattr__(self, "angle", normalize_angle(angle))
+        _set(self, "angle", normalize_angle(angle))
 
     def point_at(self, distance: float) -> Point:
         return Point(distance * math.cos(self.angle), distance * math.sin(self.angle))
 
 
-def intersect_circle_line(center: Point, radius: float, y0: float) -> list[Point]:
-    """Points where the circle about ``center`` meets the horizontal line y = y0.
+def intersect_circle_line(center: Point, radius: float, y0: float) -> list[float]:
+    """x-coordinates where the circle about ``center`` meets the horizontal line y = y0.
 
-    0, 1 (tangency) or 2 points on y = y0, in ascending x.  The squared
+    0, 1 (tangency) or 2 values, ascending.  The squared
     half-chord r^2 - d^2 is formed as the product (d + r)(r - d) of the
     center's offsets from the two lines y0 -+ r, so it keeps its relative
     accuracy near tangency and no tolerance decides it.
@@ -142,9 +147,9 @@ def intersect_circle_line(center: Point, radius: float, y0: float) -> list[Point
     if disc < 0.0:
         return []
     if disc == 0.0:
-        return [Point(center.x, y0)]
+        return [center.x]
     h = math.sqrt(disc)
-    return [Point(center.x - h, y0), Point(center.x + h, y0)]
+    return [center.x - h, center.x + h]
 
 
 def polar_angle(p: Point) -> float:
@@ -185,7 +190,11 @@ def find_root(f, lo: float, hi: float, tol: float):
     |f(x)| <= tol, or for the better end of the bracket once no step can
     land strictly inside it.
     """
-    f_lo, f_hi = f(lo), f(hi)
+    return _illinois(f, lo, f(lo), hi, f(hi), tol)
+
+
+def _illinois(f, lo: float, f_lo: float, hi: float, f_hi: float, tol: float):
+    """find_root from end values the caller already holds: f_lo = f(lo), f_hi = f(hi)."""
     if abs(f_lo) <= tol:
         return lo, f_lo, 0
     if abs(f_hi) <= tol:
@@ -241,8 +250,9 @@ def solve_cubic(c3: float, c2: float, c1: float, c0: float, lo: float, hi: float
     """Real roots of c3*x^3 + c2*x^2 + c1*x + c0 in [lo, hi], ascending, with multiplicity.
 
     The stationary points split [lo, hi] into pieces on which the cubic is
-    monotone, so each piece holds at most one root, and find_root solves
-    every piece whose end values do not share a sign.  A root at a
+    monotone, so each piece holds at most one root, and find_root's steps
+    solve every piece whose end values do not share a sign, from those
+    values (each end is evaluated once).  A root at a
     stationary point ends two pieces and is reported twice (a triple root
     three times), e.g. -(x-2)^2 (x+1) over [-3, 3] -> [-1.0, 2.0, 2.0].
     A zero leading coefficient needs no special case.
@@ -253,12 +263,16 @@ def solve_cubic(c3: float, c2: float, c1: float, c0: float, lo: float, hi: float
     def f(x: float) -> float:
         return ((c3 * x + c2) * x + c1) * x + c0
 
-    ends = [lo, *(x for x in sorted(_stationary_points(c3, c2, c1)) if lo < x < hi), hi]
+    ends = []  # right ends of the monotone pieces
+    for x in sorted(_stationary_points(c3, c2, c1)):
+        if lo < x < hi:
+            ends.append(x)
+    ends.append(hi)
     roots = []
-    f_a = f(lo)
-    for a, b in zip(ends, ends[1:]):
+    a, f_a = lo, f(lo)
+    for b in ends:
         f_b = f(b)
-        if min(f_a, f_b) <= 0.0 <= max(f_a, f_b):
-            roots.append(find_root(f, a, b, 0.0)[0])
-        f_a = f_b
+        if f_a <= 0.0 <= f_b or f_b <= 0.0 <= f_a:
+            roots.append(_illinois(f, a, f_a, b, f_b, 0.0)[0])
+        a, f_a = b, f_b
     return roots

@@ -29,7 +29,7 @@ import math
 from .certificate import Certificate
 from .curve import PHI_MAX, PHI_MIN
 from .errors import OutOfRange
-from .geom import ORIGIN, Point, _Record, ccw_sweep, dot, find_root, polar_angle
+from .geom import ORIGIN, Point, _Record, _illinois, _set, ccw_sweep, dot, polar_angle
 
 # The placement searches the whole leg range (0, pi) that doubles reach:
 # at 1e-300 the slide cot(u/2) = 2e300 is still finite, and the top end
@@ -54,11 +54,11 @@ class LinkageState(_Record):
     __slots__ = ("u", "s", "C", "D", "E")
 
     def __init__(self, u: float, s: float, C: Point, D: Point, E: Point) -> None:
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "E", E)
+        _set(self, "u", u)
+        _set(self, "s", s)
+        _set(self, "C", C)
+        _set(self, "D", D)
+        _set(self, "E", E)
 
 
 class PlacementSolution(_Record):
@@ -67,10 +67,10 @@ class PlacementSolution(_Record):
     __slots__ = ("state", "phi", "residual", "iterations")
 
     def __init__(self, state: LinkageState, phi: float, residual: float, iterations: int) -> None:
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "iterations", iterations)
+        _set(self, "state", state)
+        _set(self, "phi", phi)
+        _set(self, "residual", residual)
+        _set(self, "iterations", iterations)
 
 
 def _leg(u: float) -> tuple[float, float, float]:
@@ -102,17 +102,25 @@ def _tip_angle(u: float) -> float:
     return a + math.tau if a < 0.0 else a
 
 
+# Tip angles at the ends of the leg range, the same for every placement.
+_TIP_MIN = _tip_angle(_LEG_MIN)
+_TIP_MAX = _tip_angle(_LEG_MAX)
+
+
 def scudder_place(phi: float) -> PlacementSolution:
     """Place the square so the tracing pencil lies on the ray at angle phi.
 
-    One bracketed root solve (geom.find_root) of the monotone map
+    One bracketed root solve (geom.find_root's steps) of the monotone map
     u -> polar angle of D over the whole leg range, stopped once the
-    residual is within _RESIDUAL_RTOL * phi.
+    residual is within _RESIDUAL_RTOL * phi.  The residuals at the two
+    ends of the range come from the constant end tip angles.
     """
     if not PHI_MIN <= phi <= PHI_MAX:
         raise OutOfRange(f"trisection angle must lie in [{PHI_MIN}, 3*pi/2], got {phi}")
 
-    u, g, iterations = find_root(lambda u: _tip_angle(u) - phi, _LEG_MIN, _LEG_MAX, _RESIDUAL_RTOL * phi)
+    u, g, iterations = _illinois(
+        lambda u: _tip_angle(u) - phi, _LEG_MIN, _TIP_MIN - phi, _LEG_MAX, _TIP_MAX - phi, _RESIDUAL_RTOL * phi
+    )
     return PlacementSolution(state_from_leg_angle(u), phi, abs(g), iterations)
 
 

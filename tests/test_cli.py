@@ -283,6 +283,35 @@ class TestDeterminism:
         assert out_file.read_text() == stdout
 
 
+class TestInProcessMain:
+    def test_repeated_calls_match_the_subprocess(self, capsys, monkeypatch):
+        # one parser serves every call, a usage error included
+        from trisectrix import cli
+
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        calls = [
+            ("trisect", "--angle-deg", "137.5"),
+            ("trisect", "--angle-deg", "137.5", "--bogus"),
+            ("curve", "--samples", "5", "--format", "svg"),
+            ("trisect", "--angle-deg", "0"),
+            ("sweep", "--from-deg", "5", "--to-deg", "15", "--step-deg", "5"),
+            ("trisect", "--angle-deg", "137.5"),
+        ]
+        for args in calls:
+            code = cli.main(list(args))
+            out, err = capsys.readouterr()
+            assert (code, out, err) == run_cli(*args), args
+        assert builds == [1]
+
+
 class TestSvgBytes:
     """The SVG documents are pinned by the sha256 of their bytes."""
 

@@ -1,5 +1,6 @@
 """Tests for the end-to-end trisection pipelines and their verification."""
 
+import hashlib
 import math
 import random
 
@@ -150,6 +151,32 @@ class TestCurveOracle:
             _assert_matches_closed_form(trisect_via_curve(phi), phi, window)
 
 
+def _pin_angles():
+    """1..269 deg by 0.5 deg, log-spaced offsets about 90, 180 and below 270 deg, and tiny radians."""
+    offsets = [10.0**-e for e in range(2, 13)]  # 1e-2 .. 1e-12 degrees
+    degrees = [0.5 * k for k in range(2, 539)]
+    degrees += [centre + sign * off for centre in (90.0, 180.0) for off in offsets for sign in (1, -1)]
+    degrees += [270.0 - off for off in offsets] + [270.0]
+    return [math.radians(deg) for deg in degrees] + [10.0**-e for e in range(3, 10)]
+
+
+class TestSolverPin:
+    # sha256 over the repr of every ray angle, witness coordinate and
+    # residual both methods give on the grid; any change in the last bit
+    # of a solver output changes it
+    DIGEST = "25ecbff85a2a9e6298437cb065ec7de4d1c840bea77a52246d25532938976438"
+
+    def test_outputs_are_bit_identical(self):
+        h = hashlib.sha256()
+        for phi in _pin_angles():
+            for fn in (trisect_via_curve, trisect_via_scudder):
+                res = fn(phi)
+                cert = verify_trisection(res, 1e-9)
+                fields = (res.ray1.angle, res.ray2.angle, res.C.x, res.C.y, res.D.x, res.D.y, cert.pairs)
+                h.update(repr(fields).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestVerifyTrisection:
     def test_curve_result_passes(self):
         assert verify_trisection(trisect_via_curve(math.pi / 2), 1e-9).passed
@@ -188,15 +215,14 @@ class TestRightmostRule:
             phi = math.radians(deg)
             hit = intersect_ray(phi)[0]
             d = hit.point
-            points = intersect_circle_line(d, TOP_LENGTH, GUIDE_Y)
-            rightmost = points[-1]
+            xs = intersect_circle_line(d, TOP_LENGTH, GUIDE_Y)
             res = complete_curve_construction(phi, hit)
             # the construction solves the same circle in the frame of y = -1
-            assert res.C.y == rightmost.y == GUIDE_Y
-            assert res.C.x == pytest.approx(rightmost.x, rel=1e-12, abs=1e-12)
+            assert res.C.y == GUIDE_Y
+            assert res.C.x == pytest.approx(xs[-1], rel=1e-12, abs=1e-12)
             assert verify_trisection(res, 1e-9).passed
-            if len(points) == 2:
-                wrong_c = points[0]
+            if len(xs) == 2:
+                wrong_c = Point(xs[0], GUIDE_Y)
                 ray1 = Ray(polar_angle(wrong_c))
                 ray2 = Ray(bisect_angle(ray1.angle, polar_angle(d)))
                 wrong = TrisectionResult(phi, METHOD_CURVE, ray1, ray2, wrong_c, d)
@@ -213,8 +239,7 @@ class TestScaleInvariance:
                 unit = trisect_via_curve(phi)
                 d = intersect_ray(phi)[0].point
                 d_scaled = Point(lam * d.x, lam * d.y)
-                points = intersect_circle_line(d_scaled, TOP_LENGTH * lam, lam)
-                c_scaled = points[-1]
+                c_scaled = Point(intersect_circle_line(d_scaled, TOP_LENGTH * lam, lam)[-1], lam)
                 c_unit_scaled = Point(lam * unit.C.x, lam * unit.C.y)
                 assert c_scaled.distance_to(c_unit_scaled) <= 1e-12 * lam * max(1.0, unit.C.norm())
                 ray1 = Ray(polar_angle(c_scaled))

@@ -135,42 +135,43 @@ class TestFindRoot:
 
 class TestIntersectCircleLine:
     def test_two_point_case(self):
-        pts = intersect_circle_line(Point(0.0, 2.0), 2.0, 1.0)
-        assert len(pts) == 2
-        assert pts[0].x == pytest.approx(-SQRT3, abs=1e-12)
-        assert pts[1].x == pytest.approx(SQRT3, abs=1e-12)
-        assert pts[0].y == pts[1].y == 1.0
+        xs = intersect_circle_line(Point(0.0, 2.0), 2.0, 1.0)
+        assert len(xs) == 2
+        assert xs[0] == pytest.approx(-SQRT3, abs=1e-12)
+        assert xs[1] == pytest.approx(SQRT3, abs=1e-12)
+        for x in xs:  # both on the circle at y = 1
+            assert Point(x, 1.0).distance_to(Point(0.0, 2.0)) == pytest.approx(2.0, abs=1e-12)
 
     def test_tangency_collapses_to_one_point(self):
-        pts = intersect_circle_line(Point(0.0, -1.0), 2.0, 1.0)
-        assert len(pts) == 1
-        assert pts[0].x == pytest.approx(0.0, abs=1e-12)
-        assert pts[0].y == pytest.approx(1.0, abs=1e-12)
+        xs = intersect_circle_line(Point(0.0, -1.0), 2.0, 1.0)
+        assert len(xs) == 1
+        assert xs[0] == pytest.approx(0.0, abs=1e-12)
+        assert Point(xs[0], 1.0).distance_to(Point(0.0, -1.0)) == pytest.approx(2.0, abs=1e-12)
 
     def test_miss_is_empty(self):
         assert intersect_circle_line(Point(0.0, 5.0), 2.0, 1.0) == []
 
     def test_points_satisfy_both_equations(self):
+        # each x with y = y0 is on the circle
         rng = random.Random(11)
         for _ in range(300):
             center = Point(rng.uniform(-4, 4), rng.uniform(-4, 4))
             radius, y0 = rng.uniform(0.1, 5.0), rng.uniform(-4, 4)
-            pts = intersect_circle_line(center, radius, y0)
-            for p in pts:
-                assert abs(p.distance_to(center) - radius) <= 1e-9
-                assert abs(p.y - y0) <= 1e-9
-            assert [p.x for p in pts] == sorted(p.x for p in pts)
+            xs = intersect_circle_line(center, radius, y0)
+            for x in xs:
+                assert abs(Point(x, y0).distance_to(center) - radius) <= 1e-9
+            assert xs == sorted(xs)
 
     def test_translation_invariance(self):
+        # moving circle and line by (dx, dy) moves each x by dx
         rng = random.Random(13)
         base = intersect_circle_line(Point(0.5, 1.5), 2.0, 1.0)
         for _ in range(100):
             dx, dy = rng.uniform(-20, 20), rng.uniform(-20, 20)
             moved = intersect_circle_line(Point(0.5 + dx, 1.5 + dy), 2.0, 1.0 + dy)
             assert len(moved) == len(base)
-            for p, q in zip(base, moved):
-                assert abs(q.x - (p.x + dx)) <= 1e-9
-                assert abs(q.y - (p.y + dy)) <= 1e-9
+            for x, x_moved in zip(base, moved):
+                assert abs(x_moved - (x + dx)) <= 1e-9
 
 
 class TestAngles:

@@ -149,21 +149,31 @@ class TestScudderPlace:
     def test_one_step_and_one_state_evaluation(self, monkeypatch):
         # the tip angle is linear in u (3u/2), so the first secant step
         # from the full leg range lands on the placement; the state is
-        # built once, at the accepted leg angle
+        # built once, at the accepted leg angle, and the tip angle is
+        # evaluated once, at that step (the range ends' are constants)
         calls = []
+        tip_calls = []
+        tip_angle = linkage._tip_angle
 
         def counting_state(u):
             calls.append(u)
             return state_from_leg_angle(u)
 
+        def counting_tip(u):
+            tip_calls.append(u)
+            return tip_angle(u)
+
         monkeypatch.setattr(linkage, "state_from_leg_angle", counting_state)
+        monkeypatch.setattr(linkage, "_tip_angle", counting_tip)
         rng = random.Random(7)
         for _ in range(2000):
             calls.clear()
+            tip_calls.clear()
             phi = math.radians(270.0 * (1.0 - rng.random()))
             sol = scudder_place(phi)
             assert sol.iterations == 1
             assert calls == [sol.state.u]
+            assert tip_calls == [sol.state.u]
             assert sol.residual <= 4.0 * math.ulp(1.0) * phi
 
 

@@ -2,11 +2,15 @@
 
 Points and rays from the origin O (+x along the base edge), the angle
 utilities, the one circle step the construction needs (a circle meeting
-a horizontal line), and the bracketed root-finder both trisection
-methods solve with: the placement directly, the curve through the
-real-cubic solver, which splits an interval into monotone pieces and
-hands each piece to the root-finder.  All lengths are dimensionless
-multiples of the straightedge width; all angles are radians.
+a horizontal line), and the two bracketed solvers.  The placement uses
+find_root, Illinois regula falsi on any function.  The curve uses the
+real-cubic solver, which splits an interval at the stationary points
+into monotone pieces and solves each by Newton steps kept inside the
+sign-change bracket, with the cubic and its slope evaluated in line, and
+splits the bracket where Newton is slow.  It stops once the bracket is
+two adjacent floats and returns the one with the smaller |f|.  All
+lengths are dimensionless multiples of the straightedge width; all
+angles are radians.
 
 Everything here is a pure function over immutable values.  The package's
 values (points, rays and the records built from them) are frozen
@@ -250,29 +254,115 @@ def solve_cubic(c3: float, c2: float, c1: float, c0: float, lo: float, hi: float
     """Real roots of c3*x^3 + c2*x^2 + c1*x + c0 in [lo, hi], ascending, with multiplicity.
 
     The stationary points split [lo, hi] into pieces on which the cubic is
-    monotone, so each piece holds at most one root, and find_root's steps
-    solve every piece whose end values do not share a sign, from those
-    values (each end is evaluated once).  A root at a
+    monotone, so each piece holds at most one root, and bracketed Newton
+    (_newton_piece) solves every piece whose end values do not share a
+    sign, from those values (each end is evaluated once).  A root at a
     stationary point ends two pieces and is reported twice (a triple root
     three times), e.g. -(x-2)^2 (x+1) over [-3, 3] -> [-1.0, 2.0, 2.0].
     A zero leading coefficient needs no special case.
     """
     if c3 == 0.0 and c2 == 0.0 and c1 == 0.0 and c0 == 0.0:
         raise AllCoefficientsZero("cannot solve 0 = 0")
-
-    def f(x: float) -> float:
-        return ((c3 * x + c2) * x + c1) * x + c0
-
     ends = []  # right ends of the monotone pieces
     for x in sorted(_stationary_points(c3, c2, c1)):
         if lo < x < hi:
             ends.append(x)
     ends.append(hi)
     roots = []
-    a, f_a = lo, f(lo)
+    a, f_a = lo, ((c3 * lo + c2) * lo + c1) * lo + c0
     for b in ends:
-        f_b = f(b)
+        f_b = ((c3 * b + c2) * b + c1) * b + c0
         if f_a <= 0.0 <= f_b or f_b <= 0.0 <= f_a:
-            roots.append(_illinois(f, a, f_a, b, f_b, 0.0)[0])
+            roots.append(_newton_piece(c3, c2, c1, c0, a, f_a, b, f_b))
         a, f_a = b, f_b
     return roots
+
+
+# Points a piece may take Newton steps for; quadratic convergence needs at
+# most 7 in the curve's windows.  After them every point splits the
+# bracket, which closes any finite bracket within 66 more points (1 at 0,
+# 12 halving the exponent range, 53 halving one binade), so a piece ends
+# within 98 points.
+_NEWTON_POINTS = 32
+
+# A Newton step at most this long relative to x is rounding noise about a
+# converged root, not a sign that Newton is slow.
+_CONVERGED = 2.0 * math.ulp(1.0)
+
+
+def _newton_piece(c3: float, c2: float, c1: float, c0: float, lo: float, f_lo: float, hi: float, f_hi: float) -> float:
+    """The root of the cubic on a monotone piece [lo, hi], from end values f_lo, f_hi of unlike sign.
+
+    Bracketed Newton (the rtsafe scheme of Numerical Recipes), with the
+    cubic and its derivative evaluated by Horner's rule in line.  The
+    first point is the bracket's secant point; each evaluated point
+    replaces the bracket end of its sign, and the next point is the
+    Newton step from it.  A point that rounds onto a bracket end (a
+    converged step rounds back to x, which is one) moves to that end's
+    neighbour toward the other end.  The bracket is split instead
+    (_split) after a point outside it, after a zero slope, after a step
+    no shorter than half the last one (Newton creeping toward a root far
+    below the bracket's scale, or lost in rounding noise; a step within
+    _CONVERGED of x is noise about a converged root and is kept), and
+    after every point past the first _NEWTON_POINTS.  The search ends at
+    a point where the cubic is exactly 0, or once no point lies strictly
+    inside the bracket: it is then two adjacent floats, and the one with
+    the smaller |f| (the lower on a tie) comes back.
+    """
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    d2, d1 = 3.0 * c3, 2.0 * c2  # the derivative is (d2 * x + d1) * x + c1
+    neg_lo = f_lo < 0.0
+    # the weight ratio first: f * (hi - lo) underflows when both are tiny
+    if abs(f_lo) <= abs(f_hi):
+        x = lo - (f_lo / (f_hi - f_lo)) * (hi - lo)
+    else:
+        x = hi - (f_hi / (f_hi - f_lo)) * (hi - lo)
+    newton = _NEWTON_POINTS
+    last = math.inf  # length of the last Newton step
+    while True:  # at most 98 points; see _NEWTON_POINTS
+        if not lo < x < hi:
+            if x == lo:
+                x = math.nextafter(lo, hi)
+            elif x == hi:
+                x = math.nextafter(hi, lo)
+            else:
+                x = _split(lo, hi)
+            if not lo < x < hi:  # lo and hi are adjacent floats
+                return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_x = ((c3 * x + c2) * x + c1) * x + c0
+        if f_x == 0.0:
+            return x
+        if (f_x < 0.0) == neg_lo:
+            lo, f_lo = x, f_x
+        else:
+            hi, f_hi = x, f_x
+        slope = (d2 * x + d1) * x + c1
+        step = f_x / slope if slope else math.inf
+        length = abs(step)
+        newton -= 1
+        if newton > 0 and (length < 0.5 * last or length <= _CONVERGED * abs(x)):
+            x -= step
+            last = length
+        else:
+            x = _split(lo, hi)
+            last = math.inf
+
+
+def _split(lo: float, hi: float) -> float:
+    """A point splitting the bracket [lo, hi], strictly inside it unless the ends are adjacent floats.
+
+    The midpoint when the ends lie within a factor 2 of each other; 0
+    when they straddle it; otherwise their geometric mean, with an end
+    at 0 counted as the smallest subnormal.  So a root far below the
+    bracket's scale takes at most 12 splits to reach, not up to ~1,000
+    halvings.
+    """
+    if lo < 0.0 < hi:
+        return 0.0
+    small, big = sorted((abs(lo), abs(hi)))
+    if big <= 2.0 * small:
+        return lo + 0.5 * (hi - lo)
+    return math.copysign(math.sqrt(max(small, 5e-324)) * math.sqrt(big), hi + lo)

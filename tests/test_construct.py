@@ -151,6 +151,42 @@ class TestCurveOracle:
             _assert_matches_closed_form(trisect_via_curve(phi), phi, window)
 
 
+def _ulp_angles():
+    """4,100 angles: 2,000 seeded uniform, 1,000 tiny, 600 about 90 deg and 500 below 270 deg."""
+    rng = random.Random(4100)
+    uniform = [math.radians(270.0 * (1.0 - rng.random())) for _ in range(2000)]
+    tiny = [PHI_MIN] + _log_grid(-300.0, -3.0, 1000)[1:]
+    near90 = [0.5 * math.pi + sign * off for off in _log_grid(-15.0, -3.0, 300) for sign in (1.0, -1.0)]
+    below270 = [1.5 * math.pi - off for off in _log_grid(-15.0, -3.0, 500)]
+    return uniform + tiny + near90 + below270
+
+
+class TestUlpOracle:
+    """Worst error of each ray in ulps of its exact angle k*phi/3, against 50 digits.
+
+    The bounds are the worst errors the Illinois curve solve and the
+    placement gave on these angles; a solver change must not exceed them.
+    """
+
+    @pytest.mark.parametrize(
+        "fn, ray1_ulps, ray2_ulps",
+        [(trisect_via_curve, 4.67, 2.0), (trisect_via_scudder, 5.67, 5.67)],
+    )
+    def test_worst_error_in_ulps(self, fn, ray1_ulps, ray2_ulps):
+        mpmath = pytest.importorskip("mpmath")
+        worst = [0.0, 0.0]
+        with mpmath.workdps(50):
+            for phi in _ulp_angles():
+                res = fn(phi)
+                third = mpmath.mpf(phi) / 3
+                for i, (ray, k) in enumerate(((res.ray1, 1), (res.ray2, 2))):
+                    exact = k * third
+                    gap = (mpmath.mpf(ray.angle) - exact) % (2 * mpmath.pi)
+                    ulps = float(min(gap, 2 * mpmath.pi - gap) / math.ulp(float(exact)))
+                    worst[i] = max(worst[i], ulps)
+        assert worst[0] <= ray1_ulps and worst[1] <= ray2_ulps, worst
+
+
 def _pin_angles():
     """1..269 deg by 0.5 deg, log-spaced offsets about 90, 180 and below 270 deg, and tiny radians."""
     offsets = [10.0**-e for e in range(2, 13)]  # 1e-2 .. 1e-12 degrees
@@ -164,7 +200,7 @@ class TestSolverPin:
     # sha256 over the repr of every ray angle, witness coordinate and
     # residual both methods give on the grid; any change in the last bit
     # of a solver output changes it
-    DIGEST = "25ecbff85a2a9e6298437cb065ec7de4d1c840bea77a52246d25532938976438"
+    DIGEST = "eda5efc4eed9080374928c4e9bdf4019a406f9fffd1f2a6eb1b82c5b8419409e"
 
     def test_outputs_are_bit_identical(self):
         h = hashlib.sha256()

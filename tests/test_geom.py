@@ -1,11 +1,17 @@
 """Tests for the plane-geometry kernel."""
 
+import inspect
 import math
 import random
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from trisectrix import geom
+from trisectrix.construct import trisect_via_curve, verify_trisection
+from trisectrix.curve import PHI_MIN
 from trisectrix.errors import AllCoefficientsZero, BadRange, BracketFailure, OriginHasNoAngle
 from trisectrix.geom import (
     MAX_GRID_POINTS,
@@ -311,3 +317,250 @@ class TestSolveCubic:
         assert len(got) == 3
         for a, b in zip(got, roots):
             assert abs(a - b) <= 1e-8
+
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), st.integers(-100, 100))
+    def test_recovers_constructed_roots_at_any_scale(self, unit_roots, exponent):
+        # the Cauchy window is ~1 wide for tiny roots and ~scale^3 for huge
+        # ones, so Newton from its secant point creeps toward the roots by
+        # a factor of about 2/3 a step
+        unit_roots = sorted(unit_roots)
+        assume(unit_roots[1] - unit_roots[0] > 1e-3 and unit_roots[2] - unit_roots[1] > 1e-3)
+        scale = 10.0**exponent
+        roots = [scale * r for r in unit_roots]
+        c2 = -(roots[0] + roots[1] + roots[2])
+        c1 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
+        c0 = -roots[0] * roots[1] * roots[2]
+        got = solve_cubic(1.0, c2, c1, c0, *cauchy_window(1.0, c2, c1, c0))
+        assert len(got) == 3
+        for a, b in zip(got, roots):
+            assert abs(a - b) <= 1e-8 * scale
+
+    def test_tiny_constants_keep_their_roots(self):
+        # the low curve window at tiny angles, c0 = sin(phi) down to the
+        # smallest subnormal: the first point rounds onto the end 0 (for
+        # 5e-324), and bisecting from 0.26 would need ~1,000 halvings
+        for c0, root in ((1e-200, 3.3333333333333335e-201), (1.5e-300, 5e-301), (5e-324, 0.0)):
+            assert solve_cubic(4.0, 0.0, -3.0, c0, 0.0, 0.26) == [root]
+        assert verify_trisection(trisect_via_curve(PHI_MIN), 1e-9).passed
+
+
+def cubic_value(coeffs, x):
+    """The cubic at x, rounded as the solver rounds it."""
+    c3, c2, c1, c0 = coeffs
+    return ((c3 * x + c2) * x + c1) * x + c0
+
+
+def is_better_of_adjacent_pair(coeffs, x):
+    """x is a zero, or one of two adjacent floats across which the cubic changes sign, with the smaller |f|.
+
+    On a tie in |f| the lower float is the one returned.
+    """
+    f_x = cubic_value(coeffs, x)
+    if f_x == 0.0:
+        return True
+    below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
+    f_below, f_above = cubic_value(coeffs, below), cubic_value(coeffs, above)
+    return (
+        (f_below < 0.0) != (f_x < 0.0) and f_below != 0.0 and abs(f_x) < abs(f_below)
+        or (f_above < 0.0) != (f_x < 0.0) and f_above != 0.0 and abs(f_x) <= abs(f_above)
+    )
+
+
+def traced_lines(code, call, watch=None):
+    """Run call() under a line tracer on ``code``.
+
+    Returns how often each line of ``code`` ran, call()'s result, and
+    the values the local ``watch`` held at those lines.
+    """
+    ran, watched = Counter(), []
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            ran[frame.f_lineno] += 1
+            if watch in frame.f_locals:
+                watched.append(frame.f_locals[watch])
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        outcome = call()
+    finally:
+        sys.settrace(previous)
+    return ran, outcome, watched
+
+
+_T3 = (4.0, 0.0, -3.0)  # T3(x) = 4x^3 - 3x, the curve's cubic without its constant
+_CUBE = (1.0, -3.0, 3.0, -1.0)  # (x - 1)^3
+
+# One named case per branch of the piece solver: (name, call, check of the
+# outcome, the line the branch runs as (its text, which occurrence)).
+PIECE_CASES = [
+    (
+        "root at the lower end",
+        lambda: solve_cubic(1.0, -6.0, 11.0, -6.0, 1.0, 1.5),
+        lambda r: r == [1.0],
+        ("return lo", 0),
+    ),
+    (
+        "root at the upper end",
+        lambda: solve_cubic(1.0, -6.0, 11.0, -6.0, 2.5, 3.0),
+        lambda r: r == [3.0],
+        ("return hi", 0),
+    ),
+    # the secant point of a line is its root, and f there is exactly 0
+    (
+        "exact zero mid-bracket",
+        lambda: solve_cubic(0.0, 0.0, 2.0, -4.0, -10.0, 10.0),
+        lambda r: r == [2.0],
+        ("return x", 0),
+    ),
+    # converged Newton steps that round back onto the end just set
+    (
+        "step onto the lower end",
+        lambda: solve_cubic(*_T3, 0.25, 0.7, 0.97),
+        lambda r: r == [0.8208917637264629] and is_better_of_adjacent_pair((*_T3, 0.25), r[0]),
+        ("x = math.nextafter(lo, hi)", 0),
+    ),
+    (
+        "step onto the upper end",
+        lambda: solve_cubic(*_T3, -0.5, 0.7, 0.97),
+        lambda r: r == [0.9396926207859084] and is_better_of_adjacent_pair((*_T3, -0.5), r[0]),
+        ("x = math.nextafter(hi, lo)", 0),
+    ),
+    (
+        "bracket closed to adjacent floats",
+        lambda: solve_cubic(*_T3, -0.5, 0.7, 0.97),
+        lambda r: r == [0.9396926207859084],
+        ("return lo if abs(f_lo) <= abs(f_hi) else hi", 0),
+    ),
+    # from the secant point 0.5 the Newton step of x^3 - 2 lands at 3.0
+    (
+        "split after a step out of the bracket",
+        lambda: solve_cubic(1.0, 0.0, 0.0, -2.0, 0.0, 2.0),
+        lambda r: r == [2.0 ** (1.0 / 3.0)] and is_better_of_adjacent_pair((1.0, 0.0, 0.0, -2.0), r[0]),
+        ("x = _split(lo, hi)", 0),
+    ),
+    # Newton creeps toward 1e-10 from 1 by a factor 2/3 a step
+    (
+        "split after a slow step",
+        lambda: solve_cubic(1.0, 0.0, 0.0, -1e-30, 0.0, 2.0),
+        lambda r: r == [1e-10] and is_better_of_adjacent_pair((1.0, 0.0, 0.0, -1e-30), r[0]),
+        ("x = _split(lo, hi)", 1),
+    ),
+]
+
+
+class TestNewtonPiece:
+    """The curve's per-piece solver: every line runs, and the stop rule holds."""
+
+    CODE = geom._newton_piece.__code__
+
+    @classmethod
+    def line_of(cls, text, occurrence=0):
+        """Line number of the ``occurrence``-th line of the solver reading ``text``."""
+        source, first = inspect.getsourcelines(cls.CODE)
+        return [first + i for i, line in enumerate(source) if line.strip() == text][occurrence]
+
+    def evaluations(self, ran):
+        return ran[self.line_of("f_x = ((c3 * x + c2) * x + c1) * x + c0")]
+
+    @pytest.mark.parametrize("name, call, check, branch", PIECE_CASES, ids=[case[0] for case in PIECE_CASES])
+    def test_named_case_reaches_its_branch(self, name, call, check, branch):
+        ran, outcome, _ = traced_lines(self.CODE, call)
+        assert check(outcome), (name, outcome)
+        assert ran[self.line_of(*branch)], name
+
+    def test_zero_slope_splits(self):
+        # a near-double root in a window 6e-15 wide: the slope rounds to 0
+        # there, and the step it would give is infinite
+        lo, hi = -2.3934892758625543, -2.393489275862548
+        coeffs = (1.0, 4.298552614053178, 3.3907064259273003, -2.798090073735238)
+        ran, roots, slopes = traced_lines(self.CODE, lambda: solve_cubic(*coeffs, lo, hi), "slope")
+        assert 0.0 in slopes
+        assert ran[self.line_of("x = _split(lo, hi)", 1)]
+        (x,) = roots
+        assert lo <= x <= hi and is_better_of_adjacent_pair(coeffs, x)
+
+    def test_converged_steps_in_rounding_noise_are_kept(self):
+        # at this k the last Newton steps are 1.5e-16 and then exactly half
+        # that: rounding noise about the root, so no split follows
+        ran, roots, _ = traced_lines(self.CODE, lambda: solve_cubic(*_T3, 0.7014370866579387, 0.7, 0.97))
+        assert roots == [0.7089866748427832] and is_better_of_adjacent_pair((*_T3, 0.7014370866579387), roots[0])
+        assert self.evaluations(ran) <= 7
+
+    def test_creeping_newton_splits_long_before_the_newton_points_run_out(self):
+        # from 1 toward 1e-10 Newton shrinks x by about 2/3 a step; each
+        # such step is followed by a split at the geometric mean
+        ran, roots, _ = traced_lines(self.CODE, lambda: solve_cubic(1.0, 0.0, 0.0, -1e-30, 0.0, 2.0))
+        assert roots == [1e-10]
+        assert self.evaluations(ran) <= geom._NEWTON_POINTS // 2
+
+    def test_a_triple_root_ends_by_splitting_alone(self):
+        # Newton creeps at a triple root and its steps there are rounding
+        # noise; past _NEWTON_POINTS every point splits the bracket
+        ran, x, _ = traced_lines(self.CODE, lambda: geom._newton_piece(*_CUBE, 0.0, -1.0, 4.0, 27.0))
+        assert self.evaluations(ran) > geom._NEWTON_POINTS
+        assert abs(x - 1.0) <= 1e-5 and is_better_of_adjacent_pair(_CUBE, x)
+
+    @pytest.mark.parametrize(
+        "coeffs, lo, hi",
+        [
+            ((1.0, 0.0, 0.0, -1e-300), -1e300, 1e300),
+            ((0.0, 0.0, 1.0, -1e-300), -sys.float_info.max, sys.float_info.max),
+            ((0.0, 0.0, 1.0, -1.0), -sys.float_info.max, sys.float_info.max),
+            ((0.0, 0.0, 1.0, -math.pi), 0.0, sys.float_info.max),
+        ],
+    )
+    def test_splitting_alone_closes_any_bracket_within_66_points(self, monkeypatch, coeffs, lo, hi):
+        # 1 split at 0, 12 halving the exponent range and 53 halving one
+        # binade: the bound that ends the search loop
+        monkeypatch.setattr(geom, "_NEWTON_POINTS", 1)
+        f_lo, f_hi = cubic_value(coeffs, lo), cubic_value(coeffs, hi)
+        ran, x, _ = traced_lines(self.CODE, lambda: geom._newton_piece(*coeffs, lo, f_lo, hi, f_hi))
+        assert self.evaluations(ran) <= 1 + 66
+        assert is_better_of_adjacent_pair(coeffs, x)
+
+    @pytest.mark.parametrize(
+        "lo, hi, point",
+        [
+            (-1.0, 2.0, 0.0),  # straddling 0
+            (1.0, 1.5, 1.25),  # within a factor 2: the midpoint
+            (-1.5, -1.0, -1.25),
+            (1e-10, 1e10, 1.0),  # the geometric mean
+            (-1e10, -1e-10, -1.0),
+            (0.0, 1e-300, math.sqrt(5e-324) * math.sqrt(1e-300)),  # 0 counts as the smallest subnormal
+        ],
+    )
+    def test_split(self, lo, hi, point):
+        assert geom._split(lo, hi) == pytest.approx(point, rel=1e-15)
+        assert lo < geom._split(lo, hi) < hi
+
+    def test_split_of_adjacent_floats_is_an_end(self):
+        for lo in (0.0, 5e-324, 1.0, -2.0):
+            hi = math.nextafter(lo, math.inf)
+            assert geom._split(lo, hi) in (lo, hi)
+
+    def test_every_line_is_reached_by_a_named_case(self):
+        ran = Counter()
+        for _, call, _, _ in PIECE_CASES:
+            ran += traced_lines(self.CODE, call)[0]
+        body = {line for _, _, line in self.CODE.co_lines() if line is not None and line != self.CODE.co_firstlineno}
+        source = open(self.CODE.co_filename).read().splitlines()
+        missed = {line: source[line - 1].strip() for line in sorted(body - set(ran))}
+        assert not missed, missed
+
+    @given(
+        st.floats(-math.sqrt(0.5), math.sqrt(0.5)),
+        st.sampled_from([(0.0, 0.26), (0.7, 0.97)]),
+    )
+    def test_curve_root_is_the_better_of_two_adjacent_floats(self, k, window):
+        # T3(x) = k; the low window holds a root only for k <= 0
+        if window[0] == 0.0:
+            k = -abs(k)
+        coeffs = (*_T3, -k)
+        (x,) = solve_cubic(*coeffs, *window)
+        assert window[0] <= x <= window[1]
+        assert is_better_of_adjacent_pair(coeffs, x), (k, window, x)

@@ -228,8 +228,7 @@ def _run_trisect(args: argparse.Namespace) -> int:
     if not 0.0 < args.angle_deg <= 270.0:
         raise OutOfRange(f"angle must lie in (0, 270] degrees, got {args.angle_deg}")
     _check_tol(args.tol)
-    fn = construct.trisect_via_curve if args.method == "curve" else construct.trisect_via_scudder
-    res = fn(math.radians(args.angle_deg))
+    res = construct._METHOD_FNS[args.method](math.radians(args.angle_deg))
     payload, passed = trisect_report(res, args.tol)
     if args.format == "json":
         _emit(_to_json(payload), args.out)
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trisect", help="trisect an angle and report or draw the construction")
     p.add_argument("--angle-deg", type=float, required=True)
-    p.add_argument("--method", choices=("curve", "scudder"), default="curve")
+    p.add_argument("--method", choices=construct.METHODS, default=construct.METHOD_CURVE)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--format", choices=("json", "svg"), default="json")
     p.add_argument("--precision", type=int, default=6)
@@ -302,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-deg", type=float, default=1.0)
     p.add_argument("--to-deg", type=float, default=269.0)
     p.add_argument("--step-deg", type=float, default=1.0)
-    p.add_argument("--method", choices=("curve", "scudder", "both"), default="both")
+    p.add_argument("--method", choices=(*construct.METHODS, "both"), default="both")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(run=_run_sweep)

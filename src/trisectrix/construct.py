@@ -125,7 +125,7 @@ def complete_curve_construction(phi: float, hit: curve.CurveIntersection) -> Tri
 
 def trisect_via_curve(phi: float) -> TrisectionResult:
     """Trisect phi in [PHI_MIN, 3*pi/2] using the traced curve."""
-    return complete_curve_construction(phi, curve.intersect_ray(phi)[0])
+    return complete_curve_construction(phi, curve.intersect_ray(phi))
 
 
 def trisect_via_scudder(phi: float) -> TrisectionResult:

@@ -50,8 +50,6 @@ PHI_MAX = 1.5 * math.pi
 _LOW_WINDOW = (0.0, 0.26)
 _HIGH_WINDOW = (0.7, 0.97)
 
-_SQRT3 = math.sqrt(3.0)
-
 # Angle tolerance of the trace-membership test.
 TRACE_TOL = 1e-9
 
@@ -96,27 +94,21 @@ def sample_trace(t_min: float, t_max: float, n: int) -> list[Point]:
 
 
 class CurveIntersection(_Record):
-    """Where the ray at the query angle meets the curve.
+    """Where the ray at the query angle meets the traced branch.
 
-    ``t`` is the trace parameter: the point is trace_point(t) when
-    ``on_trace``, else its mirror image in the y-axis (the algebraic
-    branch the compass does not draw).  Either way 1 + y = 4 cos^2 t.
-    ``multiplicity`` counts coincident roots (the tangential crossing at
-    the node).
+    ``point`` is the traced point D(t), built on the ray as
+    csc t * (cos phi, sin phi), so 1 + y = 4 cos^2 t.
     """
 
-    __slots__ = ("point", "r", "t", "on_trace", "multiplicity")
+    __slots__ = ("point", "t")
 
-    def __init__(self, point: Point, r: float, t: float, on_trace: bool, multiplicity: int) -> None:
+    def __init__(self, point: Point, t: float) -> None:
         _set(self, "point", point)
-        _set(self, "r", r)
         _set(self, "t", t)
-        _set(self, "on_trace", on_trace)
-        _set(self, "multiplicity", multiplicity)
 
 
-def intersect_ray(phi: float) -> list[CurveIntersection]:
-    """The curve points on the ray from the origin at angle phi in [PHI_MIN, 3*pi/2].
+def intersect_ray(phi: float) -> CurveIntersection:
+    """The traced point on the ray from the origin at angle phi in [PHI_MIN, 3*pi/2].
 
     Substituting (r cos phi, r sin phi) into the implicit form gives the
     ray cubic -sin(phi) r^3 + 3 r^2 - 4 = 0.  In x = 1/r = sin t it is
@@ -126,10 +118,9 @@ def intersect_ray(phi: float) -> list[CurveIntersection]:
     is simple and lies in a fixed window where T3 is monotone; one
     bracketed solve finds it, and t comes from asin or acos.
 
-    The trace hit comes first.  The ray cubic's other positive root,
-    sin(pi/3 - t), is the mirror-branch hit, present while phi < pi; at
-    the node it coincides with the trace hit, which then has
-    multiplicity 2.
+    The ray cubic's other positive root, sin(pi/3 - t) while phi < pi,
+    meets the mirror branch, which the compass does not draw; it is not
+    solved for.  At the node it coincides with the trace root.
     """
     if not PHI_MIN <= phi <= PHI_MAX:
         raise OutOfRange(f"query angle must lie in [{PHI_MIN}, 3*pi/2] radians, got {phi}")
@@ -146,13 +137,4 @@ def intersect_ray(phi: float) -> list[CurveIntersection]:
     if not on_trace(t, phi):
         raise NoTraceRoot(f"the trace root at phi={phi} misses the ray by more than {TRACE_TOL}")
     r = 1.0 / math.sin(t)
-    multiplicity = 1
-    mirror = []
-    w = 0.5 * (_SQRT3 * math.cos(t) - math.sin(t))  # sin(pi/3 - t), deflated from the ray cubic
-    if w > 0.0:
-        t_mirror = math.asin(w)
-        if on_trace(t_mirror, phi):
-            multiplicity = 2
-        else:
-            mirror.append(CurveIntersection(Point(c / w, s / w), 1.0 / w, t_mirror, False, 1))
-    return [CurveIntersection(Point(r * c, r * s), r, t, True, multiplicity), *mirror]
+    return CurveIntersection(Point(r * c, r * s), t)

@@ -31,7 +31,7 @@ class BadRange(TrisectrixError, ValueError):
 
 
 class NoTraceRoot(TrisectrixError, RuntimeError):
-    """A ray-curve solve produced no (or several) on-trace roots.
+    """A ray-curve solve produced a root off the traced branch.
 
     Must not occur for valid query angles; signals an internal defect.
     """

@@ -3,14 +3,14 @@
 Points and rays from the origin O (+x along the base edge), the angle
 utilities, the one circle step the construction needs (a circle meeting
 a horizontal line), and the two bracketed solvers.  The placement uses
-find_root, Illinois regula falsi on any function.  The curve uses the
-real-cubic solver, which splits an interval at the stationary points
-into monotone pieces and solves each by Newton steps kept inside the
-sign-change bracket, with the cubic and its slope evaluated in line, and
-splits the bracket where Newton is slow.  It stops once the bracket is
-two adjacent floats and returns the one with the smaller |f|.  All
-lengths are dimensionless multiples of the straightedge width; all
-angles are radians.
+find_root, Illinois regula falsi on any function from end values the
+caller already holds.  The curve uses the real-cubic solver, which
+splits an interval at the stationary points into monotone pieces and
+solves each by Newton steps kept inside the sign-change bracket, with
+the cubic and its slope evaluated in line, and splits the bracket where
+Newton is slow.  It stops once the bracket is two adjacent floats and
+returns the one with the smaller |f|.  All lengths are dimensionless
+multiples of the straightedge width; all angles are radians.
 
 Everything here is a pure function over immutable values.  The package's
 values (points, rays and the records built from them) are frozen
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import AllCoefficientsZero, BadRange, BracketFailure, OriginHasNoAngle
+from .errors import AllCoefficientsZero, BadRange, BracketFailure, OriginHasNoAngle, OutOfDomain
 
 # Largest grid any sampler or sweep builds; a bigger request is refused
 # before anything is allocated.
@@ -98,7 +98,7 @@ class Point(_Record):
 
     def __init__(self, x: float, y: float) -> None:
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"non-finite point ({x}, {y})")
+            raise OutOfDomain(f"non-finite point ({x}, {y})")
         _set(self, "x", x)
         _set(self, "y", y)
 
@@ -181,11 +181,12 @@ def bisect_angle(a1: float, a2: float) -> float:
 _FIND_ROOT_MAX_ITERATIONS = 100
 
 
-def find_root(f, lo: float, hi: float, tol: float):
+def find_root(f, lo: float, f_lo: float, hi: float, f_hi: float, tol: float):
     """Root of f on [lo, hi] by Illinois regula falsi (Dowell & Jarratt 1971).
 
-    The values f(lo) and f(hi) must not share a sign.  Each step is the
-    secant step taken from the bracket end with the smaller |f|, so it
+    The caller passes the end values f_lo = f(lo) and f_hi = f(hi), which
+    must not share a sign; f is evaluated only at the steps.  Each step is
+    the secant step taken from the bracket end with the smaller |f|, so it
     moves a short, well-conditioned distance; an end kept by two steps in
     a row has its secant weight halved (the Illinois rule), so the
     bracket cannot stall on one side.
@@ -194,11 +195,6 @@ def find_root(f, lo: float, hi: float, tol: float):
     |f(x)| <= tol, or for the better end of the bracket once no step can
     land strictly inside it.
     """
-    return _illinois(f, lo, f(lo), hi, f(hi), tol)
-
-
-def _illinois(f, lo: float, f_lo: float, hi: float, f_hi: float, tol: float):
-    """find_root from end values the caller already holds: f_lo = f(lo), f_hi = f(hi)."""
     if abs(f_lo) <= tol:
         return lo, f_lo, 0
     if abs(f_hi) <= tol:

@@ -29,7 +29,7 @@ import math
 from .certificate import Certificate
 from .curve import PHI_MAX, PHI_MIN
 from .errors import OutOfRange
-from .geom import ORIGIN, Point, _Record, _illinois, _set, ccw_sweep, dot, polar_angle
+from .geom import ORIGIN, Point, _Record, _set, ccw_sweep, dot, find_root, polar_angle
 
 # The placement searches the whole leg range (0, pi) that doubles reach:
 # at 1e-300 the slide cot(u/2) = 2e300 is still finite, and the top end
@@ -110,15 +110,15 @@ _TIP_MAX = _tip_angle(_LEG_MAX)
 def scudder_place(phi: float) -> PlacementSolution:
     """Place the square so the tracing pencil lies on the ray at angle phi.
 
-    One bracketed root solve (geom.find_root's steps) of the monotone map
-    u -> polar angle of D over the whole leg range, stopped once the
-    residual is within _RESIDUAL_RTOL * phi.  The residuals at the two
-    ends of the range come from the constant end tip angles.
+    One geom.find_root solve of the monotone map u -> polar angle of D
+    over the whole leg range, stopped once the residual is within
+    _RESIDUAL_RTOL * phi.  The end values it is given, the residuals at
+    the two ends of the range, come from the constant end tip angles.
     """
     if not PHI_MIN <= phi <= PHI_MAX:
         raise OutOfRange(f"trisection angle must lie in [{PHI_MIN}, 3*pi/2], got {phi}")
 
-    u, g, iterations = _illinois(
+    u, g, iterations = find_root(
         lambda u: _tip_angle(u) - phi, _LEG_MIN, _TIP_MIN - phi, _LEG_MAX, _TIP_MAX - phi, _RESIDUAL_RTOL * phi
     )
     return PlacementSolution(state_from_leg_angle(u), phi, abs(g), iterations)

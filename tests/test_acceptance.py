@@ -21,10 +21,13 @@ from trisectrix.curve import (
     T_MAX,
     implicit_value,
     intersect_ray,
+    on_trace,
     trace_point,
 )
-from trisectrix.geom import Point, angle_distance, solve_cubic
+from trisectrix.geom import Point, angle_distance, polar_angle, solve_cubic
 from trisectrix.linkage import scudder_place, state_from_leg_angle, verify_placement
+
+from mirror_branch import mirror_hit
 
 FULL_GRID_DEG = range(1, 270)
 
@@ -108,10 +111,11 @@ def test_criterion_08_congruence_certificates():
 def test_criterion_09_spurious_branch_rejection():
     for deg in (30.0, 120.0):
         phi = math.radians(deg)
-        hits = intersect_ray(phi)
-        assert len(hits) >= 2
-        assert sum(1 for h in hits if h.on_trace) == 1
-        mirror = next(h for h in hits if not h.on_trace)
+        assert on_trace(intersect_ray(phi).t, phi)
+        mirror = mirror_hit(phi)
+        assert angle_distance(polar_angle(mirror.point), phi) <= 1e-12
+        assert abs(implicit_value(mirror.point)) <= 1e-12
+        assert not on_trace(mirror.t, phi)
         forced = complete_curve_construction(phi, mirror)
         assert not verify_trisection(forced, 1e-9).passed
     _report(9, "mirror-branch candidates at 30 and 120 deg rejected by verification")
@@ -135,8 +139,7 @@ def test_criterion_10_cubic_solver_oracle():
 
 def test_criterion_11_tangency_degeneracy():
     res = trisect_via_curve(1.5 * math.pi)
-    hits = intersect_ray(1.5 * math.pi)
-    assert len(hits) == 1
+    assert on_trace(intersect_ray(1.5 * math.pi).t, 1.5 * math.pi)
     assert abs(res.C.x) <= 1e-9
     assert abs(res.C.y - 1.0) <= 1e-9
     assert angle_distance(res.ray1.angle, math.radians(90.0)) <= 1e-9

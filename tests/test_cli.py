@@ -413,6 +413,22 @@ class TestNonFiniteInput:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("curve", "--t-min-deg", "1e-320", "--samples", "2"),
+            ("curve", "--t-min-deg", "1e-320", "--samples", "2", "--format", "svg"),
+            ("simulate", "--u-min-deg", "1e-320", "--u-max-deg", "10", "--steps", "2"),
+        ],
+    )
+    def test_finite_input_with_a_non_finite_point_is_usage_error(self, args):
+        # a positive angle this small puts the pencil past the largest double
+        code, out, err = run_cli(*args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: non-finite point (")
+        assert err.count("\n") == 1
+
 
 def _reference_fixed(x, precision):
     """The fixed-point rule spelled out: round, print, and drop the sign of a zero."""

@@ -17,9 +17,11 @@ from trisectrix.construct import (
     trisect_via_scudder,
     verify_trisection,
 )
-from trisectrix.curve import PHI_MIN, intersect_ray
+from trisectrix.curve import PHI_MIN, implicit_value, intersect_ray, on_trace
 from trisectrix.errors import BadRange, OutOfRange
 from trisectrix.geom import Point, Ray, angle_distance, bisect_angle, intersect_circle_line, polar_angle
+
+from mirror_branch import mirror_hit
 
 SQRT3 = math.sqrt(3.0)
 
@@ -249,7 +251,7 @@ class TestRightmostRule:
     def test_wrong_candidate_fails_verification(self):
         for deg in range(5, 270, 11):
             phi = math.radians(deg)
-            hit = intersect_ray(phi)[0]
+            hit = intersect_ray(phi)
             d = hit.point
             xs = intersect_circle_line(d, TOP_LENGTH, GUIDE_Y)
             res = complete_curve_construction(phi, hit)
@@ -273,7 +275,7 @@ class TestScaleInvariance:
             for deg in (25.0, 90.0, 150.0, 230.0):
                 phi = math.radians(deg)
                 unit = trisect_via_curve(phi)
-                d = intersect_ray(phi)[0].point
+                d = intersect_ray(phi).point
                 d_scaled = Point(lam * d.x, lam * d.y)
                 c_scaled = Point(intersect_circle_line(d_scaled, TOP_LENGTH * lam, lam)[-1], lam)
                 c_unit_scaled = Point(lam * unit.C.x, lam * unit.C.y)
@@ -288,11 +290,11 @@ class TestSpuriousBranch:
     def test_mirror_candidate_fails_the_pipeline(self):
         for deg in (30.0, 120.0):
             phi = math.radians(deg)
-            hits = intersect_ray(phi)
-            assert len(hits) >= 2
-            mirrors = [h for h in hits if not h.on_trace]
-            assert mirrors
-            forced = complete_curve_construction(phi, mirrors[0])
+            mirror = mirror_hit(phi)
+            assert angle_distance(polar_angle(mirror.point), phi) <= 1e-12
+            assert abs(implicit_value(mirror.point)) <= 1e-12
+            assert not on_trace(mirror.t, phi)
+            forced = complete_curve_construction(phi, mirror)
             assert not verify_trisection(forced, 1e-9).passed
 
 

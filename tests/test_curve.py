@@ -18,6 +18,8 @@ from trisectrix.curve import (
 from trisectrix.errors import BadRange, NoTraceRoot, OutOfDomain, OutOfRange
 from trisectrix.geom import Point, angle_distance, polar_angle, uniform_grid
 
+from mirror_branch import mirror_hit
+
 
 def rel_scale(p: Point) -> float:
     return 1.0 + abs(p.x) ** 3
@@ -143,57 +145,61 @@ class TestSampleTrace:
 
 class TestIntersectRay:
     def test_vertical_ray_tangency_at_node(self):
-        hits = intersect_ray(math.pi / 2)
-        assert len(hits) == 1
-        (hit,) = hits
-        assert hit.on_trace
-        assert hit.multiplicity == 2
-        assert hit.r == pytest.approx(2.0, abs=1e-12)
+        phi = math.pi / 2
+        hit = intersect_ray(phi)
+        assert on_trace(hit.t, phi)
+        assert 1.0 / math.sin(hit.t) == pytest.approx(2.0, abs=1e-12)
         assert abs(hit.point.x) <= 1e-12
         assert hit.point.y == pytest.approx(2.0, abs=1e-12)
+        # the ray crosses the node tangentially: the ray cubic's second
+        # root passes the membership test and is the trace hit again
+        mirror = mirror_hit(phi)
+        assert on_trace(mirror.t, phi)
+        assert mirror.t == pytest.approx(hit.t, abs=1e-15)
+        assert mirror.point.distance_to(hit.point) <= 1e-12
 
     def test_thirty_degrees_has_mirror_candidate(self):
-        hits = intersect_ray(math.pi / 6)
-        assert len(hits) == 2
-        traced = [h for h in hits if h.on_trace]
-        mirrors = [h for h in hits if not h.on_trace]
-        assert len(traced) == 1 and len(mirrors) == 1
-        assert traced[0].point.x == pytest.approx(4.987241532966373, abs=1e-9)
-        assert traced[0].point.y == pytest.approx(2.879385241571817, abs=1e-9)
+        phi = math.pi / 6
+        hit = intersect_ray(phi)
+        assert on_trace(hit.t, phi)
+        assert hit.point.x == pytest.approx(4.987241532966373, abs=1e-9)
+        assert hit.point.y == pytest.approx(2.879385241571817, abs=1e-9)
+        mirror = mirror_hit(phi)
+        assert not on_trace(mirror.t, phi)
         # frozen from a sign-scan + bisection oracle on the raw cubic
-        assert mirrors[0].r == pytest.approx(1.305407289, abs=1e-8)
-        assert mirrors[0].point.x == pytest.approx(1.1305159, abs=1e-6)
-        assert mirrors[0].point.y == pytest.approx(0.6527036, abs=1e-6)
+        assert mirror.point.norm() == pytest.approx(1.305407289, abs=1e-8)
+        assert mirror.point.x == pytest.approx(1.1305159, abs=1e-6)
+        assert mirror.point.y == pytest.approx(0.6527036, abs=1e-6)
+        p = trace_point(mirror.t)
+        assert mirror.point.distance_to(Point(-p.x, p.y)) <= 1e-12
 
     def test_straight_angle_degrades_to_quadratic(self):
-        hits = intersect_ray(math.pi)
-        traced = [h for h in hits if h.on_trace]
-        assert len(traced) == 1
-        assert traced[0].point.x == pytest.approx(-1.1547005383792515, abs=1e-9)
-        assert abs(traced[0].point.y) <= 1e-9
+        hit = intersect_ray(math.pi)
+        assert on_trace(hit.t, math.pi)
+        assert hit.point.x == pytest.approx(-1.1547005383792515, abs=1e-9)
+        assert abs(hit.point.y) <= 1e-9
 
     def test_closure_angle(self):
-        hits = intersect_ray(1.5 * math.pi)
-        assert len(hits) == 1
-        assert hits[0].on_trace
-        assert hits[0].r == pytest.approx(1.0, abs=1e-12)
-        assert hits[0].point.y == pytest.approx(-1.0, abs=1e-12)
+        hit = intersect_ray(1.5 * math.pi)
+        assert on_trace(hit.t, 1.5 * math.pi)
+        assert 1.0 / math.sin(hit.t) == pytest.approx(1.0, abs=1e-12)
+        assert hit.point.y == pytest.approx(-1.0, abs=1e-12)
 
     def test_closure_sliver_keeps_trace_root(self):
         # within ~2e-8 rad of the closure D.y rounds to -1; the x = cos t
         # reading still resolves the trace root there
         for delta in (1e-7, 1e-8, 3.5e-9, 1e-9, 1e-12):
-            hits = intersect_ray(1.5 * math.pi - delta)
-            assert sum(1 for h in hits if h.on_trace) == 1, delta
+            phi = 1.5 * math.pi - delta
+            assert on_trace(intersect_ray(phi).t, phi), delta
 
     def test_near_straight_angles_keep_trace_root(self):
         # the r-form cubic's leading coefficient vanishes at phi = pi;
         # the x = sin t reading has no such degeneracy on either side
         for delta in (1e-5, 1e-6, 1e-8, 3.35e-9, 1e-12, 0.0, -1e-12, -3.35e-9, -1e-6):
             phi = math.pi + delta
-            traced = [h for h in intersect_ray(phi) if h.on_trace]
-            assert len(traced) == 1, delta
-            assert abs(traced[0].r - 1.0 / math.sin(phi / 3.0)) <= 1e-9, delta
+            hit = intersect_ray(phi)
+            assert on_trace(hit.t, phi), delta
+            assert abs(1.0 / math.sin(hit.t) - 1.0 / math.sin(phi / 3.0)) <= 1e-9, delta
 
     def test_range_validation(self):
         for phi in (0.0, -0.5, 1.5 * math.pi + 1e-9):
@@ -230,33 +236,47 @@ class TestIntersectRay:
     def test_exactly_one_trace_root_across_the_range(self):
         for i in range(1500):
             phi = 0.002 + (1.5 * math.pi - 0.002) * i / 1499
-            hits = intersect_ray(phi)
-            assert sum(1 for h in hits if h.on_trace) == 1
+            assert on_trace(intersect_ray(phi).t, phi)
         intersect_ray(1.5 * math.pi)  # endpoint included
+
+    @pytest.mark.parametrize("deg", [30.0, 90.0, 120.0, 180.0, 270.0])
+    def test_one_membership_test_per_query(self, monkeypatch, deg):
+        # the mirror root is neither solved for nor tested
+        calls = []
+
+        def counted(t, phi):
+            calls.append(t)
+            return on_trace(t, phi)
+
+        monkeypatch.setattr(curve, "on_trace", counted)
+        hit = intersect_ray(math.radians(deg))
+        assert calls == [hit.t]
 
     def test_kept_roots_satisfy_implicit_equation(self):
         for deg in range(1, 270, 3):
-            for h in intersect_ray(math.radians(deg)):
+            phi = math.radians(deg)
+            hits = [intersect_ray(phi)] + ([mirror_hit(phi)] if deg < 180 else [])
+            for h in hits:
                 assert abs(implicit_value(h.point)) <= 1e-9 * rel_scale(h.point)
 
 
 class TestPickTrisectionPoint:
-    """The curve method's D: the trace hit, first in intersect_ray's list."""
+    """The curve method's D: the trace hit intersect_ray returns."""
 
     def test_examples(self):
-        p = intersect_ray(math.pi / 2)[0].point
+        p = intersect_ray(math.pi / 2).point
         assert abs(p.x) <= 1e-12 and p.y == pytest.approx(2.0, abs=1e-12)
-        p = intersect_ray(2.0 * math.pi / 3)[0].point
+        p = intersect_ray(2.0 * math.pi / 3).point
         assert p.x == pytest.approx(-0.777862, abs=1e-6)
         assert p.y == pytest.approx(1.347296, abs=1e-6)
-        p = intersect_ray(1.5 * math.pi)[0].point
+        p = intersect_ray(1.5 * math.pi).point
         assert abs(p.x) <= 1e-9 and p.y == pytest.approx(-1.0, abs=1e-12)
 
     def test_distance_is_cosecant_of_a_third(self):
         # csc(phi / 3) is only a cross-check here; the construction never uses it
         for deg in range(1, 270):
             phi = math.radians(deg)
-            p = intersect_ray(phi)[0].point
+            p = intersect_ray(phi).point
             assert abs(p.norm() - 1.0 / math.sin(phi / 3.0)) <= 1e-9 * max(
                 1.0, 1.0 / math.sin(phi / 3.0)
             )

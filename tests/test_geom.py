@@ -88,31 +88,33 @@ class TestFindRoot:
     )
     def test_nonlinear_roots(self, g, lo, hi, root):
         f = counted(g)
-        x, value, iterations = find_root(f, lo, hi, 1e-15)
+        x, value, iterations = find_root(f, lo, g(lo), hi, g(hi), 1e-15)
         assert x == pytest.approx(root, rel=1e-14)
         assert abs(value) <= 1e-15 and value == g(x)
         assert 0 < iterations <= 40
-        assert len(f.calls) == 2 + iterations  # both ends, then one per step
-        assert all(lo < c < hi for c in f.calls[2:])
+        assert len(f.calls) == iterations  # one per step; the ends come from the caller
+        assert all(lo < c < hi for c in f.calls)
 
     def test_linear_function_takes_one_step(self):
-        f = counted(lambda x: 1.5 * x - 1.0)
-        x, _, iterations = find_root(f, 1e-300, 3.0, 1e-15)
+        def g(x):
+            return 1.5 * x - 1.0
+
+        x, _, iterations = find_root(counted(g), 1e-300, g(1e-300), 3.0, g(3.0), 1e-15)
         assert x == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert iterations == 1
 
     @pytest.mark.parametrize("g, end", [(lambda x: x, 0.0), (lambda x: x - 1.0, 1.0)])
     def test_root_at_an_end(self, g, end):
         f = counted(g)
-        assert find_root(f, 0.0, 1.0, 0.0) == (end, 0.0, 0)
-        assert len(f.calls) == 2
+        assert find_root(f, 0.0, g(0.0), 1.0, g(1.0), 0.0) == (end, 0.0, 0)
+        assert f.calls == []
 
     @pytest.mark.parametrize("n, lo, hi, side", [(2.0, 1.0, 2.0, -1.0), (5.0, 2.0, 3.0, 1.0)])
     def test_unrepresentable_root_ends_at_the_better_of_two_adjacent_floats(self, n, lo, hi, side):
         # with tol = 0 no double is a root of x^2 - n: the bracket closes
         # down to two adjacent floats around sqrt(n) and the better one
         # comes back, the lower end for n = 2 and the upper end for n = 5
-        x, value, iterations = find_root(counted(lambda x: x * x - n), lo, hi, 0.0)
+        x, value, iterations = find_root(counted(lambda x: x * x - n), lo, lo * lo - n, hi, hi * hi - n, 0.0)
         assert abs(x - math.sqrt(n)) <= math.ulp(math.sqrt(n))
         assert value == x * x - n
         assert math.copysign(1.0, value) == side
@@ -124,19 +126,22 @@ class TestFindRoot:
         # the secant step w * (hi - lo) / (w_hi - w_lo) underflows once the
         # bracket and the weight are both ~1e-200, ending the search at
         # an unconverged end (3.64e-201 here); the weight ratio does not
-        x, _, _ = find_root(lambda w: ((4.0 * w) * w - 3.0) * w + 1e-200, 0.0, 0.25, 0.0)
+        def g(w):
+            return ((4.0 * w) * w - 3.0) * w + 1e-200
+
+        x, _, _ = find_root(g, 0.0, g(0.0), 0.25, g(0.25), 0.0)
         assert x == pytest.approx(1e-200 / 3.0, rel=1e-15)
 
     def test_no_sign_change_is_refused(self):
         with pytest.raises(BracketFailure):
-            find_root(counted(lambda x: x * x + 1.0), -1.0, 1.0, 1e-15)
+            find_root(counted(lambda x: x * x + 1.0), -1.0, 2.0, 1.0, 2.0, 1e-15)
 
     def test_step_budget_is_bounded(self):
         # a triple root converges only linearly, so tol = 0 is out of reach
         f = counted(lambda x: x**3)
         with pytest.raises(BracketFailure):
-            find_root(f, -1.0, 2.0, 0.0)
-        assert len(f.calls) == 2 + 100
+            find_root(f, -1.0, -1.0, 2.0, 8.0, 0.0)
+        assert len(f.calls) == 100
 
 
 class TestIntersectCircleLine:

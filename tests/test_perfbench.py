@@ -108,3 +108,6 @@ def test_lib_trisect_traced_run_reaches_every_layer():
     metrics = result["metrics"]
     assert metrics["linkage.state_from_leg_angle.calls_per_op"]["value"] == 1.0  # one state per placement
     assert metrics["linkage.scudder_place.iterations"]["value"] == 1.0
+    # one cubic root and one membership test per ray query: the trace hit alone
+    assert metrics["curve.intersect_ray.roots_per_call"]["value"] == 1.0
+    assert metrics["curve.intersect_ray.on_trace_ratio"]["value"] == 1.0

@@ -33,7 +33,6 @@ from .linkage import (
     PlacementSolution,
     scudder_place,
     state_from_leg_angle,
-    verify_placement,
 )
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "trace_point",
     "trisect_via_curve",
     "trisect_via_scudder",
-    "verify_placement",
     "verify_trisection",
 ]
 

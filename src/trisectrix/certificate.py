@@ -36,7 +36,3 @@ class Certificate(_Record):
     def worst(self) -> tuple[str, float]:
         """Name and value of the largest residual."""
         return max(self.pairs, key=lambda pair: pair[1])
-
-    def failing(self) -> dict[str, float]:
-        """Residuals exceeding the tolerance (NaN counts as failing)."""
-        return {k: v for k, v in self.pairs if not v <= self.tolerance}

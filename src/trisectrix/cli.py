@@ -53,15 +53,14 @@ def _sig(x: float) -> float:
 
 
 def _jsonify(value):
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
+    """The payload with every float rounded to 12 significant digits and tuples as lists."""
     if isinstance(value, float):
         return _sig(value)
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    return value
 
 
 def _to_json(payload: dict) -> str:

@@ -102,21 +102,11 @@ class Point(_Record):
         _set(self, "x", x)
         _set(self, "y", y)
 
-    def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
     def distance_to(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
 ORIGIN = Point(0.0, 0.0)
-
-
-def dot(a: Point, b: Point) -> float:
-    return a.x * b.x + a.y * b.y
 
 
 def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
@@ -191,9 +181,10 @@ def find_root(f, lo: float, f_lo: float, hi: float, f_hi: float, tol: float):
     a row has its secant weight halved (the Illinois rule), so the
     bracket cannot stall on one side.
 
-    Returns ``(x, f(x), iterations)`` for the first point with
-    |f(x)| <= tol, or for the better end of the bracket once no step can
-    land strictly inside it.
+    A secant point that is not strictly inside the bracket is replaced by
+    a split of it (_split), as in _newton_piece.  Returns
+    ``(x, f(x), iterations)`` for the first point with |f(x)| <= tol, or
+    for the better end of the bracket once it is two adjacent floats.
     """
     if abs(f_lo) <= tol:
         return lo, f_lo, 0
@@ -209,8 +200,10 @@ def find_root(f, lo: float, f_lo: float, hi: float, f_hi: float, tol: float):
             x = lo - (w_lo / (w_hi - w_lo)) * (hi - lo)
         else:
             x = hi - (w_hi / (w_hi - w_lo)) * (hi - lo)
-        if not lo < x < hi:
-            break
+        if not lo < x < hi:  # the secant point rounded onto an end: split instead
+            x = _split(lo, hi)
+            if not lo < x < hi:  # lo and hi are adjacent floats
+                break
         f_x = f(x)
         if abs(f_x) <= tol:
             return x, f_x, iteration

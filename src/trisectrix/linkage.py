@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import math
 
-from .certificate import Certificate
 from .curve import PHI_MAX, PHI_MIN
 from .errors import OutOfRange
-from .geom import ORIGIN, Point, _Record, _set, ccw_sweep, dot, find_root, polar_angle
+from .geom import Point, _Record, _set, find_root
 
 # The placement searches the whole leg range (0, pi) that doubles reach:
 # at 1e-300 the slide cot(u/2) = 2e300 is still finite, and the top end
@@ -64,11 +63,10 @@ class LinkageState(_Record):
 class PlacementSolution(_Record):
     """A solved placement: the state whose tracing pencil lies on the target ray."""
 
-    __slots__ = ("state", "phi", "residual", "iterations")
+    __slots__ = ("state", "residual", "iterations")
 
-    def __init__(self, state: LinkageState, phi: float, residual: float, iterations: int) -> None:
+    def __init__(self, state: LinkageState, residual: float, iterations: int) -> None:
         _set(self, "state", state)
-        _set(self, "phi", phi)
         _set(self, "residual", residual)
         _set(self, "iterations", iterations)
 
@@ -121,39 +119,5 @@ def scudder_place(phi: float) -> PlacementSolution:
     u, g, iterations = find_root(
         lambda u: _tip_angle(u) - phi, _LEG_MIN, _TIP_MIN - phi, _LEG_MAX, _TIP_MAX - phi, _RESIDUAL_RTOL * phi
     )
-    return PlacementSolution(state_from_leg_angle(u), phi, abs(g), iterations)
+    return PlacementSolution(state_from_leg_angle(u), abs(g), iterations)
 
-
-def verify_placement(sol: PlacementSolution, tol: float) -> Certificate:
-    """Check the congruence conditions that make the placement a trisection.
-
-    The three right triangles sharing the hypotenuses OC and OD are
-    congruent exactly when: the top has length 2, the guide pencil C is
-    on y = 1 (one unit above the base, as wide as the straightedge), the
-    leg is perpendicular to the top, and |OC| = |OD|.  Those give three
-    equal sectors between the base ray, OC, OE, and OD.
-    """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    st = sol.state
-    top = st.D - st.C
-    top_len = top.norm()
-    leg_len = st.E.norm()
-
-    ang_c = polar_angle(st.C)
-    ang_e = polar_angle(st.E)
-    ang_d = polar_angle(st.D)
-    sector_1 = ccw_sweep(0.0, ang_c)
-    sector_2 = ccw_sweep(ang_c, ang_e)
-    sector_3 = ccw_sweep(ang_e, ang_d)
-
-    residuals = {
-        "top_length": abs(top_len - 2.0),
-        "corner_on_guide": abs(st.C.y - 1.0),
-        "leg_perpendicular_to_top": abs(dot(st.E, top)) / (leg_len * top_len),
-        "equal_hypotenuses": abs(st.C.distance_to(ORIGIN) - st.D.distance_to(ORIGIN)),
-        "sectors_base_vs_mid": abs(sector_1 - sector_2),
-        "sectors_mid_vs_top": abs(sector_2 - sector_3),
-        "sectors_base_vs_top": abs(sector_1 - sector_3),
-    }
-    return Certificate.from_residuals(residuals, tol)

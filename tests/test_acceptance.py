@@ -25,7 +25,7 @@ from trisectrix.curve import (
     trace_point,
 )
 from trisectrix.geom import Point, angle_distance, polar_angle, solve_cubic
-from trisectrix.linkage import scudder_place, state_from_leg_angle, verify_placement
+from trisectrix.linkage import scudder_place, state_from_leg_angle
 
 from mirror_branch import mirror_hit
 
@@ -100,12 +100,28 @@ def test_criterion_06_asymptote():
 
 
 def test_criterion_08_congruence_certificates():
-    worst = 0.0
+    # verify_trisection certifies the placement's rays and witnesses; the
+    # two congruence conditions it does not cover, |OC| = |OD| and the
+    # leg perpendicular to the top, are reference residuals of the state
+    worst = worst_isosceles = worst_perpendicular = 0.0
     for deg in (30.0, 90.0, 120.0, 180.0, 260.0, 270.0):
-        cert = verify_placement(scudder_place(math.radians(deg)), 1e-9)
-        assert cert.passed, (deg, cert.failing())
+        phi = math.radians(deg)
+        cert = verify_trisection(trisect_via_scudder(phi), 1e-9)
+        assert cert.passed, (deg, cert.residuals)
         worst = max(worst, cert.worst()[1])
-    _report(8, f"placement certificates pass at all six angles, worst residual {worst:.3e}")
+        st = scudder_place(phi).state
+        isosceles = abs(math.hypot(st.C.x, st.C.y) - math.hypot(st.D.x, st.D.y))
+        top_x, top_y = st.D.x - st.C.x, st.D.y - st.C.y
+        leg_dot_top = st.E.x * top_x + st.E.y * top_y
+        perpendicular = abs(leg_dot_top) / (math.hypot(st.E.x, st.E.y) * math.hypot(top_x, top_y))
+        assert isosceles <= 1e-9 and perpendicular <= 1e-9, (deg, isosceles, perpendicular)
+        worst_isosceles = max(worst_isosceles, isosceles)
+        worst_perpendicular = max(worst_perpendicular, perpendicular)
+    _report(
+        8,
+        f"placement trisections pass at all six angles, worst residual {worst:.3e}; "
+        f"|OC| - |OD| <= {worst_isosceles:.3e}, leg.top <= {worst_perpendicular:.3e}",
+    )
 
 
 def test_criterion_09_spurious_branch_rejection():

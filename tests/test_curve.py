@@ -167,7 +167,7 @@ class TestIntersectRay:
         mirror = mirror_hit(phi)
         assert not on_trace(mirror.t, phi)
         # frozen from a sign-scan + bisection oracle on the raw cubic
-        assert mirror.point.norm() == pytest.approx(1.305407289, abs=1e-8)
+        assert math.hypot(mirror.point.x, mirror.point.y) == pytest.approx(1.305407289, abs=1e-8)
         assert mirror.point.x == pytest.approx(1.1305159, abs=1e-6)
         assert mirror.point.y == pytest.approx(0.6527036, abs=1e-6)
         p = trace_point(mirror.t)
@@ -277,6 +277,6 @@ class TestPickTrisectionPoint:
         for deg in range(1, 270):
             phi = math.radians(deg)
             p = intersect_ray(phi).point
-            assert abs(p.norm() - 1.0 / math.sin(phi / 3.0)) <= 1e-9 * max(
+            assert abs(math.hypot(p.x, p.y) - 1.0 / math.sin(phi / 3.0)) <= 1e-9 * max(
                 1.0, 1.0 / math.sin(phi / 3.0)
             )

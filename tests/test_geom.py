@@ -122,6 +122,21 @@ class TestFindRoot:
             assert abs(value) <= abs(neighbour * neighbour - n)
         assert iterations <= 20
 
+    def test_secant_point_on_an_end_splits_the_bracket(self):
+        # the first secant point from [4.85e-10, 1] rounds onto lo, far
+        # from the root at 5e-10; the bracket is split instead of the
+        # search ending at lo, 3% off
+        def g(x):
+            return ((x - 9.6875e-10) * x + 2.3437500000000005e-19) * x
+
+        lo, hi = 4.846268197527086e-10, 1.0
+        f = counted(g)
+        x, value, iterations = find_root(f, lo, g(lo), hi, g(hi), 0.0)
+        assert x == pytest.approx(5e-10, rel=1e-14)
+        assert value == g(x) == 0.0
+        assert 0 < iterations == len(f.calls)
+        assert all(lo < c < hi for c in f.calls)
+
     def test_tiny_weight_and_bracket_still_step(self):
         # the secant step w * (hi - lo) / (w_hi - w_lo) underflows once the
         # bracket and the weight are both ~1e-200, ending the search at

@@ -6,17 +6,14 @@ import random
 import pytest
 
 from trisectrix import linkage
-from trisectrix.construct import trisect_via_scudder, verify_trisection
+from trisectrix.construct import TrisectionResult, trisect_via_scudder, verify_trisection
 from trisectrix.curve import trace_point
 from trisectrix.errors import OutOfRange
-from trisectrix.geom import ORIGIN, Point, angle_distance, dot, polar_angle
+from trisectrix.geom import ORIGIN, Point, angle_distance, polar_angle
 from trisectrix.linkage import (
     PHI_MIN,
-    LinkageState,
-    PlacementSolution,
     scudder_place,
     state_from_leg_angle,
-    verify_placement,
     _tip_angle,
 )
 
@@ -27,11 +24,13 @@ def u_grid(n=1000, lo=0.01, hi=3.13):
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def _with_tip_nudged(sol, dy):
-    """The solution with its tracing pencil D moved by dy along +y."""
-    st = sol.state
-    bad_state = LinkageState(st.u, st.s, st.C, Point(st.D.x, st.D.y + dy), st.E)
-    return PlacementSolution(bad_state, sol.phi, sol.residual, sol.iterations)
+def _with_tip_nudged(phi, dy):
+    """The placement's trisection of phi with its tracing pencil D moved by dy along +y.
+
+    The rays come from the placed state's C and E, which the nudge leaves alone.
+    """
+    res = trisect_via_scudder(phi)
+    return TrisectionResult(phi, res.method, res.ray1, res.ray2, res.C, Point(res.D.x, res.D.y + dy))
 
 
 class TestStateFromLegAngle:
@@ -70,8 +69,9 @@ class TestStateFromLegAngle:
             assert abs(st.C.y - 1.0) <= 1e-12
             mid = Point((st.C.x + st.D.x) * 0.5, (st.C.y + st.D.y) * 0.5)
             assert mid.distance_to(st.E) <= 1e-12
-            top = st.D - st.C
-            assert abs(dot(st.E, top)) / (st.E.norm() * top.norm()) <= 1e-12
+            top_x, top_y = st.D.x - st.C.x, st.D.y - st.C.y
+            leg_dot_top = st.E.x * top_x + st.E.y * top_y
+            assert abs(leg_dot_top) / (math.hypot(st.E.x, st.E.y) * math.hypot(top_x, top_y)) <= 1e-12
             # slide closed form restated: s*sin(u) - cos(u) == 1
             assert abs(st.s * math.sin(u) - math.cos(u) - 1.0) <= 1e-12
 
@@ -178,36 +178,24 @@ class TestScudderPlace:
 
 
 class TestVerifyPlacement:
+    """verify_trisection on trisections built from placed states."""
+
     def test_right_angle_certificate(self):
-        sol = scudder_place(math.pi / 2)
-        cert = verify_placement(sol, 1e-9)
-        assert cert.passed
+        assert verify_trisection(trisect_via_scudder(math.pi / 2), 1e-9).passed
         # the three sectors are each 30 degrees here
-        st = sol.state
+        st = scudder_place(math.pi / 2).state
         assert polar_angle(st.C) == pytest.approx(math.pi / 6, abs=1e-9)
         assert polar_angle(st.E) == pytest.approx(math.pi / 3, abs=1e-9)
 
-    def test_straight_angle_certificate(self):
-        cert = verify_placement(scudder_place(math.pi), 1e-9)
-        assert cert.passed
-
     def test_perturbed_tip_is_detected(self):
-        sol = scudder_place(math.pi / 2)
-        bad = _with_tip_nudged(sol, 1e-3)
-        cert = verify_placement(bad, 1e-9)
+        cert = verify_trisection(_with_tip_nudged(math.pi / 2, 1e-3), 1e-9)
         assert not cert.passed
-        failing = cert.failing()
         # at 90 degrees D sits on the y-axis, so a +y nudge is radial:
-        # the length checks catch it
-        assert "top_length" in failing
-        assert "equal_hypotenuses" in failing
+        # the length check catches it, the direction check cannot
+        residuals = cert.residuals
+        assert residuals["cd_length"] > 1e-9
+        assert residuals["d_on_target_ray"] <= 1e-9
 
-    def test_perturbed_tip_breaks_sector_equality(self):
-        sol = scudder_place(2.0)
-        bad = _with_tip_nudged(sol, 1e-3)
-        failing = verify_placement(bad, 1e-9).failing()
-        assert any(name.startswith("sectors_") for name in failing)
-
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            verify_placement(scudder_place(1.0), -1.0)
+    def test_perturbed_tip_leaves_the_target_ray(self):
+        cert = verify_trisection(_with_tip_nudged(2.0, 1e-3), 1e-9)
+        assert cert.residuals["d_on_target_ray"] > 1e-9

@@ -34,7 +34,7 @@ class TestRecordContract:
 
     @pytest.mark.parametrize("record", [Point(1.0, 2.0), trisect_via_curve(1.0), scudder_place(1.0)])
     def test_fields_cannot_be_assigned_or_deleted(self, record):
-        name = "x" if isinstance(record, Point) else "phi"
+        name = record.__slots__[0]  # x, phi, state
         with pytest.raises(AttributeError):
             setattr(record, name, 0.0)
         with pytest.raises(AttributeError):
@@ -52,7 +52,7 @@ class TestRecordContract:
         assert cert.passed
         for name in cert.residuals:
             cert.residuals[name] = 1.0
-        assert cert.passed and cert.failing() == {}
+        assert cert.passed and all(v <= cert.tolerance for v in cert.residuals.values())
         assert hash(cert) == hash(verify_trisection(trisect_via_curve(1.0), 1e-9))
 
 

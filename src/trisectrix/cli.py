@@ -16,8 +16,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
-from pathlib import Path
 
 from . import construct, curve, linkage
 from .errors import BadRange, OutOfRange, TrisectrixError
@@ -134,8 +132,7 @@ def curve_svg(t_min_deg: float, t_max_deg: float, samples: int, precision: int) 
         STROKE_BOLD,
         cls="trace",
     )
-    scene.marker(Point(0.0, 2.0), cls="node")
-    scene.text(Point(0.0, 2.0), "(0,2)")
+    scene.witness(Point(0.0, 2.0), "(0,2)", cls="node")
     return scene.to_svg()
 
 
@@ -159,8 +156,7 @@ def trisect_svg(res: construct.TrisectionResult, precision: int) -> str:
     scene.line(ORIGIN, res.ray2.point_at(_RAY_REACH), COLOR_TRISECTOR, cls="trisector")
     e = res.midpoint_e()
     for point, label in ((res.C, "C"), (res.D, "D"), (e, "E")):
-        scene.marker(point, cls="witness")
-        scene.text(point, label)
+        scene.witness(point, label, cls="witness")
     scene.text(ORIGIN, "O", dx_px=-16.0, dy_px=16.0)
     scene.text(base.point_at(X_MAX - 0.8), "A")
     scene.text(target.point_at(3.3), "B")
@@ -174,17 +170,14 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
         return
-    path = Path(out_path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # A fresh file beside the target, created with the mode open(path, "w")
+    # would give, then renamed over it.
+    tmp_name = f"{out_path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            # mkstemp makes the file owner-only; give it the mode open(path, "w")
-            # would.  The umask can only be read by setting it, so set it back.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
-        os.replace(tmp_name, path)
+        os.replace(tmp_name, out_path)
     except BaseException:
         try:
             os.unlink(tmp_name)

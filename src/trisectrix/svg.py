@@ -27,6 +27,8 @@ STROKE_BOLD = 2.0
 
 MARKER_HALF_PX = 4.0
 FONT_SIZE_PX = 14
+# A label's baseline starts this far right of and above (negative y) its point.
+LABEL_DX_PX, LABEL_DY_PX = 6.0, -6.0
 
 # Every diagram shows the world window [X_MIN, X_MAX] x [Y_MIN, Y_MAX] on a
 # WIDTH_PX x HEIGHT_PX canvas, at SCALE pixels per unit on both axes.
@@ -58,6 +60,11 @@ def to_screen(p: Point) -> tuple[float, float]:
     return (p.x - X_MIN) * SCALE, HEIGHT_PX - (p.y - Y_MIN) * SCALE
 
 
+def _meets_canvas(left: float, top: float, right: float, bottom: float) -> bool:
+    """Whether the screen box [left, right] x [top, bottom] meets the canvas."""
+    return right >= 0.0 and left <= WIDTH_PX and bottom >= 0.0 and top <= HEIGHT_PX
+
+
 class Scene:
     """Accumulates shapes in draw order and serializes to an SVG document."""
 
@@ -87,24 +94,35 @@ class Scene:
         )
 
     def circle(self, center: Point, radius: float, color: str, *, cls: str) -> None:
+        """Circle outline, drawn only if its pixel extent can meet the canvas."""
         fmt = self._fmt
         cx, cy = to_screen(center)
+        reach = radius * SCALE + STROKE_MAIN / 2.0
+        if not _meets_canvas(cx - reach, cy - reach, cx + reach, cy + reach):
+            return
         self._parts.append(
             f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(radius * SCALE)}"'
             f' fill="none" stroke="{color}" stroke-width="{STROKE_MAIN}" class="{cls}" />'
         )
 
-    def marker(self, p: Point, *, cls: str) -> None:
-        """Cross marker; drawn as a path so circle counts stay meaningful."""
+    def witness(self, p: Point, label: str, *, cls: str) -> None:
+        """Cross marker (a path, so circle counts stay meaningful) labelled to
+        its upper right; each is drawn only if its pixel extent can meet the canvas."""
         cx, cy = to_screen(p)
         h = MARKER_HALF_PX
-        left, top, right, bottom = map(self._fmt, (cx - h, cy - h, cx + h, cy + h))
-        self._parts.append(
-            f'<path d="M {left} {top} L {right} {bottom} M {left} {bottom} L {right} {top}"'
-            f' stroke="{COLOR_MARKER}" stroke-width="{STROKE_BOLD}" fill="none" class="{cls}" />'
-        )
+        reach = h + STROKE_BOLD / 2.0
+        if _meets_canvas(cx - reach, cy - reach, cx + reach, cy + reach):
+            left, top, right, bottom = map(self._fmt, (cx - h, cy - h, cx + h, cy + h))
+            self._parts.append(
+                f'<path d="M {left} {top} L {right} {bottom} M {left} {bottom} L {right} {top}"'
+                f' stroke="{COLOR_MARKER}" stroke-width="{STROKE_BOLD}" fill="none" class="{cls}" />'
+            )
+        # the label's baseline starts at (x, y); each glyph fits in one em square
+        x, y = cx + LABEL_DX_PX, cy + LABEL_DY_PX
+        if _meets_canvas(x, y - FONT_SIZE_PX, x + FONT_SIZE_PX * len(label), y):
+            self.text(p, label)
 
-    def text(self, p: Point, label: str, dx_px: float = 6.0, dy_px: float = -6.0) -> None:
+    def text(self, p: Point, label: str, dx_px: float = LABEL_DX_PX, dy_px: float = LABEL_DY_PX) -> None:
         cx, cy = to_screen(p)
         self._parts.append(
             f'<text x="{self._fmt(cx + dx_px)}" y="{self._fmt(cy + dy_px)}" font-family="monospace"'

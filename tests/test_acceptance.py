@@ -6,6 +6,7 @@ lines; a failed assertion in any test is that criterion's fail line.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from trisectrix.linkage import scudder_place, state_from_leg_angle
 from mirror_branch import mirror_hit
 
 FULL_GRID_DEG = range(1, 270)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _report(number: int, text: str) -> None:
@@ -178,7 +180,10 @@ def test_criterion_12_simulator_equivalence():
 
 def _run_cli(*args):
     proc = subprocess.run(
-        [sys.executable, "-m", "trisectrix", *args], capture_output=True, text=True
+        [sys.executable, "-m", "trisectrix", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     return proc.returncode, proc.stdout
 

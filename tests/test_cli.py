@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import os
+import re
 import stat
 import subprocess
 import sys
@@ -12,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trisectrix.curve import trace_point
-from trisectrix.svg import fixed_field
+from trisectrix.geom import Point
+from trisectrix.svg import SCALE, X_MIN, Y_MAX, Scene, fixed_field
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # A runaway grid loop fails its test under these limits instead of hanging
 # the suite or exhausting the machine's memory.
@@ -36,6 +40,7 @@ def run_cli(*args, umask=-1):
         timeout=_CLI_TIMEOUT_S,
         preexec_fn=_cap_memory,
         umask=umask,
+        env={**os.environ, "PYTHONPATH": SRC},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -161,6 +166,37 @@ class TestTrisectCommand:
         root = ET.fromstring(out)
         assert len(root.findall(f"{SVG_NS}circle")) == 0
         assert len(root.findall(f"{SVG_NS}polyline")) == 1
+
+
+class TestOffCanvasShapes:
+    """A witness or construction circle far outside the canvas is not drawn."""
+
+    @pytest.mark.parametrize("method", ["curve", "scudder"])
+    @pytest.mark.parametrize("angle", ["1e-298", "1e-9", "10"])
+    def test_no_coordinate_runs_far_off_canvas(self, angle, method):
+        # D lies up to ~1.7e300 units out; the trace polyline reaches ~2.03e4 px
+        code, out, _ = run_cli("trisect", "--angle-deg", angle, "--method", method, "--format", "svg")
+        assert code == 0
+        numbers = re.findall(r"(?<![#\w.])-?\d+(?:\.\d+)?", out)  # not the #rrggbb colours
+        assert max(abs(float(v)) for v in numbers) <= 1e5
+
+    def _witness_shapes(self, p):
+        scene = Scene(6)
+        scene.witness(p, "D", cls="witness")
+        root = ET.fromstring(scene.to_svg())
+        return len(root.findall(f"{SVG_NS}path")), len(root.findall(f"{SVG_NS}text"))
+
+    def test_a_witness_one_pixel_off_an_edge_keeps_its_marker(self):
+        one_px = 1.0 / SCALE
+        # left of the left edge: the label, starting 6 px right, is drawn too
+        assert self._witness_shapes(Point(X_MIN - one_px, 1.0)) == (1, 1)
+        # above the top edge: the label, 6 px higher still, is not
+        assert self._witness_shapes(Point(0.0, Y_MAX + one_px)) == (1, 0)
+
+    def test_each_shape_is_kept_by_its_own_extent(self):
+        # the cross reaches 5 px, the label starts 6 px to the right
+        assert self._witness_shapes(Point(X_MIN - 5.5 / SCALE, 1.0)) == (0, 1)
+        assert self._witness_shapes(Point(X_MIN - 1e3, 1.0)) == (0, 0)
 
 
 class TestSimulateCommand:
@@ -332,14 +368,25 @@ class TestSvgBytes:
             ),
             (
                 ("trisect", "--angle-deg", "1e-9", "--format", "svg", "--precision", "15"),
-                "b6b5704a33cbf02bdc17d65a3b41d38b9e31e8714aaf6751607d8bb01c552f8e",
+                "86d9a0cf087e15fe40aa3777e6ed54c3a96be0bea02936b1001009f1950e6beb",
+            ),
+            (
+                ("trisect", "--angle-deg", "1e-298", "--format", "svg"),
+                "1ce131b0a8e3602abeca473a7a8d8493116c4f1871519bfa08dd0c8419e0da9e",
             ),
             (
                 ("trisect", "--angle-deg", "270", "--format", "svg", "--method", "scudder"),
                 "ed4f1692ba6ef3f07382e586b32b91d741f9d9dcc8067ae888d590010bb95796",
             ),
         ],
-        ids=["curve-64", "trisect-137.5-curve", "trisect-137.5-scudder", "trisect-1e-9-p15", "trisect-270-scudder"],
+        ids=[
+            "curve-64",
+            "trisect-137.5-curve",
+            "trisect-137.5-scudder",
+            "trisect-1e-9-p15",
+            "trisect-1e-298",
+            "trisect-270-scudder",
+        ],
     )
     def test_document_digest(self, args, digest):
         code, out, _ = run_cli(*args)
@@ -385,6 +432,44 @@ class TestOutFile:
             code, _, _ = run_cli("curve", "--samples", "5", "--out", str(out_file), umask=umask)
             assert code == 0
             assert stat.S_IMODE(out_file.stat().st_mode) == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+
+    def test_missing_directory_is_an_io_error(self, tmp_path):
+        out_file = tmp_path / "missing" / "curve.csv"
+        code, out, err = run_cli("curve", "--samples", "5", "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("i/o error: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_directory_target_is_left_untouched(self, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        (target / "keep.txt").write_text("kept")
+        code, out, err = run_cli("curve", "--samples", "5", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("i/o error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert [p.name for p in target.iterdir()] == ["keep.txt"]
+        assert (target / "keep.txt").read_text() == "kept"
+
+    def test_a_failed_replace_keeps_the_old_file_and_removes_the_temp_file(self, tmp_path, capsys, monkeypatch):
+        from trisectrix import cli
+
+        out_file = tmp_path / "curve.csv"
+        out_file.write_bytes(b"previous\n")
+
+        def failing_replace(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code = cli.main(["curve", "--samples", "5", "--out", str(out_file)])
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert err == "i/o error: replace refused\n"
+        assert out_file.read_bytes() == b"previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
 
 

@@ -82,8 +82,11 @@ class TestLeanImport:
         ]
         assert set(extra) <= {"math", "__future__"}, extra
 
-    def test_cli_import_skips_dataclasses_inspect_json_and_xml(self):
+    def test_cli_import_skips_dataclasses_inspect_json_xml_and_file_helpers(self):
         loaded = _new_modules("import trisectrix.cli")
         assert "trisectrix.cli" in loaded
-        forbidden = {"dataclasses", "inspect", "json", "xml.etree.ElementTree", "pyexpat"}
+        forbidden = {
+            "dataclasses", "inspect", "json", "xml.etree.ElementTree", "pyexpat",
+            "tempfile", "pathlib", "shutil", "random",
+        }
         assert not forbidden & set(loaded)

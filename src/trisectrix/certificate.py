@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .geom import _Record, _set
+import math
+
+from .geom import _Record, _slot_setters
 
 
 class Certificate(_Record):
@@ -17,8 +19,8 @@ class Certificate(_Record):
     __slots__ = ("pairs", "tolerance")
 
     def __init__(self, pairs: tuple[tuple[str, float], ...], tolerance: float) -> None:
-        _set(self, "pairs", tuple(pairs))
-        _set(self, "tolerance", tolerance)
+        _cert_pairs(self, tuple(pairs))
+        _cert_tolerance(self, tolerance)
 
     @classmethod
     def from_residuals(cls, residuals: dict[str, float], tolerance: float) -> "Certificate":
@@ -31,8 +33,18 @@ class Certificate(_Record):
 
     @property
     def passed(self) -> bool:
-        return all(v <= self.tolerance for _, v in self.pairs)
+        tol = self.tolerance
+        for _, v in self.pairs:
+            if not v <= tol:  # also true for NaN
+                return False
+        return True
 
     def worst(self) -> tuple[str, float]:
-        """Name and value of the largest residual."""
+        """Name and value of the largest residual, or of the first NaN one, which fails ``passed``."""
+        for pair in self.pairs:
+            if math.isnan(pair[1]):
+                return pair
         return max(self.pairs, key=lambda pair: pair[1])
+
+
+_cert_pairs, _cert_tolerance = _slot_setters(Certificate)

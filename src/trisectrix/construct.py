@@ -29,7 +29,7 @@ from .geom import (
     Point,
     Ray,
     _Record,
-    _set,
+    _slot_setters,
     angle_distance,
     bisect_angle,
     ccw_sweep,
@@ -54,16 +54,19 @@ class TrisectionResult(_Record):
     __slots__ = ("phi", "method", "ray1", "ray2", "C", "D")
 
     def __init__(self, phi: float, method: str, ray1: Ray, ray2: Ray, C: Point, D: Point) -> None:
-        _set(self, "phi", phi)
-        _set(self, "method", method)
-        _set(self, "ray1", ray1)
-        _set(self, "ray2", ray2)
-        _set(self, "C", C)
-        _set(self, "D", D)
+        _result_phi(self, phi)
+        _result_method(self, method)
+        _result_ray1(self, ray1)
+        _result_ray2(self, ray2)
+        _result_C(self, C)
+        _result_D(self, D)
 
     def midpoint_e(self) -> Point:
         """Midpoint of CD; lies on ray2 because OCD is isosceles."""
         return Point(0.5 * (self.C.x + self.D.x), 0.5 * (self.C.y + self.D.y))
+
+
+_result_phi, _result_method, _result_ray1, _result_ray2, _result_C, _result_D = _slot_setters(TrisectionResult)
 
 
 class SweepReport(_Record):
@@ -93,15 +96,15 @@ class SweepReport(_Record):
         argmax_phi_deg: float,
         failures: tuple[float, ...],
     ) -> None:
-        _set(self, "phi_min_deg", phi_min_deg)
-        _set(self, "phi_max_deg", phi_max_deg)
-        _set(self, "step_deg", step_deg)
-        _set(self, "method", method)
-        _set(self, "count", count)
-        _set(self, "max_error_rad", max_error_rad)
-        _set(self, "mean_error_rad", mean_error_rad)
-        _set(self, "argmax_phi_deg", argmax_phi_deg)
-        _set(self, "failures", failures)
+        for store, value in zip(_REPORT_SETTERS, (
+            phi_min_deg, phi_max_deg, step_deg, method, count,
+            max_error_rad, mean_error_rad, argmax_phi_deg, failures,
+        )):
+            store(self, value)
+
+
+# Built once per sweep, so its nine setters stay in one list.
+_REPORT_SETTERS = _slot_setters(SweepReport)
 
 
 def complete_curve_construction(phi: float, hit: curve.CurveIntersection) -> TrisectionResult:
@@ -142,22 +145,25 @@ def verify_trisection(res: TrisectionResult, tol: float) -> Certificate:
 
     Checks the two ray angles against phi/3 and 2*phi/3, the equality of
     the three swept sectors, and the witness geometry (D on the target
-    ray, C on the guide line, |CD| = 2).
+    ray, C on the guide line, |CD| = 2).  The tolerance must be finite and
+    positive: at NaN every certificate would fail, at infinity any would pass.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    sector_1 = ccw_sweep(0.0, res.ray1.angle)
-    sector_2 = ccw_sweep(res.ray1.angle, res.ray2.angle)
-    sector_3 = ccw_sweep(res.ray2.angle, res.phi)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    phi, C, D = res.phi, res.C, res.D
+    a1, a2 = res.ray1.angle, res.ray2.angle
+    sector_1 = ccw_sweep(0.0, a1)
+    sector_2 = ccw_sweep(a1, a2)
+    sector_3 = ccw_sweep(a2, phi)
     residuals = {
-        "ray1_at_third": angle_distance(res.ray1.angle, res.phi / 3.0),
-        "ray2_at_two_thirds": angle_distance(res.ray2.angle, 2.0 * res.phi / 3.0),
+        "ray1_at_third": angle_distance(a1, phi / 3.0),
+        "ray2_at_two_thirds": angle_distance(a2, 2.0 * phi / 3.0),
         "equal_sectors": max(
             abs(sector_1 - sector_2), abs(sector_2 - sector_3), abs(sector_1 - sector_3)
         ),
-        "d_on_target_ray": angle_distance(polar_angle(res.D), res.phi),
-        "c_on_guide": abs(res.C.y - 1.0),
-        "cd_length": abs(res.C.distance_to(res.D) - TOP_LENGTH),
+        "d_on_target_ray": angle_distance(polar_angle(D), phi),
+        "c_on_guide": abs(C.y - 1.0),
+        "cd_length": abs(C.distance_to(D) - TOP_LENGTH),
     }
     return Certificate.from_residuals(residuals, tol)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 
 from .errors import BadRange, NoTraceRoot, OutOfDomain, OutOfRange
-from .geom import Point, _Record, _set, angle_distance, solve_cubic, uniform_grid
+from .geom import Point, _Record, _slot_setters, angle_distance, solve_cubic, uniform_grid
 
 # Upper end of the trace parameter; the curve closes at (0, -1).
 T_MAX = math.pi / 2
@@ -103,8 +103,11 @@ class CurveIntersection(_Record):
     __slots__ = ("point", "t")
 
     def __init__(self, point: Point, t: float) -> None:
-        _set(self, "point", point)
-        _set(self, "t", t)
+        _hit_point(self, point)
+        _hit_t(self, t)
+
+
+_hit_point, _hit_t = _slot_setters(CurveIntersection)
 
 
 def intersect_ray(phi: float) -> CurveIntersection:

@@ -45,21 +45,18 @@ def ccw_sweep(from_angle: float, to_angle: float) -> float:
 
 def angle_distance(a: float, b: float) -> float:
     """Absolute separation of two directions, ignoring 2*pi wraps."""
-    return abs(normalize_angle(a - b))
-
-
-# object.__setattr__, bound once: how a record's __init__ stores a field
-# past _Record.__setattr__.
-_set = object.__setattr__
+    # the remainder lies in [-pi, pi], and abs folds -pi as normalize_angle would
+    return abs(math.remainder(a - b, math.tau))
 
 
 class _Record:
     """Frozen value record whose fields are its subclass's ``__slots__``, in order.
 
-    A subclass lists its fields in ``__slots__`` and sets them in
-    ``__init__`` through ``_set``; assignment and deletion
-    raise AttributeError afterwards.  Pickling and copying rebuild the
-    record through its constructor from the field values.
+    A subclass lists its fields in ``__slots__``, binds their slot setters
+    once with _slot_setters right after the class, and stores each field
+    in ``__init__`` through its setter; assignment and deletion raise
+    AttributeError afterwards.  Pickling and copying rebuild the record
+    through its constructor from the field values.
     """
 
     __slots__ = ()
@@ -93,18 +90,26 @@ class _Record:
         return type(self), self._values()
 
 
+def _slot_setters(cls: type) -> list:
+    """Each slot field's own setter, in ``__slots__`` order: it stores past the frozen __setattr__."""
+    return [vars(cls)[name].__set__ for name in cls.__slots__]
+
+
 class Point(_Record):
     __slots__ = ("x", "y")
 
     def __init__(self, x: float, y: float) -> None:
-        if not (math.isfinite(x) and math.isfinite(y)):
+        isfinite = math.isfinite
+        if not (isfinite(x) and isfinite(y)):
             raise OutOfDomain(f"non-finite point ({x}, {y})")
-        _set(self, "x", x)
-        _set(self, "y", y)
+        _point_x(self, x)
+        _point_y(self, y)
 
     def distance_to(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
+
+_point_x, _point_y = _slot_setters(Point)
 
 ORIGIN = Point(0.0, 0.0)
 
@@ -123,10 +128,15 @@ class Ray(_Record):
     __slots__ = ("angle",)
 
     def __init__(self, angle: float) -> None:
-        _set(self, "angle", normalize_angle(angle))
+        if not math.isfinite(angle):
+            raise OutOfDomain(f"non-finite ray angle {angle}")
+        _ray_angle(self, normalize_angle(angle))
 
     def point_at(self, distance: float) -> Point:
         return Point(distance * math.cos(self.angle), distance * math.sin(self.angle))
+
+
+(_ray_angle,) = _slot_setters(Ray)
 
 
 def intersect_circle_line(center: Point, radius: float, y0: float) -> list[float]:

@@ -28,7 +28,7 @@ import math
 
 from .curve import PHI_MAX, PHI_MIN
 from .errors import OutOfRange
-from .geom import Point, _Record, _set, find_root
+from .geom import Point, _Record, _slot_setters, find_root
 
 # The placement searches the whole leg range (0, pi) that doubles reach:
 # at 1e-300 the slide cot(u/2) = 2e300 is still finite, and the top end
@@ -53,11 +53,14 @@ class LinkageState(_Record):
     __slots__ = ("u", "s", "C", "D", "E")
 
     def __init__(self, u: float, s: float, C: Point, D: Point, E: Point) -> None:
-        _set(self, "u", u)
-        _set(self, "s", s)
-        _set(self, "C", C)
-        _set(self, "D", D)
-        _set(self, "E", E)
+        _state_u(self, u)
+        _state_s(self, s)
+        _state_C(self, C)
+        _state_D(self, D)
+        _state_E(self, E)
+
+
+_state_u, _state_s, _state_C, _state_D, _state_E = _slot_setters(LinkageState)
 
 
 class PlacementSolution(_Record):
@@ -66,9 +69,12 @@ class PlacementSolution(_Record):
     __slots__ = ("state", "residual", "iterations")
 
     def __init__(self, state: LinkageState, residual: float, iterations: int) -> None:
-        _set(self, "state", state)
-        _set(self, "residual", residual)
-        _set(self, "iterations", iterations)
+        _placement_state(self, state)
+        _placement_residual(self, residual)
+        _placement_iterations(self, iterations)
+
+
+_placement_state, _placement_residual, _placement_iterations = _slot_setters(PlacementSolution)
 
 
 def _leg(u: float) -> tuple[float, float, float]:

@@ -232,8 +232,17 @@ class TestVerifyTrisection:
         assert residuals["equal_sectors"] > 1e-9
 
     def test_bad_tolerance(self):
+        for tol in (0.0, -1e-9, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                verify_trisection(trisect_via_curve(1.0), tol)
+            with pytest.raises(ValueError):
+                sweep_verify(10.0, 20.0, 5.0, METHOD_CURVE, tol)
+        # at an infinite tolerance a ray 0.5 rad off would pass
+        res = trisect_via_curve(1.0)
+        off = TrisectionResult(res.phi, res.method, Ray(res.ray1.angle + 0.5), res.ray2, res.C, res.D)
         with pytest.raises(ValueError):
-            verify_trisection(trisect_via_curve(1.0), 0.0)
+            verify_trisection(off, math.inf)
+        assert not verify_trisection(off, 1e-9).passed
 
 
 class TestMethodAgreement:

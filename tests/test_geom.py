@@ -12,7 +12,7 @@ from hypothesis import assume, given, strategies as st
 from trisectrix import geom
 from trisectrix.construct import trisect_via_curve, verify_trisection
 from trisectrix.curve import PHI_MIN
-from trisectrix.errors import AllCoefficientsZero, BadRange, BracketFailure, OriginHasNoAngle
+from trisectrix.errors import AllCoefficientsZero, BadRange, BracketFailure, OriginHasNoAngle, OutOfDomain
 from trisectrix.geom import (
     MAX_GRID_POINTS,
     ORIGIN,
@@ -37,6 +37,11 @@ class TestPrimitives:
             Point(math.inf, 0.0)
         with pytest.raises(ValueError):
             Point(0.0, math.nan)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_ray_rejects_non_finite(self, angle):
+        with pytest.raises(OutOfDomain):
+            Ray(angle)
 
     def test_ray_normalizes_angle(self):
         assert Ray(3.0 * math.pi).angle == pytest.approx(math.pi)

@@ -1,22 +1,54 @@
-"""Tests for the frozen value records and the import footprint they allow."""
+"""Tests for the frozen value records, the certificate's verdict, and the import footprint they allow."""
 
 import copy
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 
 import pytest
 
-from trisectrix.construct import trisect_via_curve, verify_trisection
-from trisectrix.geom import Point
-from trisectrix.linkage import scudder_place
+from trisectrix.certificate import Certificate
+from trisectrix.construct import SweepReport, TrisectionResult, sweep_verify, trisect_via_curve, verify_trisection
+from trisectrix.curve import CurveIntersection, intersect_ray
+from trisectrix.geom import Point, Ray, _Record, angle_distance, normalize_angle
+from trisectrix.linkage import LinkageState, PlacementSolution, scudder_place, state_from_leg_angle
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
+# One builder per record class; every call builds a new record equal to the last.
+BUILDERS = {
+    Point: lambda: Point(1.0, 2.0),
+    Ray: lambda: Ray(1.0),
+    CurveIntersection: lambda: intersect_ray(1.0),
+    LinkageState: lambda: state_from_leg_angle(1.0),
+    PlacementSolution: lambda: scudder_place(1.0),
+    TrisectionResult: lambda: trisect_via_curve(1.0),
+    SweepReport: lambda: sweep_verify(10.0, 20.0, 5.0, "curve"),
+    Certificate: lambda: verify_trisection(trisect_via_curve(1.0), 1e-9),
+}
+
+
+def _records(*classes):
+    return [BUILDERS[cls]() for cls in classes]
+
+
+def _subclasses(cls):
+    return {sub for direct in cls.__subclasses__() for sub in {direct} | _subclasses(direct)}
+
 
 class TestRecordContract:
+    def test_builders_cover_every_record_class(self):
+        assert set(BUILDERS) == _subclasses(_Record)
+
+    @pytest.mark.parametrize("cls", list(BUILDERS), ids=lambda cls: cls.__name__)
+    def test_equal_records_hash_equal(self, cls):
+        a, b = BUILDERS[cls](), BUILDERS[cls]()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+
     def test_equal_points_are_equal_and_hash_equal(self):
         a, b = Point(1.0, 2.0), Point(1.0, 2.0)
         assert a == b and hash(a) == hash(b)
@@ -32,16 +64,28 @@ class TestRecordContract:
         listed = ", ".join(f"{name}={getattr(res, name)!r}" for name in fields)
         assert repr(res) == f"TrisectionResult({listed})"
 
-    @pytest.mark.parametrize("record", [Point(1.0, 2.0), trisect_via_curve(1.0), scudder_place(1.0)])
+    @pytest.mark.parametrize(
+        "record",
+        _records(
+            Point, TrisectionResult, PlacementSolution,
+            Ray, CurveIntersection, LinkageState, SweepReport, Certificate,
+        ),
+    )
     def test_fields_cannot_be_assigned_or_deleted(self, record):
-        name = record.__slots__[0]  # x, phi, state
-        with pytest.raises(AttributeError):
-            setattr(record, name, 0.0)
-        with pytest.raises(AttributeError):
-            delattr(record, name)
+        before = record._values()
+        for name in record.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record._values() == before
 
     @pytest.mark.parametrize(
-        "record", [trisect_via_curve(1.0), scudder_place(1.0), verify_trisection(trisect_via_curve(1.0), 1e-9)]
+        "record",
+        _records(
+            TrisectionResult, PlacementSolution, Certificate,
+            Point, Ray, CurveIntersection, LinkageState, SweepReport,
+        ),
     )
     def test_pickle_and_deepcopy_round_trip(self, record):
         assert pickle.loads(pickle.dumps(record)) == record
@@ -54,6 +98,53 @@ class TestRecordContract:
             cert.residuals[name] = 1.0
         assert cert.passed and all(v <= cert.tolerance for v in cert.residuals.values())
         assert hash(cert) == hash(verify_trisection(trisect_via_curve(1.0), 1e-9))
+
+
+class TestCertificateVerdict:
+    NAN_PAIRS = (("a", 1e-12), ("b", math.nan), ("c", 2e-12))
+
+    def test_nan_residual_fails(self):
+        assert not Certificate(self.NAN_PAIRS, 1e-9).passed
+        assert not Certificate((("a", math.nan),), math.inf).passed
+        assert Certificate((("a", 1e-12), ("c", 2e-12)), 1e-9).passed
+
+    def test_worst_is_the_first_nan_residual(self):
+        name, value = Certificate(self.NAN_PAIRS + (("d", math.nan),), 1e-9).worst()
+        assert name == "b" and math.isnan(value)
+        assert Certificate((("a", 3e-12), ("b", 5e-12), ("c", 2e-12)), 1e-9).worst() == ("b", 5e-12)
+
+    @pytest.mark.parametrize("value", [0.0, 5e-10, 1e-9, 1.5e-9, 1.0, math.inf, math.nan])
+    def test_worst_within_tolerance_iff_passed(self, value):
+        cert = Certificate((("a", 1e-12), ("b", value), ("c", 2e-12)), 1e-9)
+        assert (cert.worst()[1] <= cert.tolerance) == cert.passed
+
+
+class TestAngleDistance:
+    """angle_distance folds the remainder with abs alone; it must equal abs(normalize_angle(a - b)) bit for bit."""
+
+    EDGES = [
+        (math.pi, 0.0), (0.0, math.pi), (-math.pi, 0.0), (0.0, -math.pi),
+        (math.pi, -math.pi), (3.0 * math.pi, 0.0), (-3.0 * math.pi, 0.0),
+        (math.tau, 0.0), (0.0, 0.0), (-0.0, 0.0), (1e-300, -1e-300),
+        (math.nextafter(math.pi, 4.0), 0.0), (math.nextafter(math.pi, 0.0), 0.0),
+        (1e16, 0.0), (-1e16, 3.0), (4.71238898038469, 1.5707963267948966),
+    ]
+
+    @pytest.mark.parametrize("a, b", EDGES)
+    def test_edges(self, a, b):
+        assert angle_distance(a, b).hex() == abs(normalize_angle(a - b)).hex()
+
+    def test_difference_of_plus_or_minus_pi_exactly(self):
+        for a, b in [(math.pi, 0.0), (0.0, math.pi), (2.5, 2.5 - math.pi), (2.5 - math.pi, 2.5)]:
+            assert abs(a - b) == math.pi
+            assert angle_distance(a, b) == math.pi
+
+    def test_random_pairs(self):
+        rng = random.Random(15)
+        for _ in range(20000):
+            a = rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-3, 3)
+            b = rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-3, 3)
+            assert angle_distance(a, b).hex() == abs(normalize_angle(a - b)).hex(), (a, b)
 
 
 def _new_modules(statement: str) -> list[str]:

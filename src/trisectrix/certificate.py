@@ -13,13 +13,21 @@ class Certificate(_Record):
     The residuals are stored as ``(name, value)`` pairs, so the record is
     immutable in fact and hashable.  ``passed`` is true iff every residual
     is at most ``tolerance``; a NaN residual always fails.  It is computed
-    from the pairs, so it cannot disagree with them.
+    from the pairs, so it cannot disagree with them.  The tolerance must
+    be finite and positive (at NaN every certificate would fail, at
+    infinity any would pass), and there must be at least one residual;
+    either lack raises ValueError.
     """
 
     __slots__ = ("pairs", "tolerance")
 
     def __init__(self, pairs: tuple[tuple[str, float], ...], tolerance: float) -> None:
-        _cert_pairs(self, tuple(pairs))
+        if not 0.0 < tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+        pairs = tuple(pairs)
+        if not pairs:
+            raise ValueError("a certificate needs at least one residual")
+        _cert_pairs(self, pairs)
         _cert_tolerance(self, tolerance)
 
     @classmethod

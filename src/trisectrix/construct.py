@@ -146,10 +146,8 @@ def verify_trisection(res: TrisectionResult, tol: float) -> Certificate:
     Checks the two ray angles against phi/3 and 2*phi/3, the equality of
     the three swept sectors, and the witness geometry (D on the target
     ray, C on the guide line, |CD| = 2).  The tolerance must be finite and
-    positive: at NaN every certificate would fail, at infinity any would pass.
+    positive; Certificate raises ValueError otherwise.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     phi, C, D = res.phi, res.C, res.D
     a1, a2 = res.ray1.angle, res.ray2.angle
     sector_1 = ccw_sweep(0.0, a1)

@@ -36,10 +36,3 @@ class NoTraceRoot(TrisectrixError, RuntimeError):
     Must not occur for valid query angles; signals an internal defect.
     """
 
-
-class BracketFailure(TrisectrixError, RuntimeError):
-    """The bracketed root-finder got no sign change or ran out of steps.
-
-    The placement solve checks its query angle first, so there it must
-    not occur.
-    """

@@ -2,15 +2,14 @@
 
 Points and rays from the origin O (+x along the base edge), the angle
 utilities, the one circle step the construction needs (a circle meeting
-a horizontal line), and the two bracketed solvers.  The placement uses
-find_root, Illinois regula falsi on any function from end values the
-caller already holds.  The curve uses the real-cubic solver, which
+a horizontal line), and the real-cubic solver the curve uses.  It
 splits an interval at the stationary points into monotone pieces and
 solves each by Newton steps kept inside the sign-change bracket, with
 the cubic and its slope evaluated in line, and splits the bracket where
-Newton is slow.  It stops once the bracket is two adjacent floats and
-returns the one with the smaller |f|.  All lengths are dimensionless
-multiples of the straightedge width; all angles are radians.
+Newton is slow (_split, which the placement search uses too).  It stops
+once the bracket is two adjacent floats and returns the one with the
+smaller |f|.  All lengths are dimensionless multiples of the
+straightedge width; all angles are radians.
 
 Everything here is a pure function over immutable values.  The package's
 values (points, rays and the records built from them) are frozen
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import AllCoefficientsZero, BadRange, BracketFailure, OriginHasNoAngle, OutOfDomain
+from .errors import AllCoefficientsZero, BadRange, OriginHasNoAngle, OutOfDomain
 
 # Largest grid any sampler or sweep builds; a bigger request is refused
 # before anything is allocated.
@@ -173,65 +172,6 @@ def bisect_angle(a1: float, a2: float) -> float:
     180deg while bisect(270deg, 90deg) points at 0deg (360deg).
     """
     return a1 + 0.5 * ccw_sweep(a1, a2)
-
-
-# --- bracketed root finding -----------------------------------------------
-
-# Steps find_root takes before it gives up; a simple root takes a handful.
-_FIND_ROOT_MAX_ITERATIONS = 100
-
-
-def find_root(f, lo: float, f_lo: float, hi: float, f_hi: float, tol: float):
-    """Root of f on [lo, hi] by Illinois regula falsi (Dowell & Jarratt 1971).
-
-    The caller passes the end values f_lo = f(lo) and f_hi = f(hi), which
-    must not share a sign; f is evaluated only at the steps.  Each step is
-    the secant step taken from the bracket end with the smaller |f|, so it
-    moves a short, well-conditioned distance; an end kept by two steps in
-    a row has its secant weight halved (the Illinois rule), so the
-    bracket cannot stall on one side.
-
-    A secant point that is not strictly inside the bracket is replaced by
-    a split of it (_split), as in _newton_piece.  Returns
-    ``(x, f(x), iterations)`` for the first point with |f(x)| <= tol, or
-    for the better end of the bracket once it is two adjacent floats.
-    """
-    if abs(f_lo) <= tol:
-        return lo, f_lo, 0
-    if abs(f_hi) <= tol:
-        return hi, f_hi, 0
-    if (f_lo < 0.0) == (f_hi < 0.0):
-        raise BracketFailure(f"no sign change over [{lo}, {hi}]: f = {f_lo:.3e}, {f_hi:.3e}")
-    w_lo, w_hi = f_lo, f_hi  # secant weights
-    kept = ""  # the end the last step kept
-    for iteration in range(1, _FIND_ROOT_MAX_ITERATIONS + 1):
-        # the weight ratio first: w * (hi - lo) underflows when both are tiny
-        if abs(w_lo) <= abs(w_hi):
-            x = lo - (w_lo / (w_hi - w_lo)) * (hi - lo)
-        else:
-            x = hi - (w_hi / (w_hi - w_lo)) * (hi - lo)
-        if not lo < x < hi:  # the secant point rounded onto an end: split instead
-            x = _split(lo, hi)
-            if not lo < x < hi:  # lo and hi are adjacent floats
-                break
-        f_x = f(x)
-        if abs(f_x) <= tol:
-            return x, f_x, iteration
-        if (f_x < 0.0) == (f_lo < 0.0):
-            lo, f_lo, w_lo = x, f_x, f_x
-            if kept == "hi":
-                w_hi *= 0.5
-            kept = "hi"
-        else:
-            hi, f_hi, w_hi = x, f_x, f_x
-            if kept == "lo":
-                w_lo *= 0.5
-            kept = "lo"
-    else:
-        raise BracketFailure(f"no root within {tol} after {iteration} steps, bracket [{lo}, {hi}]")
-    if abs(f_lo) <= abs(f_hi):
-        return lo, f_lo, iteration - 1
-    return hi, f_hi, iteration - 1
 
 
 # --- real-root polynomial solving -----------------------------------------

@@ -18,8 +18,9 @@ the naive quotient cancels to 0/0.
 Placing the square to trisect an angle phi means turning the leg until
 the tracing pencil D lies on the ray at angle phi.  The map from u to
 the polar angle of D is continuous and strictly increasing (it equals
-3u/2; asserted on a grid by the test suite), so a bracketed root-finder
-resolves the placement without using any closed form.
+3u/2; asserted on a grid by the test suite), so the placement is the
+one root of tip angle - phi over the whole leg range, found by search
+without using any closed form.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 
 from .curve import PHI_MAX, PHI_MIN
 from .errors import OutOfRange
-from .geom import Point, _Record, _slot_setters, find_root
+from .geom import Point, _Record, _slot_setters, _split
 
 # The placement searches the whole leg range (0, pi) that doubles reach:
 # at 1e-300 the slide cot(u/2) = 2e300 is still finite, and the top end
@@ -114,16 +115,46 @@ _TIP_MAX = _tip_angle(_LEG_MAX)
 def scudder_place(phi: float) -> PlacementSolution:
     """Place the square so the tracing pencil lies on the ray at angle phi.
 
-    One geom.find_root solve of the monotone map u -> polar angle of D
-    over the whole leg range, stopped once the residual is within
-    _RESIDUAL_RTOL * phi.  The end values it is given, the residuals at
-    the two ends of the range, come from the constant end tip angles.
+    A search over the whole leg range for a root of g(u) = tip angle - phi
+    that stops at the first point with |g| <= _RESIDUAL_RTOL * phi.  The
+    residuals at the two ends come from the constant end tip angles, and
+    an end within tolerance is the placement (0 iterations).  No other phi
+    can leave the ends unbracketed: _TIP_MIN is PHI_MIN, and _TIP_MAX lies
+    within tolerance of every phi above it.  The first point is the secant
+    point from the end with the smaller |g|; the tip angle is linear in u,
+    so it lands on the placement.  Each point that misses replaces the
+    bracket end of its sign, and the next point splits the bracket
+    (geom._split), which closes it within 66 points; at two adjacent
+    floats the end with the smaller |g| comes back.
     """
     if not PHI_MIN <= phi <= PHI_MAX:
         raise OutOfRange(f"trisection angle must lie in [{PHI_MIN}, 3*pi/2], got {phi}")
 
-    u, g, iterations = find_root(
-        lambda u: _tip_angle(u) - phi, _LEG_MIN, _TIP_MIN - phi, _LEG_MAX, _TIP_MAX - phi, _RESIDUAL_RTOL * phi
-    )
+    tol = _RESIDUAL_RTOL * phi
+    lo, g_lo = _LEG_MIN, _TIP_MIN - phi
+    hi, g_hi = _LEG_MAX, _TIP_MAX - phi
+    iterations = 0
+    if abs(g_lo) <= tol:
+        u, g = lo, g_lo
+    elif abs(g_hi) <= tol:
+        u, g = hi, g_hi
+    else:
+        # the secant point from the end with the smaller |g|
+        if abs(g_lo) <= abs(g_hi):
+            u = lo - (g_lo / (g_hi - g_lo)) * (hi - lo)
+        else:
+            u = hi - (g_hi / (g_hi - g_lo)) * (hi - lo)
+        while True:  # at most 67 points
+            iterations += 1
+            g = _tip_angle(u) - phi
+            if abs(g) <= tol:
+                break
+            if g < 0.0:
+                lo, g_lo = u, g
+            else:
+                hi, g_hi = u, g
+            u = _split(lo, hi)
+            if not lo < u < hi:  # lo and hi are adjacent floats
+                u, g = (lo, g_lo) if abs(g_lo) <= abs(g_hi) else (hi, g_hi)
+                break
     return PlacementSolution(state_from_leg_angle(u), abs(g), iterations)
-

@@ -1,14 +1,19 @@
-"""A deterministic ratchet on the per-op call depth of both trisection methods.
+"""A deterministic ratchet on the per-op cost of both trisection methods.
 
 Timing on a shared host cannot resolve a 10% change, but the Python
-frames an op enters can be counted exactly.  Each op is one
-``trisect_via_*`` plus ``verify_trisection(...).passed``, counted with
+frames an op enters and the bytecode instructions it runs can be
+counted exactly.  Each op is one ``trisect_via_*`` plus
+``verify_trisection(...).passed``.  Frames are counted with
 ``sys.setprofile``: every Python function entered, and every generator
 resumption, is one "call" event; builtins are "c_call" events and do not
-count.  The budgets are the counts of the current code, so a change that
-puts back a call layer on this path fails here.
+count.  Instructions are counted with ``sys.settrace`` and
+``frame.f_trace_opcodes``, one "opcode" event each; time spent in C
+(``math``, ``str.format``) does not show in them.  The budgets are the
+counts of the current code, so a change that puts back a call layer, or
+a single instruction, on this path fails here.
 """
 
+import gc
 import math
 import sys
 
@@ -17,11 +22,35 @@ import pytest
 from trisectrix.construct import trisect_via_curve, trisect_via_scudder, verify_trisection
 
 # Upper bounds on the frames per op.  At every angle below the curve
-# method enters 34 and the placement 32 (29 at 270 degrees, where the
-# bracket end is the root and the secant step is skipped).
-BUDGETS = {trisect_via_curve: 34, trisect_via_scudder: 32}
+# method enters 34 and the placement 30 (28 at 270 degrees, where the
+# bracket end is the placement and no point is evaluated).
+BUDGETS = {trisect_via_curve: 34, trisect_via_scudder: 30}
+
+# Instructions per op, which depend on the interpreter's minor version:
+# (the count at 1 rad, the most at any angle below).
+INSTRUCTIONS = {
+    (3, 11): {trisect_via_curve: (1367, 1581), trisect_via_scudder: (878, 881)},
+}
 
 ANGLES_DEG = (1e-7, 1.0, 30.0, 60.0, 89.9, 90.0, 137.5, 180.0, 200.0, 269.9, 270.0)
+
+
+def _run_op(trisect, phi: float, set_hook, hook) -> None:
+    """One op with ``hook`` installed through ``set_hook`` (sys.setprofile or sys.settrace).
+
+    The collector is off meanwhile: a gc callback written in Python
+    (hypothesis registers one) would otherwise now and then run inside
+    the op and be counted with it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    set_hook(hook)
+    try:
+        verify_trisection(trisect(phi), 1e-9).passed
+    finally:
+        set_hook(None)
+        if enabled:
+            gc.enable()
 
 
 def _frames(trisect, phi: float) -> int:
@@ -32,12 +61,34 @@ def _frames(trisect, phi: float) -> int:
         if event == "call":
             calls += 1
 
-    sys.setprofile(count)
-    try:
-        verify_trisection(trisect(phi), 1e-9).passed
-    finally:
-        sys.setprofile(None)
+    _run_op(trisect, phi, sys.setprofile, count)
     return calls
+
+
+def _instructions(trisect, phi: float) -> int:
+    executed = 0
+
+    def trace(frame, event, arg):
+        nonlocal executed
+        if event == "call":
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            executed += 1
+        return trace
+
+    _run_op(trisect, phi, sys.settrace, trace)
+    return executed
+
+
+@pytest.fixture
+def instructions():
+    """The pinned (count at 1 rad, most at any angle) by method, for this interpreter."""
+    pinned = INSTRUCTIONS.get(sys.version_info[:2])
+    if pinned is None:
+        pytest.skip(f"no instruction counts recorded for Python {sys.version_info[0]}.{sys.version_info[1]}")
+    if sys.gettrace() is not None:
+        pytest.skip("a tracer (coverage or a debugger) is already set")
+    return pinned
 
 
 @pytest.mark.parametrize("trisect", list(BUDGETS), ids=lambda fn: fn.__name__)
@@ -49,3 +100,18 @@ def test_frames_per_op_within_budget(trisect, deg):
 def test_budget_is_tight():
     # the counter sees the whole op: the budgets are reached, not just bounded
     assert {trisect: _frames(trisect, 1.0) for trisect in BUDGETS} == BUDGETS
+
+
+@pytest.mark.parametrize("trisect", list(BUDGETS), ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("deg", ANGLES_DEG)
+def test_instructions_per_op_within_budget(instructions, trisect, deg):
+    assert _instructions(trisect, math.radians(deg)) <= instructions[trisect][1]
+
+
+def test_instruction_budget_is_tight(instructions):
+    # both numbers are reached: the count at 1 rad exactly, the bound at some angle
+    counts = {
+        trisect: (_instructions(trisect, 1.0), max(_instructions(trisect, math.radians(deg)) for deg in ANGLES_DEG))
+        for trisect in BUDGETS
+    }
+    assert counts == instructions

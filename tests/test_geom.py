@@ -12,7 +12,7 @@ from hypothesis import assume, given, strategies as st
 from trisectrix import geom
 from trisectrix.construct import trisect_via_curve, verify_trisection
 from trisectrix.curve import PHI_MIN
-from trisectrix.errors import AllCoefficientsZero, BadRange, BracketFailure, OriginHasNoAngle, OutOfDomain
+from trisectrix.errors import AllCoefficientsZero, BadRange, OriginHasNoAngle, OutOfDomain
 from trisectrix.geom import (
     MAX_GRID_POINTS,
     ORIGIN,
@@ -21,7 +21,6 @@ from trisectrix.geom import (
     angle_distance,
     bisect_angle,
     ccw_sweep,
-    find_root,
     intersect_circle_line,
     polar_angle,
     solve_cubic,
@@ -61,107 +60,6 @@ class TestUniformGrid:
     def test_oversized_grid_is_refused(self):
         with pytest.raises(BadRange):
             uniform_grid(0.0, 1.0, MAX_GRID_POINTS + 1)
-
-
-def counted(g):
-    """f for find_root: g, with every evaluation point logged in ``f.calls``."""
-
-    def f(x):
-        f.calls.append(x)
-        return g(x)
-
-    f.calls = []
-    return f
-
-
-class TestFindRoot:
-    @pytest.mark.parametrize(
-        "g, lo, hi, root",
-        [
-            # convex and increasing: regula falsi keeps hi, so the Illinois
-            # rule halves hi's weight
-            (lambda x: x**3 - 2.0, 0.0, 2.0, 2.0 ** (1.0 / 3.0)),
-            # the same root from above: decreasing, the sign convention flips
-            (lambda x: 2.0 - x**3, 0.0, 2.0, 2.0 ** (1.0 / 3.0)),
-            # concave and increasing: lo is kept, and its weight is halved
-            (math.log, 0.5, 10.0, 1.0),
-            (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
-            # steep exponentials, both curvatures
-            (lambda x: math.exp(20.0 * x) - 2.0, 0.0, 1.0, math.log(2.0) / 20.0),
-            (lambda x: 1.0 - 2.0 * math.exp(-20.0 * x), 0.0, 1.0, math.log(2.0) / 20.0),
-        ],
-    )
-    def test_nonlinear_roots(self, g, lo, hi, root):
-        f = counted(g)
-        x, value, iterations = find_root(f, lo, g(lo), hi, g(hi), 1e-15)
-        assert x == pytest.approx(root, rel=1e-14)
-        assert abs(value) <= 1e-15 and value == g(x)
-        assert 0 < iterations <= 40
-        assert len(f.calls) == iterations  # one per step; the ends come from the caller
-        assert all(lo < c < hi for c in f.calls)
-
-    def test_linear_function_takes_one_step(self):
-        def g(x):
-            return 1.5 * x - 1.0
-
-        x, _, iterations = find_root(counted(g), 1e-300, g(1e-300), 3.0, g(3.0), 1e-15)
-        assert x == pytest.approx(2.0 / 3.0, rel=1e-15)
-        assert iterations == 1
-
-    @pytest.mark.parametrize("g, end", [(lambda x: x, 0.0), (lambda x: x - 1.0, 1.0)])
-    def test_root_at_an_end(self, g, end):
-        f = counted(g)
-        assert find_root(f, 0.0, g(0.0), 1.0, g(1.0), 0.0) == (end, 0.0, 0)
-        assert f.calls == []
-
-    @pytest.mark.parametrize("n, lo, hi, side", [(2.0, 1.0, 2.0, -1.0), (5.0, 2.0, 3.0, 1.0)])
-    def test_unrepresentable_root_ends_at_the_better_of_two_adjacent_floats(self, n, lo, hi, side):
-        # with tol = 0 no double is a root of x^2 - n: the bracket closes
-        # down to two adjacent floats around sqrt(n) and the better one
-        # comes back, the lower end for n = 2 and the upper end for n = 5
-        x, value, iterations = find_root(counted(lambda x: x * x - n), lo, lo * lo - n, hi, hi * hi - n, 0.0)
-        assert abs(x - math.sqrt(n)) <= math.ulp(math.sqrt(n))
-        assert value == x * x - n
-        assert math.copysign(1.0, value) == side
-        for neighbour in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
-            assert abs(value) <= abs(neighbour * neighbour - n)
-        assert iterations <= 20
-
-    def test_secant_point_on_an_end_splits_the_bracket(self):
-        # the first secant point from [4.85e-10, 1] rounds onto lo, far
-        # from the root at 5e-10; the bracket is split instead of the
-        # search ending at lo, 3% off
-        def g(x):
-            return ((x - 9.6875e-10) * x + 2.3437500000000005e-19) * x
-
-        lo, hi = 4.846268197527086e-10, 1.0
-        f = counted(g)
-        x, value, iterations = find_root(f, lo, g(lo), hi, g(hi), 0.0)
-        assert x == pytest.approx(5e-10, rel=1e-14)
-        assert value == g(x) == 0.0
-        assert 0 < iterations == len(f.calls)
-        assert all(lo < c < hi for c in f.calls)
-
-    def test_tiny_weight_and_bracket_still_step(self):
-        # the secant step w * (hi - lo) / (w_hi - w_lo) underflows once the
-        # bracket and the weight are both ~1e-200, ending the search at
-        # an unconverged end (3.64e-201 here); the weight ratio does not
-        def g(w):
-            return ((4.0 * w) * w - 3.0) * w + 1e-200
-
-        x, _, _ = find_root(g, 0.0, g(0.0), 0.25, g(0.25), 0.0)
-        assert x == pytest.approx(1e-200 / 3.0, rel=1e-15)
-
-    def test_no_sign_change_is_refused(self):
-        with pytest.raises(BracketFailure):
-            find_root(counted(lambda x: x * x + 1.0), -1.0, 2.0, 1.0, 2.0, 1e-15)
-
-    def test_step_budget_is_bounded(self):
-        # a triple root converges only linearly, so tol = 0 is out of reach
-        f = counted(lambda x: x**3)
-        with pytest.raises(BracketFailure):
-            find_root(f, -1.0, -1.0, 2.0, 8.0, 0.0)
-        assert len(f.calls) == 100
 
 
 class TestIntersectCircleLine:

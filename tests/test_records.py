@@ -105,13 +105,25 @@ class TestCertificateVerdict:
 
     def test_nan_residual_fails(self):
         assert not Certificate(self.NAN_PAIRS, 1e-9).passed
-        assert not Certificate((("a", math.nan),), math.inf).passed
         assert Certificate((("a", 1e-12), ("c", 2e-12)), 1e-9).passed
 
     def test_worst_is_the_first_nan_residual(self):
         name, value = Certificate(self.NAN_PAIRS + (("d", math.nan),), 1e-9).worst()
         assert name == "b" and math.isnan(value)
         assert Certificate((("a", 3e-12), ("b", 5e-12), ("c", 2e-12)), 1e-9).worst() == ("b", 5e-12)
+
+    @pytest.mark.parametrize("tol", [0.0, -0.0, -1e-9, math.nan, math.inf, -math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # at an infinite tolerance a residual of 0.5 would pass
+        with pytest.raises(ValueError, match="tolerance"):
+            Certificate((("a", 0.5),), tol)
+
+    def test_residuals_are_required(self):
+        # with no pairs passed would be vacuously true and worst() undefined
+        with pytest.raises(ValueError, match="residual"):
+            Certificate((), 1e-9)
+        with pytest.raises(ValueError, match="residual"):
+            Certificate.from_residuals({}, 1e-9)
 
     @pytest.mark.parametrize("value", [0.0, 5e-10, 1e-9, 1.5e-9, 1.0, math.inf, math.nan])
     def test_worst_within_tolerance_iff_passed(self, value):

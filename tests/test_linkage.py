@@ -147,14 +147,19 @@ class TestScudderPlace:
             with pytest.raises(OutOfRange):
                 scudder_place(phi)
 
-    def test_every_angle_is_bracketed_or_accepted_at_an_end(self):
+    @pytest.mark.parametrize("end", ["short_leg", "long_leg"])
+    def test_every_angle_is_bracketed_or_accepted_at_an_end(self, end):
         # the search needs g < 0 at the short leg end and g > 0 at the long
         # one unless an end is accepted: the short end's tip angle is
         # PHI_MIN itself, and the long end's falls short of PHI_MAX by less
         # than the tolerance at any angle above it
-        assert linkage._TIP_MIN == PHI_MIN
+        if end == "short_leg":
+            assert linkage._TIP_MIN == PHI_MIN
+            sol = scudder_place(PHI_MIN)
+            assert sol.iterations == 0 and sol.state.u == linkage._LEG_MIN
+            assert sol.residual == 0.0
+            return
         assert 0.0 < PHI_MAX - linkage._TIP_MAX <= linkage._RESIDUAL_RTOL * linkage._TIP_MAX
-        assert scudder_place(PHI_MIN).state.u == linkage._LEG_MIN
         phi = linkage._TIP_MAX
         while phi < PHI_MAX:
             phi = math.nextafter(phi, math.inf)
@@ -162,25 +167,29 @@ class TestScudderPlace:
             assert sol.iterations == 0 and sol.state.u == linkage._LEG_MAX
             assert sol.residual <= linkage._RESIDUAL_RTOL * phi
 
-    def test_split_search_ends_at_the_better_of_two_adjacent_floats(self, monkeypatch):
+    @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["lower_end", "upper_end"])
+    def test_split_search_ends_at_the_better_of_two_adjacent_floats(self, monkeypatch, side):
         # with no tolerance the secant point is accepted only where the tip
         # angle rounds to phi exactly; elsewhere the splits close the
-        # bracket down to two adjacent floats and the better one comes back
+        # bracket down to two adjacent floats and the better one comes back,
+        # its lower end (g < 0) for some angles and its upper end for others
         monkeypatch.setattr(linkage, "_RESIDUAL_RTOL", 0.0)
         rng = random.Random(16)
         angles = [PHI_MAX * (1.0 - rng.random()) for _ in range(500)]
         angles += [10.0 ** (-299.0 + 299.0 * i / 99) for i in range(100)]
-        adjacent = 0
+        adjacent = on_side = 0
         for phi in angles:
             sol = scudder_place(phi)
             u = sol.state.u
+            g = _tip_angle(u) - phi
             assert 1 <= sol.iterations <= 67
-            assert sol.residual == abs(_tip_angle(u) - phi) <= 2.0 * math.ulp(1.0) * phi
-            if sol.residual:
+            assert sol.residual == abs(g) <= 2.0 * math.ulp(1.0) * phi
+            if g:
                 adjacent += 1
+                on_side += math.copysign(1.0, g) == side
                 for neighbour in (math.nextafter(u, 0.0), math.nextafter(u, math.pi)):
                     assert abs(_tip_angle(neighbour) - phi) >= sol.residual
-        assert adjacent >= 50
+        assert adjacent >= 50 and on_side >= 1
 
     def test_one_step_and_one_state_evaluation(self, monkeypatch):
         # the tip angle is linear in u (3u/2), so the first secant step

@@ -78,8 +78,7 @@ def curve_csv(t_min_deg: float, t_max_deg: float, samples: int, precision: int) 
     row = ",".join([fixed_field(precision)] * 3).format
     lines = ["t_deg,x,y"]
     for t_deg in uniform_grid(t_min_deg, t_max_deg, samples):
-        p = curve.trace_point(math.radians(t_deg))
-        lines.append(row(t_deg, p.x, p.y))
+        lines.append(row(t_deg, *curve._trace_xy(math.radians(t_deg))))
     return "\n".join(lines) + "\n"
 
 
@@ -87,8 +86,7 @@ def simulate_csv(u_min_deg: float, u_max_deg: float, steps: int, precision: int)
     row = ",".join([fixed_field(precision)] * 8).format
     lines = ["u_deg,s,Cx,Cy,Dx,Dy,Ex,Ey"]
     for u_deg in uniform_grid(u_min_deg, u_max_deg, steps):
-        st = linkage.state_from_leg_angle(math.radians(u_deg))
-        lines.append(row(u_deg, st.s, st.C.x, st.C.y, st.D.x, st.D.y, st.E.x, st.E.y))
+        lines.append(row(u_deg, *linkage._pencils(math.radians(u_deg))))
     return "\n".join(lines) + "\n"
 
 

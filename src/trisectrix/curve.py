@@ -74,6 +74,18 @@ def trace_point(t: float) -> Point:
     return Point(math.cos(3.0 * t) / st, math.sin(3.0 * t) / st)
 
 
+def _trace_xy(t: float) -> tuple[float, float]:
+    """(x, y) of trace_point(t) as floats, with its domain check and Point's finiteness check."""
+    if not 0.0 < t <= T_MAX:
+        raise OutOfDomain(f"trace parameter must lie in (0, pi/2], got {t}")
+    st = math.sin(t)
+    x = math.cos(3.0 * t) / st
+    y = math.sin(3.0 * t) / st
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise OutOfDomain(f"non-finite point ({x}, {y})")
+    return x, y
+
+
 def on_trace(t: float, phi: float) -> bool:
     """True iff the traced point D(t) lies on the ray at angle phi, within TRACE_TOL.
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 
 from .curve import PHI_MAX, PHI_MIN
-from .errors import OutOfRange
+from .errors import OutOfDomain, OutOfRange
 from .geom import Point, _Record, _slot_setters, _split
 
 # The placement searches the whole leg range (0, pi) that doubles reach:
@@ -82,6 +82,21 @@ def _leg(u: float) -> tuple[float, float, float]:
     """(s, cos u, sin u) at leg angle u: the slide cot(u/2) and the leg direction."""
     half = 0.5 * u
     return math.cos(half) / math.sin(half), math.cos(u), math.sin(u)
+
+
+def _pencils(u: float) -> tuple[float, float, float, float, float, float, float]:
+    """(s, Cx, Cy, Dx, Dy, Ex, Ey): state_from_leg_angle(u)'s floats and checks, with no records.
+
+    Only E is checked for finiteness: C and D lie a unit from it.
+    """
+    if not 0.0 < u < math.pi:
+        raise OutOfRange(f"leg angle must lie in (0, pi), got {u}")
+    s, cu, su = _leg(u)
+    ex = s * cu
+    ey = s * su
+    if not (math.isfinite(ex) and math.isfinite(ey)):
+        raise OutOfDomain(f"non-finite point ({ex}, {ey})")
+    return s, ex + su, ey - cu, ex - su, ey + cu, ex, ey
 
 
 def state_from_leg_angle(u: float) -> LinkageState:

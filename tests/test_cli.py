@@ -222,6 +222,13 @@ class TestSimulateCommand:
         code, _, _ = run_cli("simulate", "--u-min-deg", "60", "--u-max-deg", "60", "--steps", "2")
         assert code == 2
 
+    def test_largest_double_below_the_upper_limit(self):
+        # 179.99999999999997 degrees is the last leg below pi radians
+        code, out, err = run_cli("simulate", "--u-min-deg", "1", "--u-max-deg", "179.99999999999997", "--steps", "3")
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[-1] == "180.000000,0.000000,0.000000,1.000000,0.000000,-1.000000,0.000000,0.000000"
+
 
 SWEEP_KEYS = [
     "phi_min_deg",
@@ -414,8 +421,35 @@ class TestJsonAndCsvBytes:
                 ("simulate", "--u-min-deg", "1", "--u-max-deg", "179", "--steps", "500"),
                 "5ba82d7734f0437c0581933814bed1b9d974e956294cf99a18abff30a8dfb9d6",
             ),
+            (
+                ("curve", "--precision", "1"),
+                "8fcff68d2d68840551d5c2390e7dc2e41ce8b4121dbb943253c6762e9d3597a5",
+            ),
+            (
+                ("curve", "--precision", "15"),
+                "ae91ada21057e045e5f5693f7d681dcb789d54f2c775a15b0875ce2b17972b42",
+            ),
+            # tiny negative coordinates here print without a minus sign
+            (
+                ("simulate", "--u-min-deg", "1", "--u-max-deg", "179", "--steps", "500", "--precision", "1"),
+                "335f9317c571176897f1bb9d909124d82ef51a26f5f4c3fc54e0a7b1c0dee7e9",
+            ),
+            (
+                ("simulate", "--u-min-deg", "1", "--u-max-deg", "179", "--steps", "500", "--precision", "15"),
+                "3b6c512c274d362f54989f9f7cd9d74a9896cabfbb6f1ebf714829c94983f9e6",
+            ),
         ],
-        ids=["trisect-137.5-curve", "trisect-137.5-scudder", "sweep", "curve-csv", "simulate-500"],
+        ids=[
+            "trisect-137.5-curve",
+            "trisect-137.5-scudder",
+            "sweep",
+            "curve-csv",
+            "simulate-500",
+            "curve-csv-precision-1",
+            "curve-csv-precision-15",
+            "simulate-500-precision-1",
+            "simulate-500-precision-15",
+        ],
     )
     def test_document_digest(self, args, digest):
         code, out, _ = run_cli(*args)
@@ -513,6 +547,21 @@ class TestNonFiniteInput:
         assert out == ""
         assert err.startswith("error: non-finite point (")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("curve", "--t-min-deg", "5e-324", "--samples", "2"), "trace parameter must lie in (0, pi/2], got 0.0"),
+            (("simulate", "--u-min-deg", "5e-324", "--u-max-deg", "10", "--steps", "2"), "leg angle must lie in (0, pi), got 0.0"),
+        ],
+        ids=["curve", "simulate"],
+    )
+    def test_positive_degrees_that_round_to_zero_radians_are_usage_errors(self, args, message):
+        # the degree check passes, and the first row's own range check refuses the angle
+        code, out, err = run_cli(*args)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def _reference_fixed(x, precision):

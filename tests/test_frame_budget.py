@@ -11,6 +11,10 @@ count.  Instructions are counted with ``sys.settrace`` and
 (``math``, ``str.format``) does not show in them.  The budgets are the
 counts of the current code, so a change that puts back a call layer, or
 a single instruction, on this path fails here.
+
+The CSV documents get the same ratchet per row: the count for a grid of
+ROWS_HI rows less the count for ROWS_LO rows, divided by the difference,
+so the document's fixed setup cancels.
 """
 
 import gc
@@ -19,6 +23,7 @@ import sys
 
 import pytest
 
+from trisectrix.cli import curve_csv, simulate_csv
 from trisectrix.construct import trisect_via_curve, trisect_via_scudder, verify_trisection
 
 # Upper bounds on the frames per op.  At every angle below the curve
@@ -33,6 +38,17 @@ INSTRUCTIONS = {
 }
 
 ANGLES_DEG = (1e-7, 1.0, 30.0, 60.0, 89.9, 90.0, 137.5, 180.0, 200.0, 269.9, 270.0)
+
+# Frames and instructions per CSV row, by the interpreter's minor version.
+# Each row is written from floats: simulate_csv enters linkage._pencils
+# and linkage._leg, curve_csv enters curve._trace_xy, and no record is built.
+ROW_COSTS = {
+    (3, 11): {simulate_csv: (2, 115), curve_csv: (1, 84)},
+}
+
+# The documents, with the grid size left out: (low end, high end) in degrees.
+ROW_RANGES = {simulate_csv: (1.0, 179.0), curve_csv: (0.3, 90.0)}
+ROWS_LO, ROWS_HI = 1001, 2001
 
 
 def _run_op(trisect, phi: float, set_hook, hook) -> None:
@@ -53,7 +69,22 @@ def _run_op(trisect, phi: float, set_hook, hook) -> None:
             gc.enable()
 
 
-def _frames(trisect, phi: float) -> int:
+def _run_document(document, rows: int, set_hook, hook) -> None:
+    """One CSV document of ``rows`` rows at precision 6, hooked as _run_op hooks an op."""
+    lo, hi = ROW_RANGES[document]
+    enabled = gc.isenabled()
+    gc.disable()
+    set_hook(hook)
+    try:
+        document(lo, hi, rows, 6)
+    finally:
+        set_hook(None)
+        if enabled:
+            gc.enable()
+
+
+def _frames(*args, run=_run_op) -> int:
+    """The count for one ``run(*args, set_hook, hook)``: an op by default, or a document."""
     calls = 0
 
     def count(frame, event, arg):
@@ -61,11 +92,11 @@ def _frames(trisect, phi: float) -> int:
         if event == "call":
             calls += 1
 
-    _run_op(trisect, phi, sys.setprofile, count)
+    run(*args, sys.setprofile, count)
     return calls
 
 
-def _instructions(trisect, phi: float) -> int:
+def _instructions(*args, run=_run_op) -> int:
     executed = 0
 
     def trace(frame, event, arg):
@@ -76,8 +107,16 @@ def _instructions(trisect, phi: float) -> int:
             executed += 1
         return trace
 
-    _run_op(trisect, phi, sys.settrace, trace)
+    run(*args, sys.settrace, trace)
     return executed
+
+
+def _per_row(count, document) -> int:
+    """``count``'s events per row of ``document``, with the document's setup cancelled."""
+    per_grid = {rows: count(document, rows, run=_run_document) for rows in (ROWS_LO, ROWS_HI)}
+    per_row, rest = divmod(per_grid[ROWS_HI] - per_grid[ROWS_LO], ROWS_HI - ROWS_LO)
+    assert rest == 0, per_grid  # every row costs the same
+    return per_row
 
 
 @pytest.fixture
@@ -115,3 +154,20 @@ def test_instruction_budget_is_tight(instructions):
         for trisect in BUDGETS
     }
     assert counts == instructions
+
+
+@pytest.fixture
+def row_costs():
+    """The pinned (frames, instructions) per row by document, for this interpreter."""
+    pinned = ROW_COSTS.get(sys.version_info[:2])
+    if pinned is None:
+        pytest.skip(f"no row costs recorded for Python {sys.version_info[0]}.{sys.version_info[1]}")
+    if sys.gettrace() is not None:
+        pytest.skip("a tracer (coverage or a debugger) is already set")
+    return pinned
+
+
+@pytest.mark.parametrize("document", list(ROW_RANGES), ids=lambda fn: fn.__name__)
+def test_csv_row_cost_is_pinned(row_costs, document):
+    cost = (_per_row(_frames, document), _per_row(_instructions, document))
+    assert cost == row_costs[document]

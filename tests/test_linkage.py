@@ -2,13 +2,14 @@
 
 import math
 import random
+import re
 
 import pytest
 
 from trisectrix import linkage
 from trisectrix.construct import TrisectionResult, trisect_via_scudder, verify_trisection
 from trisectrix.curve import trace_point
-from trisectrix.errors import OutOfRange
+from trisectrix.errors import OutOfDomain, OutOfRange
 from trisectrix.geom import ORIGIN, Point, angle_distance, polar_angle
 from trisectrix.linkage import (
     PHI_MAX,
@@ -23,6 +24,20 @@ SQRT3 = math.sqrt(3.0)
 
 def u_grid(n=1000, lo=0.01, hi=3.13):
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+def _bits(values):
+    """The floats as hex strings, so that -0.0 and 0.0 differ and equality is bit for bit."""
+    return tuple(map(float.hex, values))
+
+
+def _below(x, n):
+    """The n floats just below x, largest first."""
+    out = []
+    for _ in range(n):
+        x = math.nextafter(x, -math.inf)
+        out.append(x)
+    return out
 
 
 def _with_tip_nudged(phi, dy):
@@ -99,6 +114,27 @@ class TestStateFromLegAngle:
             assert ang == (a + math.tau if a < 0.0 else a)
             assert ang > prev
             prev = ang
+
+
+class TestPencils:
+    """linkage._pencils, the CSV row path, is state_from_leg_angle without the records."""
+
+    def test_bit_identical_to_the_state(self):
+        rng = random.Random(17)
+        legs = [rng.uniform(0.0, math.pi) for _ in range(20_000)]
+        legs += [10.0**-e for e in range(301)]  # log-spaced down to 1e-300
+        legs += _below(math.pi, 100)
+        for u in legs:
+            st = state_from_leg_angle(u)
+            assert _bits(linkage._pencils(u)) == _bits((st.s, st.C.x, st.C.y, st.D.x, st.D.y, st.E.x, st.E.y)), u
+
+    @pytest.mark.parametrize("u", [0.0, -0.0, -0.1, math.pi, 4.0, math.nan, math.inf, 1e-320, 1e-308])
+    def test_same_error_as_the_state(self, u):
+        # out of range, or in range with a slide past the largest double
+        with pytest.raises((OutOfRange, OutOfDomain)) as want:
+            state_from_leg_angle(u)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            linkage._pencils(u)
 
 
 class TestScudderPlace:

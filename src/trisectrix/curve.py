@@ -62,20 +62,13 @@ def implicit_value(p: Point) -> float:
     return p.x * p.x * (3.0 - p.y) - (p.y - 2.0) ** 2 * (p.y + 1.0)
 
 
-def trace_point(t: float) -> Point:
-    """Point of the traced branch at parameter t in (0, pi/2].
+def _trace_xy(t: float) -> tuple[float, float]:
+    """(x, y) of the traced point at parameter t in (0, pi/2], as floats.
 
     D(t) = (cos 3t, sin 3t) / sin t: polar angle 3t, radius csc t.  The
-    y-coordinate simplifies to 3 - 4 sin^2(t).
+    y-coordinate simplifies to 3 - 4 sin^2(t).  A point past the largest
+    double raises Point's error, so the CSV rows need no Point.
     """
-    if not 0.0 < t <= T_MAX:
-        raise OutOfDomain(f"trace parameter must lie in (0, pi/2], got {t}")
-    st = math.sin(t)
-    return Point(math.cos(3.0 * t) / st, math.sin(3.0 * t) / st)
-
-
-def _trace_xy(t: float) -> tuple[float, float]:
-    """(x, y) of trace_point(t) as floats, with its domain check and Point's finiteness check."""
     if not 0.0 < t <= T_MAX:
         raise OutOfDomain(f"trace parameter must lie in (0, pi/2], got {t}")
     st = math.sin(t)
@@ -84,6 +77,11 @@ def _trace_xy(t: float) -> tuple[float, float]:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise OutOfDomain(f"non-finite point ({x}, {y})")
     return x, y
+
+
+def trace_point(t: float) -> Point:
+    """Point of the traced branch at parameter t in (0, pi/2]."""
+    return Point(*_trace_xy(t))
 
 
 def on_trace(t: float, phi: float) -> bool:

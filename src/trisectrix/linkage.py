@@ -38,6 +38,11 @@ from .geom import Point, _Record, _slot_setters, _split
 _LEG_MIN = 1e-300
 _LEG_MAX = math.nextafter(math.pi, 0.0)
 
+# The range checks' lower bound: the smallest double, the one positive
+# leg angle whose half rounds to 0.0, so that cot(u/2) would divide by
+# zero.  Each larger angle has a slide, an infinite one below about 1e-308.
+_U_FLOOR = math.ulp(0.0)
+
 # A placement is accepted once its tip-angle residual is at most this
 # fraction of phi: a few roundings of the tip-angle evaluation.
 _RESIDUAL_RTOL = 4.0 * math.ulp(1.0)
@@ -89,7 +94,7 @@ def _pencils(u: float) -> tuple[float, float, float, float, float, float, float]
 
     Only E is checked for finiteness: C and D lie a unit from it.
     """
-    if not 0.0 < u < math.pi:
+    if not _U_FLOOR < u < math.pi:
         raise OutOfRange(f"leg angle must lie in (0, pi), got {u}")
     s, cu, su = _leg(u)
     ex = s * cu
@@ -101,7 +106,7 @@ def _pencils(u: float) -> tuple[float, float, float, float, float, float, float]
 
 def state_from_leg_angle(u: float) -> LinkageState:
     """Compass configuration at leg angle u in (0, pi)."""
-    if not 0.0 < u < math.pi:
+    if not _U_FLOOR < u < math.pi:
         raise OutOfRange(f"leg angle must lie in (0, pi), got {u}")
     s, cu, su = _leg(u)
     E = Point(s * cu, s * su)

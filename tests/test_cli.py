@@ -553,11 +553,16 @@ class TestNonFiniteInput:
         [
             (("curve", "--t-min-deg", "5e-324", "--samples", "2"), "trace parameter must lie in (0, pi/2], got 0.0"),
             (("simulate", "--u-min-deg", "5e-324", "--u-max-deg", "10", "--steps", "2"), "leg angle must lie in (0, pi), got 0.0"),
+            (
+                ("simulate", "--u-min-deg", "3e-322", "--u-max-deg", "10", "--steps", "2"),
+                "leg angle must lie in (0, pi), got 5e-324",
+            ),
         ],
-        ids=["curve", "simulate"],
+        ids=["curve", "simulate", "simulate-half-rounds-to-zero"],
     )
     def test_positive_degrees_that_round_to_zero_radians_are_usage_errors(self, args, message):
-        # the degree check passes, and the first row's own range check refuses the angle
+        # the degree check passes, and the first row's own range check refuses
+        # the angle: 0.0 radians, or the smallest double, whose half is 0.0
         code, out, err = run_cli(*args)
         assert code == 2
         assert out == ""

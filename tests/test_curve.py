@@ -2,7 +2,6 @@
 
 import math
 import random
-import re
 
 import pytest
 
@@ -102,31 +101,6 @@ class TestTracePoint:
             lhs = ((d.y + 1.0) / 2.0) / ex
             rhs = -a / (1.0 - d.y)
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
-
-
-class TestTraceXY:
-    """curve._trace_xy, the CSV row path, is trace_point without the Point."""
-
-    def test_bit_identical_to_the_point(self):
-        rng = random.Random(17)
-        ts = [rng.uniform(0.0, T_MAX) for _ in range(20_000)]
-        ts += [10.0**-e for e in range(301)]  # log-spaced down to 1e-300
-        ts += [T_MAX, math.pi / 6]
-        t = T_MAX
-        for _ in range(100):
-            t = math.nextafter(t, 0.0)
-            ts.append(t)
-        for t in ts:
-            p = trace_point(t)
-            assert tuple(map(float.hex, curve._trace_xy(t))) == (p.x.hex(), p.y.hex()), t
-
-    @pytest.mark.parametrize("t", [0.0, -0.0, -0.1, math.nextafter(T_MAX, 4.0), math.nan, math.inf, 1e-320, 5e-324])
-    def test_same_error_as_the_point(self, t):
-        # out of the domain, or in it with a point past the largest double
-        with pytest.raises(OutOfDomain) as want:
-            trace_point(t)
-        with pytest.raises(OutOfDomain, match=f"^{re.escape(str(want.value))}$"):
-            curve._trace_xy(t)
 
 
 class TestOnTrace:

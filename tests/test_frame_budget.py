@@ -51,69 +51,69 @@ ROW_RANGES = {simulate_csv: (1.0, 179.0), curve_csv: (0.3, 90.0)}
 ROWS_LO, ROWS_HI = 1001, 2001
 
 
-def _run_op(trisect, phi: float, set_hook, hook) -> None:
-    """One op with ``hook`` installed through ``set_hook`` (sys.setprofile or sys.settrace).
+def _hooked(call, set_hook, hook) -> None:
+    """``call()`` with ``hook`` installed through ``set_hook`` (sys.setprofile or sys.settrace).
 
     The collector is off meanwhile: a gc callback written in Python
     (hypothesis registers one) would otherwise now and then run inside
-    the op and be counted with it.
+    the call and be counted with it.
     """
     enabled = gc.isenabled()
     gc.disable()
     set_hook(hook)
     try:
-        verify_trisection(trisect(phi), 1e-9).passed
+        call()
     finally:
         set_hook(None)
         if enabled:
             gc.enable()
 
 
-def _run_document(document, rows: int, set_hook, hook) -> None:
-    """One CSV document of ``rows`` rows at precision 6, hooked as _run_op hooks an op."""
+def _op(trisect, phi: float):
+    """One op: the trisection of phi and its verification."""
+    return lambda: verify_trisection(trisect(phi), 1e-9).passed
+
+
+def _document(document, rows: int):
+    """One CSV document of ``rows`` rows at precision 6."""
     lo, hi = ROW_RANGES[document]
-    enabled = gc.isenabled()
-    gc.disable()
-    set_hook(hook)
-    try:
-        document(lo, hi, rows, 6)
-    finally:
-        set_hook(None)
-        if enabled:
-            gc.enable()
+    return lambda: document(lo, hi, rows, 6)
 
 
-def _frames(*args, run=_run_op) -> int:
-    """The count for one ``run(*args, set_hook, hook)``: an op by default, or a document."""
+def _frames(call) -> int:
+    """The Python frames ``call()`` enters below its own."""
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
-        if event == "call":
+        if event == "call" and frame.f_code is not call.__code__:
             calls += 1
 
-    run(*args, sys.setprofile, count)
+    _hooked(call, sys.setprofile, count)
     return calls
 
 
-def _instructions(*args, run=_run_op) -> int:
+def _instructions(call) -> int:
+    """The bytecode instructions ``call()`` runs below its own frame."""
     executed = 0
 
     def trace(frame, event, arg):
         nonlocal executed
         if event == "call":
+            if frame.f_code is call.__code__:
+                return None
             frame.f_trace_opcodes = True
         elif event == "opcode":
             executed += 1
         return trace
 
-    run(*args, sys.settrace, trace)
+    _hooked(call, sys.settrace, trace)
     return executed
 
 
 def _per_row(count, document) -> int:
     """``count``'s events per row of ``document``, with the document's setup cancelled."""
-    per_grid = {rows: count(document, rows, run=_run_document) for rows in (ROWS_LO, ROWS_HI)}
+    per_grid = {rows: count(_document(document, rows)) for rows in (ROWS_LO, ROWS_HI)}
     per_row, rest = divmod(per_grid[ROWS_HI] - per_grid[ROWS_LO], ROWS_HI - ROWS_LO)
     assert rest == 0, per_grid  # every row costs the same
     return per_row
@@ -133,24 +133,24 @@ def instructions():
 @pytest.mark.parametrize("trisect", list(BUDGETS), ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize("deg", ANGLES_DEG)
 def test_frames_per_op_within_budget(trisect, deg):
-    assert _frames(trisect, math.radians(deg)) <= BUDGETS[trisect]
+    assert _frames(_op(trisect, math.radians(deg))) <= BUDGETS[trisect]
 
 
 def test_budget_is_tight():
     # the counter sees the whole op: the budgets are reached, not just bounded
-    assert {trisect: _frames(trisect, 1.0) for trisect in BUDGETS} == BUDGETS
+    assert {trisect: _frames(_op(trisect, 1.0)) for trisect in BUDGETS} == BUDGETS
 
 
 @pytest.mark.parametrize("trisect", list(BUDGETS), ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize("deg", ANGLES_DEG)
 def test_instructions_per_op_within_budget(instructions, trisect, deg):
-    assert _instructions(trisect, math.radians(deg)) <= instructions[trisect][1]
+    assert _instructions(_op(trisect, math.radians(deg))) <= instructions[trisect][1]
 
 
 def test_instruction_budget_is_tight(instructions):
     # both numbers are reached: the count at 1 rad exactly, the bound at some angle
     counts = {
-        trisect: (_instructions(trisect, 1.0), max(_instructions(trisect, math.radians(deg)) for deg in ANGLES_DEG))
+        trisect: (_instructions(_op(trisect, 1.0)), max(_instructions(_op(trisect, math.radians(deg))) for deg in ANGLES_DEG))
         for trisect in BUDGETS
     }
     assert counts == instructions

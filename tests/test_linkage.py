@@ -78,6 +78,11 @@ class TestStateFromLegAngle:
             with pytest.raises(OutOfRange):
                 state_from_leg_angle(u)
 
+    def test_smallest_double_is_out_of_range(self):
+        # its half rounds to 0.0, where the slide cot(u/2) would divide by zero
+        with pytest.raises(OutOfRange, match="got 5e-324$"):
+            state_from_leg_angle(math.ulp(0.0))
+
     def test_state_invariants_on_grid(self):
         for u in u_grid():
             st = state_from_leg_angle(u)
@@ -128,7 +133,7 @@ class TestPencils:
             st = state_from_leg_angle(u)
             assert _bits(linkage._pencils(u)) == _bits((st.s, st.C.x, st.C.y, st.D.x, st.D.y, st.E.x, st.E.y)), u
 
-    @pytest.mark.parametrize("u", [0.0, -0.0, -0.1, math.pi, 4.0, math.nan, math.inf, 1e-320, 1e-308])
+    @pytest.mark.parametrize("u", [0.0, -0.0, -0.1, math.pi, 4.0, math.nan, math.inf, 5e-324, 1e-320, 1e-308])
     def test_same_error_as_the_state(self, u):
         # out of range, or in range with a slide past the largest double
         with pytest.raises((OutOfRange, OutOfDomain)) as want:

@@ -4,7 +4,6 @@ from .certificate import Certificate
 from .construct import (
     METHOD_CURVE,
     METHOD_SCUDDER,
-    SweepReport,
     TrisectionResult,
     sweep_verify,
     trisect_via_curve,
@@ -12,7 +11,6 @@ from .construct import (
     verify_trisection,
 )
 from .curve import (
-    CurveIntersection,
     implicit_value,
     intersect_ray,
     on_trace,
@@ -37,7 +35,6 @@ from .linkage import (
 
 __all__ = [
     "Certificate",
-    "CurveIntersection",
     "LinkageState",
     "METHOD_CURVE",
     "METHOD_SCUDDER",
@@ -45,7 +42,6 @@ __all__ = [
     "PlacementSolution",
     "Point",
     "Ray",
-    "SweepReport",
     "TrisectionResult",
     "bisect_angle",
     "implicit_value",

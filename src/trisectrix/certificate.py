@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import BadRange
 from .geom import _Record, _slot_setters
 
 
@@ -16,17 +17,17 @@ class Certificate(_Record):
     from the pairs, so it cannot disagree with them.  The tolerance must
     be finite and positive (at NaN every certificate would fail, at
     infinity any would pass), and there must be at least one residual;
-    either lack raises ValueError.
+    either lack raises BadRange.
     """
 
     __slots__ = ("pairs", "tolerance")
 
     def __init__(self, pairs: tuple[tuple[str, float], ...], tolerance: float) -> None:
         if not 0.0 < tolerance < math.inf:
-            raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
+            raise BadRange(f"tolerance must be finite and positive, got {tolerance}")
         pairs = tuple(pairs)
         if not pairs:
-            raise ValueError("a certificate needs at least one residual")
+            raise BadRange("a certificate needs at least one residual")
         _cert_pairs(self, pairs)
         _cert_tolerance(self, tolerance)
 

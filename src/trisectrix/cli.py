@@ -192,19 +192,12 @@ def _check_precision(precision: int) -> None:
         raise BadRange(f"precision must lie in [1, 15], got {precision}")
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise BadRange(f"tolerance must be finite and positive, got {tol}")
-
-
 def _run_curve(args: argparse.Namespace) -> int:
     _check_precision(args.precision)
     if not 0.0 < args.t_min_deg < args.t_max_deg <= 90.0:
         raise BadRange(
             f"need 0 < t-min < t-max <= 90 degrees, got [{args.t_min_deg}, {args.t_max_deg}]"
         )
-    if args.samples < 2:
-        raise BadRange(f"need at least 2 samples, got {args.samples}")
     if args.format == "csv":
         text = curve_csv(args.t_min_deg, args.t_max_deg, args.samples, args.precision)
     else:
@@ -217,7 +210,6 @@ def _run_trisect(args: argparse.Namespace) -> int:
     _check_precision(args.precision)
     if not 0.0 < args.angle_deg <= 270.0:
         raise OutOfRange(f"angle must lie in (0, 270] degrees, got {args.angle_deg}")
-    _check_tol(args.tol)
     res = construct._METHOD_FNS[args.method](math.radians(args.angle_deg))
     payload, passed = trisect_report(res, args.tol)
     if args.format == "json":
@@ -240,18 +232,14 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    _check_tol(args.tol)
     methods = list(construct.METHODS) if args.method == "both" else [args.method]
     reports = [
         construct.sweep_verify(args.from_deg, args.to_deg, args.step_deg, m, args.tol)
         for m in methods
     ]
-    if len(reports) == 1:
-        payload = reports[0]._asdict()
-    else:
-        payload = {r.method: r._asdict() for r in reports}
+    payload = reports[0] if len(reports) == 1 else {r["method"]: r for r in reports}
     _emit(_to_json(payload), args.out)
-    return 0 if all(not r.failures for r in reports) else 1
+    return 0 if all(not r["failures"] for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -69,46 +69,8 @@ class TrisectionResult(_Record):
 _result_phi, _result_method, _result_ray1, _result_ray2, _result_C, _result_D = _slot_setters(TrisectionResult)
 
 
-class SweepReport(_Record):
-    """Aggregate error statistics for one method over a grid of angles (degrees in/out)."""
-
-    __slots__ = (
-        "phi_min_deg",
-        "phi_max_deg",
-        "step_deg",
-        "method",
-        "count",
-        "max_error_rad",
-        "mean_error_rad",
-        "argmax_phi_deg",
-        "failures",
-    )
-
-    def __init__(
-        self,
-        phi_min_deg: float,
-        phi_max_deg: float,
-        step_deg: float,
-        method: str,
-        count: int,
-        max_error_rad: float,
-        mean_error_rad: float,
-        argmax_phi_deg: float,
-        failures: tuple[float, ...],
-    ) -> None:
-        for store, value in zip(_REPORT_SETTERS, (
-            phi_min_deg, phi_max_deg, step_deg, method, count,
-            max_error_rad, mean_error_rad, argmax_phi_deg, failures,
-        )):
-            store(self, value)
-
-
-# Built once per sweep, so its nine setters stay in one list.
-_REPORT_SETTERS = _slot_setters(SweepReport)
-
-
-def complete_curve_construction(phi: float, hit: curve.CurveIntersection) -> TrisectionResult:
-    """Finish the curve-method construction from a ray-curve hit D.
+def complete_curve_construction(phi: float, hit: tuple[Point, float]) -> TrisectionResult:
+    """Finish the curve-method construction from a ray-curve hit (D, t).
 
     The radius-2 circle about D meets the guide line at C.  It is solved
     in the frame of the closure line y = -1, where D sits at height
@@ -117,8 +79,8 @@ def complete_curve_construction(phi: float, hit: curve.CurveIntersection) -> Tri
     Split out so the spurious (mirror-branch) hit can be forced through
     the identical steps and shown to fail verification.
     """
-    d = hit.point
-    lift = 4.0 * math.cos(hit.t) ** 2
+    d, t = hit
+    lift = 4.0 * math.cos(t) ** 2
     xs = intersect_circle_line(Point(d.x, lift), TOP_LENGTH, GUIDE_Y + 1.0)
     c = Point(xs[-1], GUIDE_Y)  # ascending: the last is the right-most
     ray1 = Ray(polar_angle(c))
@@ -146,7 +108,7 @@ def verify_trisection(res: TrisectionResult, tol: float) -> Certificate:
     Checks the two ray angles against phi/3 and 2*phi/3, the equality of
     the three swept sectors, and the witness geometry (D on the target
     ray, C on the guide line, |CD| = 2).  The tolerance must be finite and
-    positive; Certificate raises ValueError otherwise.
+    positive; Certificate raises BadRange otherwise.
     """
     phi, C, D = res.phi, res.C, res.D
     a1, a2 = res.ray1.angle, res.ray2.angle
@@ -175,15 +137,17 @@ def sweep_verify(
     step_deg: float,
     method: str,
     tol: float = 1e-9,
-) -> SweepReport:
+) -> dict:
     """Run one method plus verification over a degree grid and aggregate errors.
 
-    The per-angle error is the larger of the two ray-angle residuals (in
-    radians); ``failures`` lists the grid angles whose certificate failed
-    at ``tol``.
+    The report is a dict, keyed in this order: the arguments phi_min_deg,
+    phi_max_deg, step_deg and method, then count, max_error_rad,
+    mean_error_rad, argmax_phi_deg and failures.  The per-angle error is
+    the larger of the two ray-angle residuals (in radians); ``failures``
+    is the tuple of grid angles whose certificate failed at ``tol``.
     """
     if method not in _METHOD_FNS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        raise BadRange(f"unknown method {method!r}; expected one of {METHODS}")
     if not (0.0 < phi_min_deg <= phi_max_deg < 270.0 and 0.0 < step_deg < math.inf):
         raise BadRange(
             f"need 0 < from <= to < 270 and finite step > 0, got [{phi_min_deg}, {phi_max_deg}] step {step_deg}"
@@ -216,14 +180,14 @@ def sweep_verify(
         if not cert.passed:
             failures.append(phi_deg)
 
-    return SweepReport(
-        phi_min_deg=phi_min_deg,
-        phi_max_deg=phi_max_deg,
-        step_deg=step_deg,
-        method=method,
-        count=len(grid),
-        max_error_rad=max_err,
-        mean_error_rad=err_sum / len(grid),
-        argmax_phi_deg=argmax,
-        failures=tuple(failures),
-    )
+    return {
+        "phi_min_deg": phi_min_deg,
+        "phi_max_deg": phi_max_deg,
+        "step_deg": step_deg,
+        "method": method,
+        "count": len(grid),
+        "max_error_rad": max_err,
+        "mean_error_rad": err_sum / len(grid),
+        "argmax_phi_deg": argmax,
+        "failures": tuple(failures),
+    }

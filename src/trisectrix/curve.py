@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 
 from .errors import BadRange, NoTraceRoot, OutOfDomain, OutOfRange
-from .geom import Point, _Record, _slot_setters, angle_distance, solve_cubic, uniform_grid
+from .geom import Point, angle_distance, solve_cubic, uniform_grid
 
 # Upper end of the trace parameter; the curve closes at (0, -1).
 T_MAX = math.pi / 2
@@ -95,33 +95,21 @@ def on_trace(t: float, phi: float) -> bool:
 
 
 def sample_trace(t_min: float, t_max: float, n: int) -> list[Point]:
-    """Trace points at n uniformly spaced t over [t_min, t_max], both ends included."""
+    """Trace points at n uniformly spaced t over [t_min, t_max], both ends included.
+
+    n is checked (by uniform_grid) before the range, the order in which
+    the CLI reports the two.
+    """
+    ts = uniform_grid(t_min, t_max, n)
     if not 0.0 < t_min < t_max <= T_MAX:
         raise BadRange(f"need 0 < t_min < t_max <= pi/2, got [{t_min}, {t_max}]")
-    if n < 2:
-        raise BadRange(f"need at least 2 samples, got {n}")
-    return [trace_point(t) for t in uniform_grid(t_min, t_max, n)]
+    return [trace_point(t) for t in ts]
 
 
-class CurveIntersection(_Record):
-    """Where the ray at the query angle meets the traced branch.
+def intersect_ray(phi: float) -> tuple[Point, float]:
+    """The traced point D(t) on the ray from the origin at angle phi in [PHI_MIN, 3*pi/2], and its t.
 
-    ``point`` is the traced point D(t), built on the ray as
-    csc t * (cos phi, sin phi), so 1 + y = 4 cos^2 t.
-    """
-
-    __slots__ = ("point", "t")
-
-    def __init__(self, point: Point, t: float) -> None:
-        _hit_point(self, point)
-        _hit_t(self, t)
-
-
-_hit_point, _hit_t = _slot_setters(CurveIntersection)
-
-
-def intersect_ray(phi: float) -> CurveIntersection:
-    """The traced point on the ray from the origin at angle phi in [PHI_MIN, 3*pi/2].
+    D is built on the ray as csc t * (cos phi, sin phi), so 1 + y = 4 cos^2 t.
 
     Substituting (r cos phi, r sin phi) into the implicit form gives the
     ray cubic -sin(phi) r^3 + 3 r^2 - 4 = 0.  In x = 1/r = sin t it is
@@ -150,4 +138,4 @@ def intersect_ray(phi: float) -> CurveIntersection:
     if not on_trace(t, phi):
         raise NoTraceRoot(f"the trace root at phi={phi} misses the ray by more than {TRACE_TOL}")
     r = 1.0 / math.sin(t)
-    return CurveIntersection(Point(r * c, r * s), t)
+    return Point(r * c, r * s), t

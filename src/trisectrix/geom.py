@@ -63,10 +63,6 @@ class _Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
-    def _asdict(self) -> dict:
-        """The fields by name, in declaration order; nested records stay records."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -115,6 +111,8 @@ ORIGIN = Point(0.0, 0.0)
 
 def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
     """n >= 2 evenly spaced values from lo to hi; the last one is exactly hi."""
+    if n < 2:
+        raise BadRange(f"need at least 2 samples, got {n}")
     if n > MAX_GRID_POINTS:
         raise BadRange(f"grid of {n} points exceeds the limit of {MAX_GRID_POINTS}")
     step = (hi - lo) / (n - 1)

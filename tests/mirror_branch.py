@@ -10,11 +10,10 @@ force it through the construction to show that verification rejects it.
 
 import math
 
-from trisectrix.curve import CurveIntersection
 from trisectrix.geom import Point
 
 
-def mirror_hit(phi: float) -> CurveIntersection:
-    """The ray at angle phi in (0, pi) meeting the mirror branch."""
+def mirror_hit(phi: float) -> tuple[Point, float]:
+    """The ray at angle phi in (0, pi) meeting the mirror branch, as intersect_ray's (point, t) pair."""
     w = math.sin(math.pi / 3.0 - phi / 3.0)
-    return CurveIntersection(Point(math.cos(phi) / w, math.sin(phi) / w), math.asin(w))
+    return Point(math.cos(phi) / w, math.sin(phi) / w), math.asin(w)

@@ -40,24 +40,24 @@ def _report(number: int, text: str) -> None:
 
 def test_criterion_01_curve_method_sweep():
     rep = sweep_verify(1.0, 269.0, 1.0, "curve", tol=1e-9)
-    assert rep.count == 269
-    assert rep.max_error_rad <= 1e-9
-    assert rep.failures == ()
-    _report(1, f"curve sweep 1..269 deg, max error {rep.max_error_rad:.3e} rad, no failures")
+    assert rep["count"] == 269
+    assert rep["max_error_rad"] <= 1e-9
+    assert rep["failures"] == ()
+    _report(1, f"curve sweep 1..269 deg, max error {rep['max_error_rad']:.3e} rad, no failures")
 
 
 def test_criterion_02_scudder_method_sweep():
     rep = sweep_verify(1.0, 269.0, 1.0, "scudder", tol=1e-7)
-    assert rep.count == 269
-    assert rep.max_error_rad <= 1e-7
-    assert rep.failures == ()
+    assert rep["count"] == 269
+    assert rep["max_error_rad"] <= 1e-7
+    assert rep["failures"] == ()
     worst_iterations = max(
         scudder_place(math.radians(deg)).iterations for deg in FULL_GRID_DEG
     )
     assert worst_iterations <= 200
     _report(
         2,
-        f"scudder sweep 1..269 deg, max error {rep.max_error_rad:.3e} rad, "
+        f"scudder sweep 1..269 deg, max error {rep['max_error_rad']:.3e} rad, "
         f"<= {worst_iterations} solver iterations",
     )
 
@@ -129,11 +129,13 @@ def test_criterion_08_congruence_certificates():
 def test_criterion_09_spurious_branch_rejection():
     for deg in (30.0, 120.0):
         phi = math.radians(deg)
-        assert on_trace(intersect_ray(phi).t, phi)
+        _, t = intersect_ray(phi)
+        assert on_trace(t, phi)
         mirror = mirror_hit(phi)
-        assert angle_distance(polar_angle(mirror.point), phi) <= 1e-12
-        assert abs(implicit_value(mirror.point)) <= 1e-12
-        assert not on_trace(mirror.t, phi)
+        mirror_d, mirror_t = mirror
+        assert angle_distance(polar_angle(mirror_d), phi) <= 1e-12
+        assert abs(implicit_value(mirror_d)) <= 1e-12
+        assert not on_trace(mirror_t, phi)
         forced = complete_curve_construction(phi, mirror)
         assert not verify_trisection(forced, 1e-9).passed
     _report(9, "mirror-branch candidates at 30 and 120 deg rejected by verification")
@@ -157,7 +159,8 @@ def test_criterion_10_cubic_solver_oracle():
 
 def test_criterion_11_tangency_degeneracy():
     res = trisect_via_curve(1.5 * math.pi)
-    assert on_trace(intersect_ray(1.5 * math.pi).t, 1.5 * math.pi)
+    _, t = intersect_ray(1.5 * math.pi)
+    assert on_trace(t, 1.5 * math.pi)
     assert abs(res.C.x) <= 1e-9
     assert abs(res.C.y - 1.0) <= 1e-9
     assert angle_distance(res.ray1.angle, math.radians(90.0)) <= 1e-9

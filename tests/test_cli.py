@@ -325,6 +325,16 @@ class TestDeterminism:
         assert code2 == 0
         assert out_file.read_text() == stdout
 
+    def test_dash_out_writes_to_stdout(self, tmp_path, capsys, monkeypatch):
+        from trisectrix import cli
+
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["curve", "--samples", "20"]) == 0
+        stdout = capsys.readouterr().out
+        assert cli.main(["curve", "--samples", "20", "--out", "-"]) == 0
+        assert capsys.readouterr().out == stdout
+        assert list(tmp_path.iterdir()) == []  # no file named "-", and no temp file
+
 
 class TestInProcessMain:
     def test_repeated_calls_match_the_subprocess(self, capsys, monkeypatch):
@@ -523,6 +533,8 @@ class TestNonFiniteInput:
             ("trisect", "--angle-deg", "nan"),
             ("curve", "--t-min-deg", "nan"),
             ("simulate", "--u-min-deg", "10", "--u-max-deg", "nan"),
+            ("curve", "--samples", "1"),
+            ("curve", "--samples", "1", "--format", "svg"),
         ],
     )
     def test_is_usage_error_with_one_line_message(self, args):
@@ -552,13 +564,17 @@ class TestNonFiniteInput:
         "args, message",
         [
             (("curve", "--t-min-deg", "5e-324", "--samples", "2"), "trace parameter must lie in (0, pi/2], got 0.0"),
+            (
+                ("curve", "--t-min-deg", "5e-324", "--samples", "2", "--format", "svg"),
+                "need 0 < t_min < t_max <= pi/2, got [0.0, 1.5707963267948966]",
+            ),
             (("simulate", "--u-min-deg", "5e-324", "--u-max-deg", "10", "--steps", "2"), "leg angle must lie in (0, pi), got 0.0"),
             (
                 ("simulate", "--u-min-deg", "3e-322", "--u-max-deg", "10", "--steps", "2"),
                 "leg angle must lie in (0, pi), got 5e-324",
             ),
         ],
-        ids=["curve", "simulate", "simulate-half-rounds-to-zero"],
+        ids=["curve", "curve-svg", "simulate", "simulate-half-rounds-to-zero"],
     )
     def test_positive_degrees_that_round_to_zero_radians_are_usage_errors(self, args, message):
         # the degree check passes, and the first row's own range check refuses

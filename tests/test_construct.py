@@ -18,12 +18,18 @@ from trisectrix.construct import (
     verify_trisection,
 )
 from trisectrix.curve import PHI_MIN, implicit_value, intersect_ray, on_trace
-from trisectrix.errors import BadRange, OutOfRange
+from trisectrix.errors import BadRange, OutOfRange, TrisectrixError
 from trisectrix.geom import Point, Ray, angle_distance, bisect_angle, intersect_circle_line, polar_angle
 
 from mirror_branch import mirror_hit
 
 SQRT3 = math.sqrt(3.0)
+
+# The keys of a sweep report, in order.
+SWEEP_KEYS = [
+    "phi_min_deg", "phi_max_deg", "step_deg", "method", "count",
+    "max_error_rad", "mean_error_rad", "argmax_phi_deg", "failures",
+]
 
 
 class TestCurveMethod:
@@ -233,14 +239,14 @@ class TestVerifyTrisection:
 
     def test_bad_tolerance(self):
         for tol in (0.0, -1e-9, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
+            with pytest.raises(TrisectrixError):
                 verify_trisection(trisect_via_curve(1.0), tol)
-            with pytest.raises(ValueError):
+            with pytest.raises(TrisectrixError):
                 sweep_verify(10.0, 20.0, 5.0, METHOD_CURVE, tol)
         # at an infinite tolerance a ray 0.5 rad off would pass
         res = trisect_via_curve(1.0)
         off = TrisectionResult(res.phi, res.method, Ray(res.ray1.angle + 0.5), res.ray2, res.C, res.D)
-        with pytest.raises(ValueError):
+        with pytest.raises(TrisectrixError):
             verify_trisection(off, math.inf)
         assert not verify_trisection(off, 1e-9).passed
 
@@ -261,7 +267,7 @@ class TestRightmostRule:
         for deg in range(5, 270, 11):
             phi = math.radians(deg)
             hit = intersect_ray(phi)
-            d = hit.point
+            d, _ = hit
             xs = intersect_circle_line(d, TOP_LENGTH, GUIDE_Y)
             res = complete_curve_construction(phi, hit)
             # the construction solves the same circle in the frame of y = -1
@@ -284,7 +290,7 @@ class TestScaleInvariance:
             for deg in (25.0, 90.0, 150.0, 230.0):
                 phi = math.radians(deg)
                 unit = trisect_via_curve(phi)
-                d = intersect_ray(phi).point
+                d, _ = intersect_ray(phi)
                 d_scaled = Point(lam * d.x, lam * d.y)
                 c_scaled = Point(intersect_circle_line(d_scaled, TOP_LENGTH * lam, lam)[-1], lam)
                 c_unit_scaled = Point(lam * unit.C.x, lam * unit.C.y)
@@ -300,9 +306,10 @@ class TestSpuriousBranch:
         for deg in (30.0, 120.0):
             phi = math.radians(deg)
             mirror = mirror_hit(phi)
-            assert angle_distance(polar_angle(mirror.point), phi) <= 1e-12
-            assert abs(implicit_value(mirror.point)) <= 1e-12
-            assert not on_trace(mirror.t, phi)
+            mirror_d, mirror_t = mirror
+            assert angle_distance(polar_angle(mirror_d), phi) <= 1e-12
+            assert abs(implicit_value(mirror_d)) <= 1e-12
+            assert not on_trace(mirror_t, phi)
             forced = complete_curve_construction(phi, mirror)
             assert not verify_trisection(forced, 1e-9).passed
 
@@ -310,21 +317,23 @@ class TestSpuriousBranch:
 class TestSweepVerify:
     def test_single_row(self):
         rep = sweep_verify(10.0, 10.0, 1.0, "curve")
-        assert rep.count == 1
-        assert rep.max_error_rad <= 1e-9
-        assert rep.argmax_phi_deg == 10.0
-        assert rep.failures == ()
+        assert list(rep) == SWEEP_KEYS
+        assert rep["count"] == 1
+        assert rep["max_error_rad"] <= 1e-9
+        assert rep["argmax_phi_deg"] == 10.0
+        assert rep["failures"] == ()
 
     def test_aggregates_are_consistent(self):
         rep = sweep_verify(1.0, 30.0, 1.0, "scudder")
-        assert rep.count == 30
-        assert rep.max_error_rad >= rep.mean_error_rad >= 0.0
-        assert rep.failures == ()
+        assert list(rep) == SWEEP_KEYS
+        assert rep["count"] == 30
+        assert rep["max_error_rad"] >= rep["mean_error_rad"] >= 0.0
+        assert rep["failures"] == ()
 
     def test_impossible_tolerance_lists_every_angle(self):
         rep = sweep_verify(1.0, 3.0, 1.0, "scudder", 1e-300)
-        assert rep.count == 3
-        assert rep.failures == (1.0, 2.0, 3.0)
+        assert rep["count"] == 3
+        assert rep["failures"] == (1.0, 2.0, 3.0)
 
     def test_range_validation(self):
         with pytest.raises(BadRange):
@@ -335,7 +344,7 @@ class TestSweepVerify:
             sweep_verify(1.0, 270.0, 1.0, "curve")
         with pytest.raises(BadRange):
             sweep_verify(1.0, 30.0, 0.0, "curve")
-        with pytest.raises(ValueError):
+        with pytest.raises(TrisectrixError):
             sweep_verify(1.0, 30.0, 1.0, "nonsense")
 
     def test_oversized_grid_is_refused_before_it_is_built(self):

@@ -146,60 +146,61 @@ class TestSampleTrace:
 class TestIntersectRay:
     def test_vertical_ray_tangency_at_node(self):
         phi = math.pi / 2
-        hit = intersect_ray(phi)
-        assert on_trace(hit.t, phi)
-        assert 1.0 / math.sin(hit.t) == pytest.approx(2.0, abs=1e-12)
-        assert abs(hit.point.x) <= 1e-12
-        assert hit.point.y == pytest.approx(2.0, abs=1e-12)
+        d, t = intersect_ray(phi)
+        assert on_trace(t, phi)
+        assert 1.0 / math.sin(t) == pytest.approx(2.0, abs=1e-12)
+        assert abs(d.x) <= 1e-12
+        assert d.y == pytest.approx(2.0, abs=1e-12)
         # the ray crosses the node tangentially: the ray cubic's second
         # root passes the membership test and is the trace hit again
-        mirror = mirror_hit(phi)
-        assert on_trace(mirror.t, phi)
-        assert mirror.t == pytest.approx(hit.t, abs=1e-15)
-        assert mirror.point.distance_to(hit.point) <= 1e-12
+        mirror_d, mirror_t = mirror_hit(phi)
+        assert on_trace(mirror_t, phi)
+        assert mirror_t == pytest.approx(t, abs=1e-15)
+        assert mirror_d.distance_to(d) <= 1e-12
 
     def test_thirty_degrees_has_mirror_candidate(self):
         phi = math.pi / 6
-        hit = intersect_ray(phi)
-        assert on_trace(hit.t, phi)
-        assert hit.point.x == pytest.approx(4.987241532966373, abs=1e-9)
-        assert hit.point.y == pytest.approx(2.879385241571817, abs=1e-9)
-        mirror = mirror_hit(phi)
-        assert not on_trace(mirror.t, phi)
+        d, t = intersect_ray(phi)
+        assert on_trace(t, phi)
+        assert d.x == pytest.approx(4.987241532966373, abs=1e-9)
+        assert d.y == pytest.approx(2.879385241571817, abs=1e-9)
+        mirror_d, mirror_t = mirror_hit(phi)
+        assert not on_trace(mirror_t, phi)
         # frozen from a sign-scan + bisection oracle on the raw cubic
-        assert math.hypot(mirror.point.x, mirror.point.y) == pytest.approx(1.305407289, abs=1e-8)
-        assert mirror.point.x == pytest.approx(1.1305159, abs=1e-6)
-        assert mirror.point.y == pytest.approx(0.6527036, abs=1e-6)
-        p = trace_point(mirror.t)
-        assert mirror.point.distance_to(Point(-p.x, p.y)) <= 1e-12
+        assert math.hypot(mirror_d.x, mirror_d.y) == pytest.approx(1.305407289, abs=1e-8)
+        assert mirror_d.x == pytest.approx(1.1305159, abs=1e-6)
+        assert mirror_d.y == pytest.approx(0.6527036, abs=1e-6)
+        p = trace_point(mirror_t)
+        assert mirror_d.distance_to(Point(-p.x, p.y)) <= 1e-12
 
     def test_straight_angle_degrades_to_quadratic(self):
-        hit = intersect_ray(math.pi)
-        assert on_trace(hit.t, math.pi)
-        assert hit.point.x == pytest.approx(-1.1547005383792515, abs=1e-9)
-        assert abs(hit.point.y) <= 1e-9
+        d, t = intersect_ray(math.pi)
+        assert on_trace(t, math.pi)
+        assert d.x == pytest.approx(-1.1547005383792515, abs=1e-9)
+        assert abs(d.y) <= 1e-9
 
     def test_closure_angle(self):
-        hit = intersect_ray(1.5 * math.pi)
-        assert on_trace(hit.t, 1.5 * math.pi)
-        assert 1.0 / math.sin(hit.t) == pytest.approx(1.0, abs=1e-12)
-        assert hit.point.y == pytest.approx(-1.0, abs=1e-12)
+        d, t = intersect_ray(1.5 * math.pi)
+        assert on_trace(t, 1.5 * math.pi)
+        assert 1.0 / math.sin(t) == pytest.approx(1.0, abs=1e-12)
+        assert d.y == pytest.approx(-1.0, abs=1e-12)
 
     def test_closure_sliver_keeps_trace_root(self):
         # within ~2e-8 rad of the closure D.y rounds to -1; the x = cos t
         # reading still resolves the trace root there
         for delta in (1e-7, 1e-8, 3.5e-9, 1e-9, 1e-12):
             phi = 1.5 * math.pi - delta
-            assert on_trace(intersect_ray(phi).t, phi), delta
+            _, t = intersect_ray(phi)
+            assert on_trace(t, phi), delta
 
     def test_near_straight_angles_keep_trace_root(self):
         # the r-form cubic's leading coefficient vanishes at phi = pi;
         # the x = sin t reading has no such degeneracy on either side
         for delta in (1e-5, 1e-6, 1e-8, 3.35e-9, 1e-12, 0.0, -1e-12, -3.35e-9, -1e-6):
             phi = math.pi + delta
-            hit = intersect_ray(phi)
-            assert on_trace(hit.t, phi), delta
-            assert abs(1.0 / math.sin(hit.t) - 1.0 / math.sin(phi / 3.0)) <= 1e-9, delta
+            _, t = intersect_ray(phi)
+            assert on_trace(t, phi), delta
+            assert abs(1.0 / math.sin(t) - 1.0 / math.sin(phi / 3.0)) <= 1e-9, delta
 
     def test_range_validation(self):
         for phi in (0.0, -0.5, 1.5 * math.pi + 1e-9):
@@ -236,7 +237,8 @@ class TestIntersectRay:
     def test_exactly_one_trace_root_across_the_range(self):
         for i in range(1500):
             phi = 0.002 + (1.5 * math.pi - 0.002) * i / 1499
-            assert on_trace(intersect_ray(phi).t, phi)
+            _, t = intersect_ray(phi)
+            assert on_trace(t, phi)
         intersect_ray(1.5 * math.pi)  # endpoint included
 
     @pytest.mark.parametrize("deg", [30.0, 90.0, 120.0, 180.0, 270.0])
@@ -249,34 +251,37 @@ class TestIntersectRay:
             return on_trace(t, phi)
 
         monkeypatch.setattr(curve, "on_trace", counted)
-        hit = intersect_ray(math.radians(deg))
-        assert calls == [hit.t]
+        _, t = intersect_ray(math.radians(deg))
+        assert calls == [t]
 
     def test_kept_roots_satisfy_implicit_equation(self):
         for deg in range(1, 270, 3):
             phi = math.radians(deg)
             hits = [intersect_ray(phi)] + ([mirror_hit(phi)] if deg < 180 else [])
-            for h in hits:
-                assert abs(implicit_value(h.point)) <= 1e-9 * rel_scale(h.point)
+            for d, _ in hits:
+                assert abs(implicit_value(d)) <= 1e-9 * rel_scale(d)
 
 
 class TestPickTrisectionPoint:
     """The curve method's D: the trace hit intersect_ray returns."""
 
     def test_examples(self):
-        p = intersect_ray(math.pi / 2).point
+        # the hit is the pair (D, t), and the mirror-branch hit has its shape
+        for hit in (intersect_ray(math.pi / 2), mirror_hit(math.pi / 2)):
+            assert type(hit) is tuple and [type(v) for v in hit] == [Point, float]
+        p, _ = intersect_ray(math.pi / 2)
         assert abs(p.x) <= 1e-12 and p.y == pytest.approx(2.0, abs=1e-12)
-        p = intersect_ray(2.0 * math.pi / 3).point
+        p, _ = intersect_ray(2.0 * math.pi / 3)
         assert p.x == pytest.approx(-0.777862, abs=1e-6)
         assert p.y == pytest.approx(1.347296, abs=1e-6)
-        p = intersect_ray(1.5 * math.pi).point
+        p, _ = intersect_ray(1.5 * math.pi)
         assert abs(p.x) <= 1e-9 and p.y == pytest.approx(-1.0, abs=1e-12)
 
     def test_distance_is_cosecant_of_a_third(self):
         # csc(phi / 3) is only a cross-check here; the construction never uses it
         for deg in range(1, 270):
             phi = math.radians(deg)
-            p = intersect_ray(phi).point
+            p, _ = intersect_ray(phi)
             assert abs(math.hypot(p.x, p.y) - 1.0 / math.sin(phi / 3.0)) <= 1e-9 * max(
                 1.0, 1.0 / math.sin(phi / 3.0)
             )

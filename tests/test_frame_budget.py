@@ -27,14 +27,14 @@ from trisectrix.cli import curve_csv, simulate_csv
 from trisectrix.construct import trisect_via_curve, trisect_via_scudder, verify_trisection
 
 # Upper bounds on the frames per op.  At every angle below the curve
-# method enters 34 and the placement 30 (28 at 270 degrees, where the
+# method enters 33 and the placement 30 (28 at 270 degrees, where the
 # bracket end is the placement and no point is evaluated).
-BUDGETS = {trisect_via_curve: 34, trisect_via_scudder: 30}
+BUDGETS = {trisect_via_curve: 33, trisect_via_scudder: 30}
 
 # Instructions per op, which depend on the interpreter's minor version:
 # (the count at 1 rad, the most at any angle below).
 INSTRUCTIONS = {
-    (3, 11): {trisect_via_curve: (1367, 1581), trisect_via_scudder: (878, 881)},
+    (3, 11): {trisect_via_curve: (1351, 1565), trisect_via_scudder: (878, 881)},
 }
 
 ANGLES_DEG = (1e-7, 1.0, 30.0, 60.0, 89.9, 90.0, 137.5, 180.0, 200.0, 269.9, 270.0)

@@ -61,6 +61,12 @@ class TestUniformGrid:
         with pytest.raises(BadRange):
             uniform_grid(0.0, 1.0, MAX_GRID_POINTS + 1)
 
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_fewer_than_two_points_are_refused(self, n):
+        # one point has no step, and none would leave hi alone in the grid
+        with pytest.raises(BadRange, match=f"need at least 2 samples, got {n}"):
+            uniform_grid(0.0, 1.0, n)
+
 
 class TestIntersectCircleLine:
     def test_two_point_case(self):

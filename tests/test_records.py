@@ -11,8 +11,7 @@ import sys
 import pytest
 
 from trisectrix.certificate import Certificate
-from trisectrix.construct import SweepReport, TrisectionResult, sweep_verify, trisect_via_curve, verify_trisection
-from trisectrix.curve import CurveIntersection, intersect_ray
+from trisectrix.construct import TrisectionResult, trisect_via_curve, verify_trisection
 from trisectrix.geom import Point, Ray, _Record, angle_distance, normalize_angle
 from trisectrix.linkage import LinkageState, PlacementSolution, scudder_place, state_from_leg_angle
 
@@ -22,11 +21,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 BUILDERS = {
     Point: lambda: Point(1.0, 2.0),
     Ray: lambda: Ray(1.0),
-    CurveIntersection: lambda: intersect_ray(1.0),
     LinkageState: lambda: state_from_leg_angle(1.0),
     PlacementSolution: lambda: scudder_place(1.0),
     TrisectionResult: lambda: trisect_via_curve(1.0),
-    SweepReport: lambda: sweep_verify(10.0, 20.0, 5.0, "curve"),
     Certificate: lambda: verify_trisection(trisect_via_curve(1.0), 1e-9),
 }
 
@@ -68,7 +65,7 @@ class TestRecordContract:
         "record",
         _records(
             Point, TrisectionResult, PlacementSolution,
-            Ray, CurveIntersection, LinkageState, SweepReport, Certificate,
+            Ray, LinkageState, Certificate,
         ),
     )
     def test_fields_cannot_be_assigned_or_deleted(self, record):
@@ -84,7 +81,7 @@ class TestRecordContract:
         "record",
         _records(
             TrisectionResult, PlacementSolution, Certificate,
-            Point, Ray, CurveIntersection, LinkageState, SweepReport,
+            Point, Ray, LinkageState,
         ),
     )
     def test_pickle_and_deepcopy_round_trip(self, record):

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from trisectrix.certificate import Certificate
-from trisectrix.construct import TrisectionResult, trisect_via_curve, verify_trisection
+from trisectrix.construct import TrisectionResult, trisect_via_curve, trisect_via_scudder, verify_trisection
 from trisectrix.geom import Point, Ray, _Record, angle_distance, normalize_angle
 from trisectrix.linkage import LinkageState, PlacementSolution, scudder_place, state_from_leg_angle
 
@@ -30,6 +30,12 @@ BUILDERS = {
 
 def _records(*classes):
     return [BUILDERS[cls]() for cls in classes]
+
+
+def _scudder_records():
+    # The linkage path fills the same records as the curve path; it is checked too.
+    res = trisect_via_scudder(1.0)
+    return [res, verify_trisection(res, 1e-9)]
 
 
 def _subclasses(cls):
@@ -66,7 +72,7 @@ class TestRecordContract:
         _records(
             Point, TrisectionResult, PlacementSolution,
             Ray, LinkageState, Certificate,
-        ),
+        ) + _scudder_records(),
     )
     def test_fields_cannot_be_assigned_or_deleted(self, record):
         before = record._values()
@@ -82,7 +88,7 @@ class TestRecordContract:
         _records(
             TrisectionResult, PlacementSolution, Certificate,
             Point, Ray, LinkageState,
-        ),
+        ) + _scudder_records(),
     )
     def test_pickle_and_deepcopy_round_trip(self, record):
         assert pickle.loads(pickle.dumps(record)) == record

@@ -225,8 +225,6 @@ def _run_simulate(args: argparse.Namespace) -> int:
         raise BadRange(
             f"need 0 < u-min < u-max < 180 degrees, got [{args.u_min_deg}, {args.u_max_deg}]"
         )
-    if args.steps < 2:
-        raise BadRange(f"need at least 2 steps, got {args.steps}")
     _emit(simulate_csv(args.u_min_deg, args.u_max_deg, args.steps, args.precision), args.out)
     return 0
 

@@ -156,14 +156,10 @@ def sweep_verify(
         raise BadRange(f"a step of {step_deg} over [{phi_min_deg}, {phi_max_deg}] exceeds {MAX_GRID_POINTS} angles")
     fn = _METHOD_FNS[method]
 
-    grid = []
-    k = 0
-    while True:
-        phi_deg = phi_min_deg + k * step_deg
-        if phi_deg > phi_max_deg + 1e-9 * step_deg:
-            break
-        grid.append(phi_deg)
-        k += 1
+    # a count, not a running sum: a step below the float spacing at
+    # phi_min would never move the angle past phi_max
+    n = math.floor((phi_max_deg - phi_min_deg) / step_deg + 1e-9) + 1
+    grid = [phi_min_deg + k * step_deg for k in range(n)]
 
     max_err = 0.0
     err_sum = 0.0

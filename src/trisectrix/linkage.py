@@ -83,20 +83,18 @@ class PlacementSolution(_Record):
 _placement_state, _placement_residual, _placement_iterations = _slot_setters(PlacementSolution)
 
 
-def _leg(u: float) -> tuple[float, float, float]:
-    """(s, cos u, sin u) at leg angle u: the slide cot(u/2) and the leg direction."""
-    half = 0.5 * u
-    return math.cos(half) / math.sin(half), math.cos(u), math.sin(u)
-
-
 def _pencils(u: float) -> tuple[float, float, float, float, float, float, float]:
-    """(s, Cx, Cy, Dx, Dy, Ex, Ey): state_from_leg_angle(u)'s floats and checks, with no records.
+    """(s, Cx, Cy, Dx, Dy, Ex, Ey) at leg angle u in (0, pi): the compass's one float kernel.
 
-    Only E is checked for finiteness: C and D lie a unit from it.
+    state_from_leg_angle wraps it in records, and the CSV rows use it as
+    it is.  Only E is checked for finiteness: C and D lie a unit from it.
     """
     if not _U_FLOOR < u < math.pi:
         raise OutOfRange(f"leg angle must lie in (0, pi), got {u}")
-    s, cu, su = _leg(u)
+    half = 0.5 * u
+    s = math.cos(half) / math.sin(half)
+    cu = math.cos(u)
+    su = math.sin(u)
     ex = s * cu
     ey = s * su
     if not (math.isfinite(ex) and math.isfinite(ey)):
@@ -106,30 +104,24 @@ def _pencils(u: float) -> tuple[float, float, float, float, float, float, float]
 
 def state_from_leg_angle(u: float) -> LinkageState:
     """Compass configuration at leg angle u in (0, pi)."""
-    if not _U_FLOOR < u < math.pi:
-        raise OutOfRange(f"leg angle must lie in (0, pi), got {u}")
-    s, cu, su = _leg(u)
-    E = Point(s * cu, s * su)
-    C = Point(E.x + su, E.y - cu)
-    D = Point(E.x - su, E.y + cu)
-    return LinkageState(u, s, C, D, E)
+    s, cx, cy, dx, dy, ex, ey = _pencils(u)
+    return LinkageState(u, s, Point(cx, cy), Point(dx, dy), Point(ex, ey))
 
 
-def _tip_angle(u: float) -> float:
-    """Polar angle of the tracing pencil D = E + (-sin u, cos u), unwrapped to (0, 2*pi).
+def _tip_angle(st: LinkageState) -> float:
+    """Polar angle of the state's tracing pencil D, unwrapped to (0, 2*pi).
 
     The tip sweeps from 0+ up through 3*pi/2 as u runs over (0, pi), so
     lifting negative atan2 results by 2*pi makes the map continuous and
     strictly increasing over the whole leg range.
     """
-    s, cu, su = _leg(u)
-    a = math.atan2(s * su + cu, s * cu - su)
+    a = math.atan2(st.D.y, st.D.x)
     return a + math.tau if a < 0.0 else a
 
 
 # Tip angles at the ends of the leg range, the same for every placement.
-_TIP_MIN = _tip_angle(_LEG_MIN)
-_TIP_MAX = _tip_angle(_LEG_MAX)
+_TIP_MIN = _tip_angle(state_from_leg_angle(_LEG_MIN))
+_TIP_MAX = _tip_angle(state_from_leg_angle(_LEG_MAX))
 
 
 def scudder_place(phi: float) -> PlacementSolution:
@@ -145,7 +137,10 @@ def scudder_place(phi: float) -> PlacementSolution:
     so it lands on the placement.  Each point that misses replaces the
     bracket end of its sign, and the next point splits the bracket
     (geom._split), which closes it within 66 points; at two adjacent
-    floats the end with the smaller |g| comes back.
+    floats the end with the smaller |g| comes back.  Each point's g is
+    read from the state built there, and the accepted point's state is
+    the one returned.  An accepted end builds its state then, and so does
+    the end picked at two adjacent floats.
     """
     if not PHI_MIN <= phi <= PHI_MAX:
         raise OutOfRange(f"trisection angle must lie in [{PHI_MIN}, 3*pi/2], got {phi}")
@@ -155,9 +150,9 @@ def scudder_place(phi: float) -> PlacementSolution:
     hi, g_hi = _LEG_MAX, _TIP_MAX - phi
     iterations = 0
     if abs(g_lo) <= tol:
-        u, g = lo, g_lo
+        st, g = state_from_leg_angle(lo), g_lo
     elif abs(g_hi) <= tol:
-        u, g = hi, g_hi
+        st, g = state_from_leg_angle(hi), g_hi
     else:
         # the secant point from the end with the smaller |g|
         if abs(g_lo) <= abs(g_hi):
@@ -166,7 +161,8 @@ def scudder_place(phi: float) -> PlacementSolution:
             u = hi - (g_hi / (g_hi - g_lo)) * (hi - lo)
         while True:  # at most 67 points
             iterations += 1
-            g = _tip_angle(u) - phi
+            st = state_from_leg_angle(u)
+            g = _tip_angle(st) - phi
             if abs(g) <= tol:
                 break
             if g < 0.0:
@@ -176,5 +172,6 @@ def scudder_place(phi: float) -> PlacementSolution:
             u = _split(lo, hi)
             if not lo < u < hi:  # lo and hi are adjacent floats
                 u, g = (lo, g_lo) if abs(g_lo) <= abs(g_hi) else (hi, g_hi)
+                st = state_from_leg_angle(u)
                 break
-    return PlacementSolution(state_from_leg_angle(u), abs(g), iterations)
+    return PlacementSolution(st, abs(g), iterations)

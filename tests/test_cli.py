@@ -266,6 +266,14 @@ class TestSweepCommand:
         assert all(list(r) == SWEEP_KEYS for r in report.values())
         assert report["scudder"]["max_error_rad"] <= 1e-7
 
+    def test_step_below_the_float_spacing_gives_one_angle(self):
+        # the grid is counted, so a step that cannot move the angle still ends
+        code, out, err = run_cli(
+            "sweep", "--from-deg", "1", "--to-deg", "1", "--step-deg", "1e-300", "--method", "scudder"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] == 1
+
     def test_bad_range_is_usage_error(self):
         code, _, _ = run_cli("sweep", "--from-deg", "0", "--to-deg", "30", "--step-deg", "1")
         assert code == 2
@@ -535,6 +543,7 @@ class TestNonFiniteInput:
             ("simulate", "--u-min-deg", "10", "--u-max-deg", "nan"),
             ("curve", "--samples", "1"),
             ("curve", "--samples", "1", "--format", "svg"),
+            ("simulate", "--u-min-deg", "10", "--u-max-deg", "20", "--steps", "1"),
         ],
     )
     def test_is_usage_error_with_one_line_message(self, args):

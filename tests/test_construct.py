@@ -316,12 +316,14 @@ class TestSpuriousBranch:
 
 class TestSweepVerify:
     def test_single_row(self):
-        rep = sweep_verify(10.0, 10.0, 1.0, "curve")
-        assert list(rep) == SWEEP_KEYS
-        assert rep["count"] == 1
-        assert rep["max_error_rad"] <= 1e-9
-        assert rep["argmax_phi_deg"] == 10.0
-        assert rep["failures"] == ()
+        # a step below the float spacing at 10 still gives one angle
+        for step in (1.0, 1e-20, 1e-300):
+            rep = sweep_verify(10.0, 10.0, step, "curve")
+            assert list(rep) == SWEEP_KEYS
+            assert rep["count"] == 1, step
+            assert rep["max_error_rad"] <= 1e-9
+            assert rep["argmax_phi_deg"] == 10.0
+            assert rep["failures"] == ()
 
     def test_aggregates_are_consistent(self):
         rep = sweep_verify(1.0, 30.0, 1.0, "scudder")

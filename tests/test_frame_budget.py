@@ -27,23 +27,23 @@ from trisectrix.cli import curve_csv, simulate_csv
 from trisectrix.construct import trisect_via_curve, trisect_via_scudder, verify_trisection
 
 # Upper bounds on the frames per op.  At every angle below the curve
-# method enters 33 and the placement 30 (28 at 270 degrees, where the
-# bracket end is the placement and no point is evaluated).
-BUDGETS = {trisect_via_curve: 33, trisect_via_scudder: 30}
+# method enters 33 and the placement 29 (28 at 270 degrees, where the
+# bracket end is the placement and no tip angle is evaluated).
+BUDGETS = {trisect_via_curve: 33, trisect_via_scudder: 29}
 
 # Instructions per op, which depend on the interpreter's minor version:
 # (the count at 1 rad, the most at any angle below).
 INSTRUCTIONS = {
-    (3, 11): {trisect_via_curve: (1351, 1565), trisect_via_scudder: (878, 881)},
+    (3, 11): {trisect_via_curve: (1351, 1565), trisect_via_scudder: (861, 864)},
 }
 
 ANGLES_DEG = (1e-7, 1.0, 30.0, 60.0, 89.9, 90.0, 137.5, 180.0, 200.0, 269.9, 270.0)
 
 # Frames and instructions per CSV row, by the interpreter's minor version.
-# Each row is written from floats: simulate_csv enters linkage._pencils
-# and linkage._leg, curve_csv enters curve._trace_xy, and no record is built.
+# Each row is written from floats: simulate_csv enters linkage._pencils,
+# curve_csv enters curve._trace_xy, and no record is built.
 ROW_COSTS = {
-    (3, 11): {simulate_csv: (2, 115), curve_csv: (1, 84)},
+    (3, 11): {simulate_csv: (1, 108), curve_csv: (1, 84)},
 }
 
 # The documents, with the grid size left out: (low end, high end) in degrees.

@@ -111,8 +111,9 @@ class TestStateFromLegAngle:
         # for bit
         prev = 0.0
         for u in u_grid(2001, 1e-6, math.pi - 1e-6):
-            ang = _tip_angle(u)
-            a = polar_angle(state_from_leg_angle(u).D)
+            st = state_from_leg_angle(u)
+            ang = _tip_angle(st)
+            a = polar_angle(st.D)
             assert ang == (a + math.tau if a < 0.0 else a)
             assert ang > prev
             prev = ang
@@ -219,21 +220,22 @@ class TestScudderPlace:
         for phi in angles:
             sol = scudder_place(phi)
             u = sol.state.u
-            g = _tip_angle(u) - phi
+            g = _tip_angle(state_from_leg_angle(u)) - phi
             assert 1 <= sol.iterations <= 67
             assert sol.residual == abs(g) <= 2.0 * math.ulp(1.0) * phi
             if g:
                 adjacent += 1
                 on_side += math.copysign(1.0, g) == side
                 for neighbour in (math.nextafter(u, 0.0), math.nextafter(u, math.pi)):
-                    assert abs(_tip_angle(neighbour) - phi) >= sol.residual
+                    assert abs(_tip_angle(state_from_leg_angle(neighbour)) - phi) >= sol.residual
         assert adjacent >= 50 and on_side >= 1
 
     def test_one_step_and_one_state_evaluation(self, monkeypatch):
         # the tip angle is linear in u (3u/2), so the first secant step
         # from the full leg range lands on the placement; the state is
-        # built once, at the accepted leg angle, and the tip angle is
-        # evaluated once, at that step (the range ends' are constants)
+        # built once, at the accepted leg angle, and the tip angle is read
+        # once, from that state (the range ends' are constants); an end
+        # that is the placement builds its state and reads no tip angle
         calls = []
         tip_calls = []
         tip_angle = linkage._tip_angle
@@ -242,9 +244,9 @@ class TestScudderPlace:
             calls.append(u)
             return state_from_leg_angle(u)
 
-        def counting_tip(u):
-            tip_calls.append(u)
-            return tip_angle(u)
+        def counting_tip(st):
+            tip_calls.append(st.u)
+            return tip_angle(st)
 
         monkeypatch.setattr(linkage, "state_from_leg_angle", counting_state)
         monkeypatch.setattr(linkage, "_tip_angle", counting_tip)
@@ -258,6 +260,13 @@ class TestScudderPlace:
             assert calls == [sol.state.u]
             assert tip_calls == [sol.state.u]
             assert sol.residual <= 4.0 * math.ulp(1.0) * phi
+        for phi in (PHI_MIN, 1.5 * math.pi, math.nextafter(linkage._TIP_MAX, math.inf)):
+            calls.clear()
+            tip_calls.clear()
+            sol = scudder_place(phi)
+            assert sol.iterations == 0
+            assert calls == [sol.state.u]
+            assert tip_calls == []
 
 
 class TestVerifyPlacement:

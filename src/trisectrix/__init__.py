@@ -24,7 +24,6 @@ from .geom import (
     bisect_angle,
     intersect_circle_line,
     polar_angle,
-    solve_cubic,
 )
 from .linkage import (
     LinkageState,
@@ -51,7 +50,6 @@ __all__ = [
     "polar_angle",
     "sample_trace",
     "scudder_place",
-    "solve_cubic",
     "state_from_leg_angle",
     "sweep_verify",
     "trace_point",

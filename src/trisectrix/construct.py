@@ -157,9 +157,10 @@ def sweep_verify(
     fn = _METHOD_FNS[method]
 
     # a count, not a running sum: a step below the float spacing at
-    # phi_min would never move the angle past phi_max
+    # phi_min would never move the angle past phi_max.  The count admits
+    # a last angle that rounding puts just past phi_max; it is clamped.
     n = math.floor((phi_max_deg - phi_min_deg) / step_deg + 1e-9) + 1
-    grid = [phi_min_deg + k * step_deg for k in range(n)]
+    grid = [min(phi_min_deg + k * step_deg, phi_max_deg) for k in range(n)]
 
     max_err = 0.0
     err_sum = 0.0

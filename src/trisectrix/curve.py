@@ -97,8 +97,7 @@ def on_trace(t: float, phi: float) -> bool:
 def sample_trace(t_min: float, t_max: float, n: int) -> list[Point]:
     """Trace points at n uniformly spaced t over [t_min, t_max], both ends included.
 
-    n is checked (by uniform_grid) before the range, the order in which
-    the CLI reports the two.
+    n is checked (by uniform_grid) before the range.
     """
     ts = uniform_grid(t_min, t_max, n)
     if not 0.0 < t_min < t_max <= T_MAX:

@@ -14,10 +14,6 @@ class OriginHasNoAngle(TrisectrixError, ValueError):
     """Polar angle requested for the origin."""
 
 
-class AllCoefficientsZero(TrisectrixError, ValueError):
-    """Root solve requested for the identically-zero polynomial."""
-
-
 class OutOfDomain(TrisectrixError, ValueError):
     """Argument outside the mathematical domain of the operation."""
 

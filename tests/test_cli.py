@@ -274,6 +274,17 @@ class TestSweepCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["count"] == 1
 
+    @pytest.mark.parametrize("method", ["curve", "scudder"])
+    def test_last_angle_is_clamped_to_the_upper_end(self, method):
+        # 1 + 269.0000000345 lies past 270 degrees, where the query is out of range
+        code, out, err = run_cli(
+            "sweep", "--from-deg", "1", "--to-deg", "269.9999999", "--step-deg", "269.0000000345", "--method", method
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["count"] == 2
+        assert report["failures"] == []
+
     def test_bad_range_is_usage_error(self):
         code, _, _ = run_cli("sweep", "--from-deg", "0", "--to-deg", "30", "--step-deg", "1")
         assert code == 2
@@ -524,6 +535,26 @@ class TestOutFile:
         assert out_file.read_bytes() == b"previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
 
+    def test_a_failed_cleanup_reports_the_replace_error(self, tmp_path, capsys, monkeypatch):
+        from trisectrix import cli
+
+        out_file = tmp_path / "curve.csv"
+        out_file.write_bytes(b"previous\n")
+
+        def failing(message):
+            def fail(*args):
+                raise OSError(message)
+
+            return fail
+
+        monkeypatch.setattr(os, "replace", failing("replace refused"))
+        monkeypatch.setattr(os, "unlink", failing("unlink refused"))
+        code = cli.main(["curve", "--samples", "5", "--out", str(out_file)])
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert err == "i/o error: replace refused\n"
+        assert out_file.read_bytes() == b"previous\n"
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
@@ -544,6 +575,9 @@ class TestNonFiniteInput:
             ("curve", "--samples", "1"),
             ("curve", "--samples", "1", "--format", "svg"),
             ("simulate", "--u-min-deg", "10", "--u-max-deg", "20", "--steps", "1"),
+            ("curve", "--precision", "0"),
+            ("trisect", "--angle-deg", "90", "--precision", "16"),
+            ("simulate", "--u-min-deg", "1", "--u-max-deg", "2", "--precision", "0"),
         ],
     )
     def test_is_usage_error_with_one_line_message(self, args):

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
+from trisectrix import construct
 from trisectrix.construct import (
     GUIDE_Y,
     METHOD_CURVE,
+    METHODS,
     TOP_LENGTH,
     TrisectionResult,
     complete_curve_construction,
@@ -336,6 +338,21 @@ class TestSweepVerify:
         rep = sweep_verify(1.0, 3.0, 1.0, "scudder", 1e-300)
         assert rep["count"] == 3
         assert rep["failures"] == (1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_grid_stays_inside_the_range(self, monkeypatch, method):
+        # 0.1 + 2 * 0.1 rounds to 0.30000000000000004, past the upper end
+        seen = []
+        fn = construct._METHOD_FNS[method]
+
+        def recording(phi):
+            seen.append(phi)
+            return fn(phi)
+
+        monkeypatch.setitem(construct._METHOD_FNS, method, recording)
+        rep = sweep_verify(0.1, 0.3, 0.1, method)
+        assert rep["count"] == 3
+        assert seen == [math.radians(0.1), math.radians(0.2), math.radians(0.3)]
 
     def test_range_validation(self):
         with pytest.raises(BadRange):

@@ -9,10 +9,10 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from trisectrix import geom
+from trisectrix import curve, geom
 from trisectrix.construct import trisect_via_curve, verify_trisection
 from trisectrix.curve import PHI_MIN
-from trisectrix.errors import AllCoefficientsZero, BadRange, OriginHasNoAngle, OutOfDomain
+from trisectrix.errors import BadRange, OriginHasNoAngle, OutOfDomain
 from trisectrix.geom import (
     MAX_GRID_POINTS,
     ORIGIN,
@@ -164,52 +164,53 @@ def cauchy_window(c3, c2, c1, c0):
     return -bound, bound
 
 
+def slope_zeros(c3, c2, c1):
+    """Real zeros of the slope 3*c3*x^2 + 2*c2*x + c1, by the stable quadratic formula."""
+    a, b = 3.0 * c3, 2.0 * c2
+    if not a:
+        return [-c1 / b] if b else []
+    disc = b * b - 4.0 * a * c1
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c1 / q] if q else [0.0]
+
+
+def roots_by_piece(c3, c2, c1, c0, lo, hi):
+    """solve_cubic on each monotone piece of [lo, hi], ascending.
+
+    The pieces end at the slope's zeros inside [lo, hi]; a root at one
+    ends two pieces and comes back from both.
+    """
+    ends = [lo, *sorted(x for x in slope_zeros(c3, c2, c1) if lo < x < hi), hi]
+    return [x for a, b in zip(ends, ends[1:]) for x in solve_cubic(c3, c2, c1, c0, a, b)]
+
+
 class TestSolveCubic:
     def test_single_real_root(self):
+        # monotone over the whole window: the slope 3x^2 only touches 0, and 3x^2 + 1 never does
         assert solve_cubic(1.0, 0.0, 0.0, -1.0, *cauchy_window(1.0, 0.0, 0.0, -1.0)) == [1.0]
-        # no stationary point: the derivative 3x^2 + 1 has no real zero
         assert solve_cubic(1.0, 0.0, 1.0, -2.0, *cauchy_window(1.0, 0.0, 1.0, -2.0)) == [1.0]
 
     def test_three_distinct_roots(self):
-        roots = solve_cubic(1.0, -6.0, 11.0, -6.0, *cauchy_window(1.0, -6.0, 11.0, -6.0))
+        roots = roots_by_piece(1.0, -6.0, 11.0, -6.0, *cauchy_window(1.0, -6.0, 11.0, -6.0))
         assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
 
-    def test_double_root_with_multiplicity(self):
-        # the ray-curve cubic at a 90-degree query: -(r-2)^2 (r+1); the
-        # double root is a stationary point and ends two pieces
-        roots = solve_cubic(-1.0, 3.0, 0.0, -4.0, *cauchy_window(-1.0, 3.0, 0.0, -4.0))
-        assert roots == [-1.0, 2.0, 2.0]
-        roots = solve_cubic(1.0, 3.0, 0.0, -4.0, *cauchy_window(1.0, 3.0, 0.0, -4.0))
-        assert roots == [-2.0, -2.0, 1.0]
-
-    def test_triple_root(self):
-        assert solve_cubic(1.0, -6.0, 12.0, -8.0, *cauchy_window(1.0, -6.0, 12.0, -8.0)) == [2.0, 2.0, 2.0]
-
     def test_window_keeps_only_its_roots(self):
-        # (x - 1)(x - 2)(x - 3): a window holding one root, one ending on a
-        # root, and one holding none
+        # (x - 1)(x - 2)(x - 3), monotone on each window: one holding a
+        # root, one ending on a root, and one holding none
         assert solve_cubic(1.0, -6.0, 11.0, -6.0, 1.5, 2.5) == pytest.approx([2.0], abs=1e-15)
-        assert solve_cubic(1.0, -6.0, 11.0, -6.0, 2.5, 3.0) == [3.0]
+        assert solve_cubic(1.0, -6.0, 11.0, -6.0, 2.6, 3.0) == [3.0]
         assert solve_cubic(1.0, -6.0, 11.0, -6.0, 3.5, 10.0) == []
-
-    def test_quadratic_degradation(self):
-        roots = solve_cubic(0.0, 3.0, 0.0, -4.0, -10.0, 10.0)
-        assert roots == pytest.approx([-2.0 / SQRT3, 2.0 / SQRT3], abs=1e-12)
-        assert solve_cubic(0.0, 1.0, -4.0, 4.0, -10.0, 10.0) == [2.0, 2.0]
-        assert solve_cubic(0.0, 1.0, 0.0, 1.0, -10.0, 10.0) == []
 
     def test_linear_and_constant_degradation(self):
         assert solve_cubic(0.0, 0.0, 2.0, -4.0, -10.0, 10.0) == [2.0]
         assert solve_cubic(0.0, 0.0, 0.0, 5.0, -10.0, 10.0) == []
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(AllCoefficientsZero):
-            solve_cubic(0.0, 0.0, 0.0, 0.0, -1.0, 1.0)
-
     def test_residuals_scale_with_root_size(self):
         for coeffs in [(1.0, -6.0, 11.0, -6.0), (-1.0, 3.0, 0.0, -4.0), (2.0, -40.0, 0.0, 1000.0)]:
             c3, c2, c1, c0 = coeffs
-            for r in solve_cubic(c3, c2, c1, c0, *cauchy_window(*coeffs)):
+            for r in roots_by_piece(c3, c2, c1, c0, *cauchy_window(*coeffs)):
                 val = ((c3 * r + c2) * r + c1) * r + c0
                 assert abs(val) <= 1e-9 * max(1.0, abs(r) ** 3)
 
@@ -217,7 +218,7 @@ class TestSolveCubic:
         # the third root sits near 3/|c3|, far beyond the moderate pair
         for s in (3.35e-9, 1e-8, 1e-7, 1e-6, 1e-5):
             for c3 in (-s, s):
-                roots = solve_cubic(c3, 3.0, 0.0, -4.0, *cauchy_window(c3, 3.0, 0.0, -4.0))
+                roots = roots_by_piece(c3, 3.0, 0.0, -4.0, *cauchy_window(c3, 3.0, 0.0, -4.0))
                 assert len(roots) == 3, (c3, roots)
                 for r in roots:
                     val = ((c3 * r + 3.0) * r) * r - 4.0
@@ -228,7 +229,7 @@ class TestSolveCubic:
 
     def test_one_real_root_with_negative_depressed_p(self):
         # x^3 - 3x + 10: two stationary points, one real root beyond both
-        roots = solve_cubic(1.0, 0.0, -3.0, 10.0, *cauchy_window(1.0, 0.0, -3.0, 10.0))
+        roots = roots_by_piece(1.0, 0.0, -3.0, 10.0, *cauchy_window(1.0, 0.0, -3.0, 10.0))
         assert len(roots) == 1
         r = roots[0]
         assert abs(r ** 3 - 3.0 * r + 10.0) <= 1e-9
@@ -237,12 +238,12 @@ class TestSolveCubic:
     def test_recovers_constructed_roots(self, roots):
         roots = sorted(roots)
         # a near-collision leaves no float with the right sign at the
-        # stationary point between; exact repeated roots are covered above
+        # stationary point between
         assume(roots[1] - roots[0] > 1e-3 and roots[2] - roots[1] > 1e-3)
         c2 = -(roots[0] + roots[1] + roots[2])
         c1 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
         c0 = -roots[0] * roots[1] * roots[2]
-        got = solve_cubic(1.0, c2, c1, c0, *cauchy_window(1.0, c2, c1, c0))
+        got = roots_by_piece(1.0, c2, c1, c0, *cauchy_window(1.0, c2, c1, c0))
         assert len(got) == 3
         for a, b in zip(got, roots):
             assert abs(a - b) <= 1e-8
@@ -259,7 +260,7 @@ class TestSolveCubic:
         c2 = -(roots[0] + roots[1] + roots[2])
         c1 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
         c0 = -roots[0] * roots[1] * roots[2]
-        got = solve_cubic(1.0, c2, c1, c0, *cauchy_window(1.0, c2, c1, c0))
+        got = roots_by_piece(1.0, c2, c1, c0, *cauchy_window(1.0, c2, c1, c0))
         assert len(got) == 3
         for a, b in zip(got, roots):
             assert abs(a - b) <= 1e-8 * scale
@@ -324,58 +325,45 @@ def traced_lines(code, call, watch=None):
 _T3 = (4.0, 0.0, -3.0)  # T3(x) = 4x^3 - 3x, the curve's cubic without its constant
 _CUBE = (1.0, -3.0, 3.0, -1.0)  # (x - 1)^3
 
-# One named case per branch of the piece solver: (name, call, check of the
-# outcome, the line the branch runs as (its text, which occurrence)).
+# One named case per branch of solve_cubic: (name, its arguments, check of
+# the outcome, the line the branch runs as (its text, which occurrence)).
+# Each interval holds no zero of the cubic's slope strictly inside.
 PIECE_CASES = [
-    (
-        "root at the lower end",
-        lambda: solve_cubic(1.0, -6.0, 11.0, -6.0, 1.0, 1.5),
-        lambda r: r == [1.0],
-        ("return lo", 0),
-    ),
-    (
-        "root at the upper end",
-        lambda: solve_cubic(1.0, -6.0, 11.0, -6.0, 2.5, 3.0),
-        lambda r: r == [3.0],
-        ("return hi", 0),
-    ),
+    ("root at the lower end", (1.0, -6.0, 11.0, -6.0, 1.0, 1.4), lambda r: r == [1.0], ("return [lo]", 0)),
+    ("root at the upper end", (1.0, -6.0, 11.0, -6.0, 2.6, 3.0), lambda r: r == [3.0], ("return [hi]", 0)),
+    ("end values of one sign", (*_T3, -0.5, 0.0, 0.26), lambda r: r == [], ("return []", 0)),
     # the secant point of a line is its root, and f there is exactly 0
-    (
-        "exact zero mid-bracket",
-        lambda: solve_cubic(0.0, 0.0, 2.0, -4.0, -10.0, 10.0),
-        lambda r: r == [2.0],
-        ("return x", 0),
-    ),
+    ("exact zero mid-bracket", (0.0, 0.0, 2.0, -4.0, -10.0, 10.0), lambda r: r == [2.0], ("return [x]", 0)),
     # converged Newton steps that round back onto the end just set
     (
         "step onto the lower end",
-        lambda: solve_cubic(*_T3, 0.25, 0.7, 0.97),
+        (*_T3, 0.25, 0.7, 0.97),
         lambda r: r == [0.8208917637264629] and is_better_of_adjacent_pair((*_T3, 0.25), r[0]),
         ("x = math.nextafter(lo, hi)", 0),
     ),
     (
         "step onto the upper end",
-        lambda: solve_cubic(*_T3, -0.5, 0.7, 0.97),
+        (*_T3, -0.5, 0.7, 0.97),
         lambda r: r == [0.9396926207859084] and is_better_of_adjacent_pair((*_T3, -0.5), r[0]),
         ("x = math.nextafter(hi, lo)", 0),
     ),
     (
         "bracket closed to adjacent floats",
-        lambda: solve_cubic(*_T3, -0.5, 0.7, 0.97),
+        (*_T3, -0.5, 0.7, 0.97),
         lambda r: r == [0.9396926207859084],
-        ("return lo if abs(f_lo) <= abs(f_hi) else hi", 0),
+        ("return [lo if abs(f_lo) <= abs(f_hi) else hi]", 0),
     ),
     # from the secant point 0.5 the Newton step of x^3 - 2 lands at 3.0
     (
         "split after a step out of the bracket",
-        lambda: solve_cubic(1.0, 0.0, 0.0, -2.0, 0.0, 2.0),
+        (1.0, 0.0, 0.0, -2.0, 0.0, 2.0),
         lambda r: r == [2.0 ** (1.0 / 3.0)] and is_better_of_adjacent_pair((1.0, 0.0, 0.0, -2.0), r[0]),
         ("x = _split(lo, hi)", 0),
     ),
     # Newton creeps toward 1e-10 from 1 by a factor 2/3 a step
     (
         "split after a slow step",
-        lambda: solve_cubic(1.0, 0.0, 0.0, -1e-30, 0.0, 2.0),
+        (1.0, 0.0, 0.0, -1e-30, 0.0, 2.0),
         lambda r: r == [1e-10] and is_better_of_adjacent_pair((1.0, 0.0, 0.0, -1e-30), r[0]),
         ("x = _split(lo, hi)", 1),
     ),
@@ -383,9 +371,9 @@ PIECE_CASES = [
 
 
 class TestNewtonPiece:
-    """The curve's per-piece solver: every line runs, and the stop rule holds."""
+    """solve_cubic's bracketed Newton search: every line runs, and the stop rule holds."""
 
-    CODE = geom._newton_piece.__code__
+    CODE = solve_cubic.__code__
 
     @classmethod
     def line_of(cls, text, occurrence=0):
@@ -396,11 +384,21 @@ class TestNewtonPiece:
     def evaluations(self, ran):
         return ran[self.line_of("f_x = ((c3 * x + c2) * x + c1) * x + c0")]
 
-    @pytest.mark.parametrize("name, call, check, branch", PIECE_CASES, ids=[case[0] for case in PIECE_CASES])
-    def test_named_case_reaches_its_branch(self, name, call, check, branch):
-        ran, outcome, _ = traced_lines(self.CODE, call)
+    @pytest.mark.parametrize("name, args, check, branch", PIECE_CASES, ids=[case[0] for case in PIECE_CASES])
+    def test_named_case_reaches_its_branch(self, name, args, check, branch):
+        ran, outcome, _ = traced_lines(self.CODE, lambda: solve_cubic(*args))
         assert check(outcome), (name, outcome)
         assert ran[self.line_of(*branch)], name
+
+    def test_named_cases_are_monotone_pieces(self):
+        for name, (c3, c2, c1, _, lo, hi), _, _ in PIECE_CASES:
+            assert not [x for x in slope_zeros(c3, c2, c1) if lo < x < hi], name
+
+    def test_curve_windows_are_monotone_pieces(self):
+        # T3' = 12x^2 - 3 is zero only at -1/2 and 1/2, outside both windows
+        assert sorted(slope_zeros(*_T3)) == [-0.5, 0.5]
+        for lo, hi in (curve._LOW_WINDOW, curve._HIGH_WINDOW):
+            assert not [x for x in slope_zeros(*_T3) if lo < x < hi]
 
     def test_zero_slope_splits(self):
         # a near-double root in a window 6e-15 wide: the slope rounds to 0
@@ -430,7 +428,8 @@ class TestNewtonPiece:
     def test_a_triple_root_ends_by_splitting_alone(self):
         # Newton creeps at a triple root and its steps there are rounding
         # noise; past _NEWTON_POINTS every point splits the bracket
-        ran, x, _ = traced_lines(self.CODE, lambda: geom._newton_piece(*_CUBE, 0.0, -1.0, 4.0, 27.0))
+        # (x - 1)^3 is monotone on [0, 4]: its slope only touches 0 at the root
+        ran, (x,), _ = traced_lines(self.CODE, lambda: solve_cubic(*_CUBE, 0.0, 4.0))
         assert self.evaluations(ran) > geom._NEWTON_POINTS
         assert abs(x - 1.0) <= 1e-5 and is_better_of_adjacent_pair(_CUBE, x)
 
@@ -447,8 +446,7 @@ class TestNewtonPiece:
         # 1 split at 0, 12 halving the exponent range and 53 halving one
         # binade: the bound that ends the search loop
         monkeypatch.setattr(geom, "_NEWTON_POINTS", 1)
-        f_lo, f_hi = cubic_value(coeffs, lo), cubic_value(coeffs, hi)
-        ran, x, _ = traced_lines(self.CODE, lambda: geom._newton_piece(*coeffs, lo, f_lo, hi, f_hi))
+        ran, (x,), _ = traced_lines(self.CODE, lambda: solve_cubic(*coeffs, lo, hi))
         assert self.evaluations(ran) <= 1 + 66
         assert is_better_of_adjacent_pair(coeffs, x)
 
@@ -474,8 +472,8 @@ class TestNewtonPiece:
 
     def test_every_line_is_reached_by_a_named_case(self):
         ran = Counter()
-        for _, call, _, _ in PIECE_CASES:
-            ran += traced_lines(self.CODE, call)[0]
+        for _, args, _, _ in PIECE_CASES:
+            ran += traced_lines(self.CODE, lambda: solve_cubic(*args))[0]
         body = {line for _, _, line in self.CODE.co_lines() if line is not None and line != self.CODE.co_firstlineno}
         source = open(self.CODE.co_filename).read().splitlines()
         missed = {line: source[line - 1].strip() for line in sorted(body - set(ran))}

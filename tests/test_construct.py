@@ -223,6 +223,46 @@ class TestSolverPin:
         assert h.hexdigest() == self.DIGEST
 
 
+def _window_angles():
+    """Each side of pi/2, pi and 3*pi/2: the centre and 200 consecutive doubles either way; then 50 log-spaced tiny angles.
+
+    The doubles above 3*pi/2 lie outside the domain, so there both
+    methods must refuse them.  The tiny angles run from PHI_MIN to 1e-3.
+    """
+    angles = []
+    for centre in (0.5 * math.pi, math.pi, 1.5 * math.pi):
+        below = [centre]
+        above = [centre]
+        for _ in range(200):
+            below.append(math.nextafter(below[-1], 0.0))
+            above.append(math.nextafter(above[-1], math.inf))
+        angles += below[::-1] + above[1:]
+    angles += [PHI_MIN * (1e-3 / PHI_MIN) ** (k / 49) for k in range(50)]
+    return angles
+
+
+class TestWindowPin:
+    # sha256 over the repr of both rays, both witnesses and the residuals
+    # at ulp-adjacent angles, where a wrap to (-pi, pi] or a sector taken
+    # mod 2*pi is one rounding from its other branch; TestSolverPin's
+    # grid never lands there
+    DIGEST = "a698664b381b64072942590e0e052d1763d4cf27aa668d2106d1b75bfb3ab2c2"
+
+    def test_outputs_are_bit_identical(self):
+        h = hashlib.sha256()
+        for phi in _window_angles():
+            for fn in (trisect_via_curve, trisect_via_scudder):
+                try:
+                    res = fn(phi)
+                except OutOfRange:
+                    assert phi > 1.5 * math.pi, phi
+                    h.update(b"OutOfRange")
+                    continue
+                cert = verify_trisection(res, 1e-9)
+                h.update(repr((res.ray1.angle, res.ray2.angle, res.C, res.D, cert.pairs)).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestVerifyTrisection:
     def test_curve_result_passes(self):
         assert verify_trisection(trisect_via_curve(math.pi / 2), 1e-9).passed

@@ -21,7 +21,6 @@ from .geom import (
     ORIGIN,
     Point,
     Ray,
-    bisect_angle,
     intersect_circle_line,
     polar_angle,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "Point",
     "Ray",
     "TrisectionResult",
-    "bisect_angle",
     "implicit_value",
     "intersect_circle_line",
     "intersect_ray",

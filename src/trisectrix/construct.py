@@ -14,7 +14,10 @@ corner on the guide line) and read the rays toward the corner C and
 along the inside edge OE.
 
 Both constructions are verified by an independent certificate of
-congruence residuals rather than by re-running either pipeline.
+congruence residuals rather than by re-running either pipeline.  Past
+the traced curve and the placement, each route and the certificate
+compute in floats, with the angle arithmetic in line, and build only the
+records they return.
 """
 
 from __future__ import annotations
@@ -24,18 +27,7 @@ import math
 from . import curve, linkage
 from .certificate import Certificate
 from .errors import BadRange
-from .geom import (
-    MAX_GRID_POINTS,
-    Point,
-    Ray,
-    _Record,
-    _slot_setters,
-    angle_distance,
-    bisect_angle,
-    ccw_sweep,
-    intersect_circle_line,
-    polar_angle,
-)
+from .geom import MAX_GRID_POINTS, Point, Ray, _Record, _slot_setters, intersect_circle_line, polar_angle
 
 METHOD_CURVE = "curve"
 METHOD_SCUDDER = "scudder"
@@ -81,11 +73,15 @@ def complete_curve_construction(phi: float, hit: tuple[Point, float]) -> Trisect
     """
     d, t = hit
     lift = 4.0 * math.cos(t) ** 2
-    xs = intersect_circle_line(Point(d.x, lift), TOP_LENGTH, GUIDE_Y + 1.0)
-    c = Point(xs[-1], GUIDE_Y)  # ascending: the last is the right-most
-    ray1 = Ray(polar_angle(c))
-    ray2 = Ray(bisect_angle(ray1.angle, polar_angle(d)))
-    return TrisectionResult(phi, METHOD_CURVE, ray1, ray2, c, d)
+    cx = intersect_circle_line(d.x, lift, TOP_LENGTH, GUIDE_Y + 1.0)[-1]  # ascending: the last is the right-most
+    # C lies above the base line, so its angle is in (0, pi) and needs no wrap
+    a1 = math.atan2(GUIDE_Y, cx)
+    ad = math.atan2(d.y, d.x)
+    if ad <= -math.pi:  # just past pi, D.y is so small and negative that atan2 rounds to -pi
+        ad += math.tau
+    # the bisector halves the counterclockwise sweep from OC to OD
+    ray2 = Ray(a1 + 0.5 * ((ad - a1) % math.tau))
+    return TrisectionResult(phi, METHOD_CURVE, Ray(a1), ray2, Point(cx, GUIDE_Y), d)
 
 
 def trisect_via_curve(phi: float) -> TrisectionResult:
@@ -95,11 +91,11 @@ def trisect_via_curve(phi: float) -> TrisectionResult:
 
 def trisect_via_scudder(phi: float) -> TrisectionResult:
     """Trisect phi in [PHI_MIN, 3*pi/2] by solving the physical square placement."""
-    sol = linkage.scudder_place(phi)
-    st = sol.state
-    ray1 = Ray(polar_angle(st.C))
-    ray2 = Ray(polar_angle(st.E))  # the inside-edge ray
-    return TrisectionResult(phi, METHOD_SCUDDER, ray1, ray2, st.C, st.D)
+    st = linkage.scudder_place(phi).state
+    C, E = st.C, st.E
+    # C and E lie above the base line, so their angles are in (0, pi) and need no wrap
+    ray2 = Ray(math.atan2(E.y, E.x))  # the inside-edge ray
+    return TrisectionResult(phi, METHOD_SCUDDER, Ray(math.atan2(C.y, C.x)), ray2, C, st.D)
 
 
 def verify_trisection(res: TrisectionResult, tol: float) -> Certificate:
@@ -112,18 +108,24 @@ def verify_trisection(res: TrisectionResult, tol: float) -> Certificate:
     """
     phi, C, D = res.phi, res.C, res.D
     a1, a2 = res.ray1.angle, res.ray2.angle
-    sector_1 = ccw_sweep(0.0, a1)
-    sector_2 = ccw_sweep(a1, a2)
-    sector_3 = ccw_sweep(a2, phi)
+    tau = math.tau
+    remainder = math.remainder
+    # each sector is a counterclockwise sweep in [0, 2*pi); the first
+    # starts at the base ray, angle 0.  Each angle residual is the
+    # separation of two directions in [0, pi], ignoring 2*pi wraps.
+    sector_1 = a1 % tau
+    sector_2 = (a2 - a1) % tau
+    sector_3 = (phi - a2) % tau
     residuals = {
-        "ray1_at_third": angle_distance(a1, phi / 3.0),
-        "ray2_at_two_thirds": angle_distance(a2, 2.0 * phi / 3.0),
+        "ray1_at_third": abs(remainder(a1 - phi / 3.0, tau)),
+        "ray2_at_two_thirds": abs(remainder(a2 - 2.0 * phi / 3.0, tau)),
         "equal_sectors": max(
             abs(sector_1 - sector_2), abs(sector_2 - sector_3), abs(sector_1 - sector_3)
         ),
-        "d_on_target_ray": angle_distance(polar_angle(D), phi),
+        # polar_angle, not atan2: a hand-built result with D at the origin has no angle
+        "d_on_target_ray": abs(remainder(polar_angle(D) - phi, tau)),
         "c_on_guide": abs(C.y - 1.0),
-        "cd_length": abs(C.distance_to(D) - TOP_LENGTH),
+        "cd_length": abs(math.hypot(C.x - D.x, C.y - D.y) - TOP_LENGTH),
     }
     return Certificate.from_residuals(residuals, tol)
 
@@ -142,7 +144,8 @@ def sweep_verify(
 
     The report is a dict, keyed in this order: the arguments phi_min_deg,
     phi_max_deg, step_deg and method, then count, max_error_rad,
-    mean_error_rad, argmax_phi_deg and failures.  The per-angle error is
+    mean_error_rad, argmax_phi_deg and failures.  ``count`` is the number
+    of distinct grid angles, each evaluated once.  The per-angle error is
     the larger of the two ray-angle residuals (in radians); ``failures``
     is the tuple of grid angles whose certificate failed at ``tol``.
     """
@@ -159,8 +162,10 @@ def sweep_verify(
     # a count, not a running sum: a step below the float spacing at
     # phi_min would never move the angle past phi_max.  The count admits
     # a last angle that rounding puts just past phi_max; it is clamped.
+    # Such a step can also round two grid angles onto one float; the
+    # grid never decreases, so they are neighbours, and one is kept.
     n = math.floor((phi_max_deg - phi_min_deg) / step_deg + 1e-9) + 1
-    grid = [min(phi_min_deg + k * step_deg, phi_max_deg) for k in range(n)]
+    grid = list(dict.fromkeys(min(phi_min_deg + k * step_deg, phi_max_deg) for k in range(n)))
 
     max_err = 0.0
     err_sum = 0.0

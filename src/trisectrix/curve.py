@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 
 from .errors import BadRange, NoTraceRoot, OutOfDomain, OutOfRange
-from .geom import Point, angle_distance, solve_cubic, uniform_grid
+from .geom import Point, solve_cubic, uniform_grid
 
 # Upper end of the trace parameter; the curve closes at (0, -1).
 T_MAX = math.pi / 2
@@ -91,7 +91,7 @@ def on_trace(t: float, phi: float) -> bool:
     3t = phi (mod 2*pi).  The mirror image of D(t) sits at pi - 3t and
     passes only where it coincides with D(t): at the node, t = pi/6.
     """
-    return angle_distance(3.0 * t, phi) <= TRACE_TOL
+    return abs(math.remainder(3.0 * t - phi, math.tau)) <= TRACE_TOL
 
 
 def sample_trace(t_min: float, t_max: float, n: int) -> list[Point]:

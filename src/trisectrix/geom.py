@@ -1,15 +1,16 @@
 """Minimal plane-geometry kernel for the fixed construction frame.
 
-Points and rays from the origin O (+x along the base edge), the angle
-utilities, the one circle step the construction needs (a circle meeting
-a horizontal line), and the cubic solve the curve uses.  It finds the
-root on an interval where the caller keeps the cubic monotone, by
-Newton steps kept inside the sign-change bracket, with the cubic and
-its slope evaluated in line, and splits the bracket where Newton is
-slow (_split, which the placement search uses too).  It stops once the
-bracket is two adjacent floats and returns the one with the smaller
-|f|.  All lengths are dimensionless multiples of the straightedge
-width; all angles are radians.
+Points and rays from the origin O (+x along the base edge), the polar
+angle of a point, the one circle step the construction needs (a circle
+meeting a horizontal line), and the cubic solve the curve uses.  It
+finds the root on an interval where the caller keeps the cubic
+monotone, by Newton steps kept inside the sign-change bracket, with the
+cubic and its slope evaluated in line, and splits the bracket where
+Newton is slow (_split, which the placement search uses too).  It stops
+once the bracket is two adjacent floats and returns the one with the
+smaller |f|.  All lengths are dimensionless multiples of the
+straightedge width; all angles are radians.  The construction itself
+does its other angle arithmetic in line, on floats.
 
 Everything here is a pure function over immutable values.  The package's
 values (points, rays and the records built from them) are frozen
@@ -27,25 +28,6 @@ from .errors import BadRange, OriginHasNoAngle, OutOfDomain
 # Largest grid any sampler or sweep builds; a bigger request is refused
 # before anything is allocated.
 MAX_GRID_POINTS = 10**6
-
-
-def normalize_angle(a: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    r = math.remainder(a, math.tau)
-    if r <= -math.pi:
-        r += math.tau
-    return r
-
-
-def ccw_sweep(from_angle: float, to_angle: float) -> float:
-    """Counterclockwise sweep from one direction to another, in [0, 2*pi)."""
-    return (to_angle - from_angle) % math.tau
-
-
-def angle_distance(a: float, b: float) -> float:
-    """Absolute separation of two directions, ignoring 2*pi wraps."""
-    # the remainder lies in [-pi, pi], and abs folds -pi as normalize_angle would
-    return abs(math.remainder(a - b, math.tau))
 
 
 class _Record:
@@ -100,9 +82,6 @@ class Point(_Record):
         _point_x(self, x)
         _point_y(self, y)
 
-    def distance_to(self, other: "Point") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 _point_x, _point_y = _slot_setters(Point)
 
@@ -127,7 +106,8 @@ class Ray(_Record):
     def __init__(self, angle: float) -> None:
         if not math.isfinite(angle):
             raise OutOfDomain(f"non-finite ray angle {angle}")
-        _ray_angle(self, normalize_angle(angle))
+        a = math.remainder(angle, math.tau)  # in [-pi, pi]
+        _ray_angle(self, a + math.tau if a <= -math.pi else a)
 
     def point_at(self, distance: float) -> Point:
         return Point(distance * math.cos(self.angle), distance * math.sin(self.angle))
@@ -136,21 +116,21 @@ class Ray(_Record):
 (_ray_angle,) = _slot_setters(Ray)
 
 
-def intersect_circle_line(center: Point, radius: float, y0: float) -> list[float]:
-    """x-coordinates where the circle about ``center`` meets the horizontal line y = y0.
+def intersect_circle_line(cx: float, cy: float, radius: float, y0: float) -> list[float]:
+    """x-coordinates where the circle about (cx, cy) meets the horizontal line y = y0.
 
     0, 1 (tangency) or 2 values, ascending.  The squared
     half-chord r^2 - d^2 is formed as the product (d + r)(r - d) of the
     center's offsets from the two lines y0 -+ r, so it keeps its relative
     accuracy near tangency and no tolerance decides it.
     """
-    disc = (center.y - (y0 - radius)) * ((y0 + radius) - center.y)
+    disc = (cy - (y0 - radius)) * ((y0 + radius) - cy)
     if disc < 0.0:
         return []
     if disc == 0.0:
-        return [center.x]
+        return [cx]
     h = math.sqrt(disc)
-    return [center.x - h, center.x + h]
+    return [cx - h, cx + h]
 
 
 def polar_angle(p: Point) -> float:
@@ -161,15 +141,6 @@ def polar_angle(p: Point) -> float:
     if a <= -math.pi:
         a += math.tau
     return a
-
-
-def bisect_angle(a1: float, a2: float) -> float:
-    """Direction halving the counterclockwise sweep from a1 to a2, not wrapped.
-
-    The sweep is taken in [0, 2*pi), so bisect(90deg, 270deg) points at
-    180deg while bisect(270deg, 90deg) points at 0deg (360deg).
-    """
-    return a1 + 0.5 * ccw_sweep(a1, a2)
 
 
 # --- real-root polynomial solving -----------------------------------------

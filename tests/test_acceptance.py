@@ -25,9 +25,10 @@ from trisectrix.curve import (
     on_trace,
     trace_point,
 )
-from trisectrix.geom import Point, angle_distance, polar_angle, solve_cubic
+from trisectrix.geom import Point, polar_angle, solve_cubic
 from trisectrix.linkage import scudder_place, state_from_leg_angle
 
+from helpers import angle_gap, distance
 from mirror_branch import mirror_hit
 
 FULL_GRID_DEG = range(1, 270)
@@ -68,7 +69,7 @@ def test_criterion_03_method_agreement():
         phi = math.radians(deg)
         c_curve = trisect_via_curve(phi).C
         c_scudder = trisect_via_scudder(phi).C
-        worst = max(worst, c_curve.distance_to(c_scudder))
+        worst = max(worst, distance(c_curve, c_scudder))
     assert worst <= 1e-6
     _report(3, f"per-angle C agreement over full grid, worst gap {worst:.3e}")
 
@@ -133,7 +134,7 @@ def test_criterion_09_spurious_branch_rejection():
         assert on_trace(t, phi)
         mirror = mirror_hit(phi)
         mirror_d, mirror_t = mirror
-        assert angle_distance(polar_angle(mirror_d), phi) <= 1e-12
+        assert angle_gap(polar_angle(mirror_d), phi) <= 1e-12
         assert abs(implicit_value(mirror_d)) <= 1e-12
         assert not on_trace(mirror_t, phi)
         forced = complete_curve_construction(phi, mirror)
@@ -166,8 +167,8 @@ def test_criterion_11_tangency_degeneracy():
     assert on_trace(t, 1.5 * math.pi)
     assert abs(res.C.x) <= 1e-9
     assert abs(res.C.y - 1.0) <= 1e-9
-    assert angle_distance(res.ray1.angle, math.radians(90.0)) <= 1e-9
-    assert angle_distance(res.ray2.angle, math.radians(180.0)) <= 1e-9
+    assert angle_gap(res.ray1.angle, math.radians(90.0)) <= 1e-9
+    assert angle_gap(res.ray2.angle, math.radians(180.0)) <= 1e-9
     _report(11, "270 deg: single tangency point C = (0, 1), rays at 90 and 180 deg")
 
 
@@ -177,7 +178,7 @@ def test_criterion_12_simulator_equivalence():
     for i in range(n):
         u = 0.001 + (math.pi - 0.002) * i / (n - 1)
         st = state_from_leg_angle(u)
-        worst_d = max(worst_d, st.D.distance_to(trace_point(u / 2.0)))
+        worst_d = max(worst_d, distance(st.D, trace_point(u / 2.0)))
         worst_c = max(worst_c, abs(st.C.y - 1.0))
     assert worst_d <= 1e-9
     assert worst_c <= 1e-12

@@ -274,6 +274,18 @@ class TestSweepCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["count"] == 1
 
+    def test_each_representable_angle_is_evaluated_once(self):
+        # a step between half and one float spacing: 1 + step and 1 + 2*step
+        # both round to the float after 1, so the grid names three angles, not four
+        code, out, err = run_cli(
+            "sweep", "--from-deg", "1", "--to-deg", "1.0000000000000004", "--step-deg", "1.4802973661668753e-16",
+            "--method", "scudder",
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["count"] == 3
+        assert report["failures"] == []
+
     @pytest.mark.parametrize("method", ["curve", "scudder"])
     def test_last_angle_is_clamped_to_the_upper_end(self, method):
         # 1 + 269.0000000345 lies past 270 degrees, where the query is out of range

@@ -21,8 +21,9 @@ from trisectrix.construct import (
 )
 from trisectrix.curve import PHI_MIN, implicit_value, intersect_ray, on_trace
 from trisectrix.errors import BadRange, OutOfRange, TrisectrixError
-from trisectrix.geom import Point, Ray, angle_distance, bisect_angle, intersect_circle_line, polar_angle
+from trisectrix.geom import Point, Ray, intersect_circle_line, polar_angle
 
+from helpers import angle_gap, bisector, distance
 from mirror_branch import mirror_hit
 
 SQRT3 = math.sqrt(3.0)
@@ -40,26 +41,26 @@ class TestCurveMethod:
         assert abs(res.D.x) <= 1e-12 and res.D.y == pytest.approx(2.0, abs=1e-12)
         assert res.C.x == pytest.approx(SQRT3, abs=1e-12)
         assert res.C.y == pytest.approx(1.0, abs=1e-12)
-        assert angle_distance(res.ray1.angle, math.pi / 6) <= 1e-12
-        assert angle_distance(res.ray2.angle, math.pi / 3) <= 1e-12
-        assert angle_distance(res.ray1.angle, res.phi / 3) <= 1e-12
+        assert angle_gap(res.ray1.angle, math.pi / 6) <= 1e-12
+        assert angle_gap(res.ray2.angle, math.pi / 3) <= 1e-12
+        assert angle_gap(res.ray1.angle, res.phi / 3) <= 1e-12
 
     def test_straight_angle(self):
         res = trisect_via_curve(math.pi)
         assert res.D.x == pytest.approx(-1.1547005383792515, abs=1e-9)
         assert res.C.x == pytest.approx(0.5773502691896258, abs=1e-9)
-        assert angle_distance(res.ray1.angle, math.pi / 3) <= 1e-9
-        assert angle_distance(res.ray2.angle, 2 * math.pi / 3) <= 1e-9
+        assert angle_gap(res.ray1.angle, math.pi / 3) <= 1e-9
+        assert angle_gap(res.ray2.angle, 2 * math.pi / 3) <= 1e-9
 
     def test_tangency_at_full_range(self):
         res = trisect_via_curve(1.5 * math.pi)
         assert res.D.y == pytest.approx(-1.0, abs=1e-9)
         assert abs(res.C.x) <= 1e-9
         assert res.C.y == pytest.approx(1.0, abs=1e-12)
-        assert angle_distance(res.ray1.angle, math.pi / 2) <= 1e-9
-        assert angle_distance(res.ray2.angle, math.pi) <= 1e-9
+        assert angle_gap(res.ray1.angle, math.pi / 2) <= 1e-9
+        assert angle_gap(res.ray2.angle, math.pi) <= 1e-9
         # the radius-2 circle is tangent to the guide line down there
-        assert len(intersect_circle_line(res.D, TOP_LENGTH, GUIDE_Y)) == 1
+        assert len(intersect_circle_line(res.D.x, res.D.y, TOP_LENGTH, GUIDE_Y)) == 1
 
     def test_range_validation(self):
         for phi in (0.0, -0.2, 1.5 * math.pi + 1e-9):
@@ -69,25 +70,25 @@ class TestCurveMethod:
     def test_ray2_doubles_ray1(self):
         for deg in range(1, 270, 3):
             res = trisect_via_curve(math.radians(deg))
-            assert angle_distance(res.ray2.angle, 2.0 * res.ray1.angle) <= 1e-9
+            assert angle_gap(res.ray2.angle, 2.0 * res.ray1.angle) <= 1e-9
 
 
 class TestScudderMethod:
     def test_right_angle(self):
         res = trisect_via_scudder(math.pi / 2)
-        assert angle_distance(res.ray1.angle, math.pi / 6) <= 1e-9
-        assert angle_distance(res.ray2.angle, math.pi / 3) <= 1e-9
+        assert angle_gap(res.ray1.angle, math.pi / 6) <= 1e-9
+        assert angle_gap(res.ray2.angle, math.pi / 3) <= 1e-9
 
     def test_hundred_twenty_degrees(self):
         res = trisect_via_scudder(2.0 * math.pi / 3)
-        assert angle_distance(res.ray1.angle, 2.0 * math.pi / 9) <= 1e-9
-        assert angle_distance(res.ray2.angle, 4.0 * math.pi / 9) <= 1e-9
+        assert angle_gap(res.ray1.angle, 2.0 * math.pi / 9) <= 1e-9
+        assert angle_gap(res.ray2.angle, 4.0 * math.pi / 9) <= 1e-9
 
     def test_small_angle_stress(self):
         phi = 1e-4
         res = trisect_via_scudder(phi)
-        assert angle_distance(res.ray1.angle, phi / 3.0) <= 1e-9
-        assert angle_distance(res.ray2.angle, 2.0 * phi / 3.0) <= 1e-9
+        assert angle_gap(res.ray1.angle, phi / 3.0) <= 1e-9
+        assert angle_gap(res.ray2.angle, 2.0 * phi / 3.0) <= 1e-9
 
     def test_range_validation(self):
         with pytest.raises(OutOfRange):
@@ -299,9 +300,9 @@ class TestMethodAgreement:
             phi = math.radians(deg)
             a = trisect_via_curve(phi)
             b = trisect_via_scudder(phi)
-            assert a.C.distance_to(b.C) <= 1e-6, deg
-            assert angle_distance(a.ray1.angle, b.ray1.angle) <= 1e-7
-            assert angle_distance(a.ray2.angle, b.ray2.angle) <= 1e-7
+            assert distance(a.C, b.C) <= 1e-6, deg
+            assert angle_gap(a.ray1.angle, b.ray1.angle) <= 1e-7
+            assert angle_gap(a.ray2.angle, b.ray2.angle) <= 1e-7
 
 
 class TestRightmostRule:
@@ -310,7 +311,7 @@ class TestRightmostRule:
             phi = math.radians(deg)
             hit = intersect_ray(phi)
             d, _ = hit
-            xs = intersect_circle_line(d, TOP_LENGTH, GUIDE_Y)
+            xs = intersect_circle_line(d.x, d.y, TOP_LENGTH, GUIDE_Y)
             res = complete_curve_construction(phi, hit)
             # the construction solves the same circle in the frame of y = -1
             assert res.C.y == GUIDE_Y
@@ -319,7 +320,7 @@ class TestRightmostRule:
             if len(xs) == 2:
                 wrong_c = Point(xs[0], GUIDE_Y)
                 ray1 = Ray(polar_angle(wrong_c))
-                ray2 = Ray(bisect_angle(ray1.angle, polar_angle(d)))
+                ray2 = Ray(bisector(ray1.angle, polar_angle(d)))
                 wrong = TrisectionResult(phi, METHOD_CURVE, ray1, ray2, wrong_c, d)
                 assert not verify_trisection(wrong, 1e-9).passed
 
@@ -334,13 +335,13 @@ class TestScaleInvariance:
                 unit = trisect_via_curve(phi)
                 d, _ = intersect_ray(phi)
                 d_scaled = Point(lam * d.x, lam * d.y)
-                c_scaled = Point(intersect_circle_line(d_scaled, TOP_LENGTH * lam, lam)[-1], lam)
+                c_scaled = Point(intersect_circle_line(d_scaled.x, d_scaled.y, TOP_LENGTH * lam, lam)[-1], lam)
                 c_unit_scaled = Point(lam * unit.C.x, lam * unit.C.y)
-                assert c_scaled.distance_to(c_unit_scaled) <= 1e-12 * lam * max(1.0, math.hypot(unit.C.x, unit.C.y))
+                assert distance(c_scaled, c_unit_scaled) <= 1e-12 * lam * max(1.0, math.hypot(unit.C.x, unit.C.y))
                 ray1 = Ray(polar_angle(c_scaled))
-                ray2 = Ray(bisect_angle(ray1.angle, polar_angle(d_scaled)))
-                assert angle_distance(ray1.angle, unit.ray1.angle) <= 1e-12
-                assert angle_distance(ray2.angle, unit.ray2.angle) <= 1e-12
+                ray2 = Ray(bisector(ray1.angle, polar_angle(d_scaled)))
+                assert angle_gap(ray1.angle, unit.ray1.angle) <= 1e-12
+                assert angle_gap(ray2.angle, unit.ray2.angle) <= 1e-12
 
 
 class TestSpuriousBranch:
@@ -349,7 +350,7 @@ class TestSpuriousBranch:
             phi = math.radians(deg)
             mirror = mirror_hit(phi)
             mirror_d, mirror_t = mirror
-            assert angle_distance(polar_angle(mirror_d), phi) <= 1e-12
+            assert angle_gap(polar_angle(mirror_d), phi) <= 1e-12
             assert abs(implicit_value(mirror_d)) <= 1e-12
             assert not on_trace(mirror_t, phi)
             forced = complete_curve_construction(phi, mirror)

@@ -16,8 +16,9 @@ from trisectrix.curve import (
     trace_point,
 )
 from trisectrix.errors import BadRange, NoTraceRoot, OutOfDomain, OutOfRange
-from trisectrix.geom import Point, angle_distance, polar_angle, uniform_grid
+from trisectrix.geom import Point, polar_angle, uniform_grid
 
+from helpers import angle_gap, distance
 from mirror_branch import mirror_hit
 
 
@@ -75,7 +76,7 @@ class TestTracePoint:
     def test_polar_angle_is_three_t(self):
         for i in range(500):
             t = 0.01 + (T_MAX - 0.01) * i / 499
-            assert angle_distance(polar_angle(trace_point(t)), 3.0 * t) <= 1e-12
+            assert angle_gap(polar_angle(trace_point(t)), 3.0 * t) <= 1e-12
 
     def test_approaches_asymptote(self):
         p = trace_point(0.01)
@@ -156,7 +157,7 @@ class TestIntersectRay:
         mirror_d, mirror_t = mirror_hit(phi)
         assert on_trace(mirror_t, phi)
         assert mirror_t == pytest.approx(t, abs=1e-15)
-        assert mirror_d.distance_to(d) <= 1e-12
+        assert distance(mirror_d, d) <= 1e-12
 
     def test_thirty_degrees_has_mirror_candidate(self):
         phi = math.pi / 6
@@ -171,7 +172,7 @@ class TestIntersectRay:
         assert mirror_d.x == pytest.approx(1.1305159, abs=1e-6)
         assert mirror_d.y == pytest.approx(0.6527036, abs=1e-6)
         p = trace_point(mirror_t)
-        assert mirror_d.distance_to(Point(-p.x, p.y)) <= 1e-12
+        assert distance(mirror_d, Point(-p.x, p.y)) <= 1e-12
 
     def test_straight_angle_degrades_to_quadratic(self):
         d, t = intersect_ray(math.pi)

@@ -15,6 +15,10 @@ a single instruction, on this path fails here.
 The CSV documents get the same ratchet per row: the count for a grid of
 ROWS_HI rows less the count for ROWS_LO rows, divided by the difference,
 so the document's fixed setup cancels.
+
+The records an op builds are counted the same way, as the calls of a
+``_Record`` subclass's ``__init__``: each op builds only the records it
+returns, and none to compute with.
 """
 
 import gc
@@ -25,6 +29,7 @@ import pytest
 
 from trisectrix.cli import curve_csv, simulate_csv
 from trisectrix.construct import trisect_via_curve, trisect_via_scudder, verify_trisection
+from trisectrix.geom import _Record
 
 METHODS = (trisect_via_curve, trisect_via_scudder)
 DOCUMENTS = (simulate_csv, curve_csv)
@@ -33,15 +38,21 @@ DOCUMENTS = (simulate_csv, curve_csv)
 # prints readable keys.
 
 # Upper bounds on the frames per op.  At every angle below the curve
-# method enters 31 and the placement 29 (28 at 270 degrees, where the
+# method enters 16 and the placement 18 (17 at 270 degrees, where the
 # bracket end is the placement and no tip angle is evaluated).
-BUDGETS = {"trisect_via_curve": 31, "trisect_via_scudder": 29}
+BUDGETS = {"trisect_via_curve": 16, "trisect_via_scudder": 18}
 
 # Instructions per op, which depend on the interpreter's minor version:
 # (the count at 1 rad, the most at any angle below).
 INSTRUCTIONS = {
-    (3, 11): {"trisect_via_curve": (1225, 1439), "trisect_via_scudder": (861, 864)},
+    (3, 11): {"trisect_via_curve": (1084, 1298), "trisect_via_scudder": (770, 773)},
 }
+
+# Records built per op, at every angle below.  The curve method builds D,
+# C, both rays, the result and the certificate; the placement builds its
+# state (with C, D and E) and the solution, then both rays, the result
+# and the certificate.
+RECORDS = {"trisect_via_curve": 6, "trisect_via_scudder": 9}
 
 ANGLES_DEG = (1e-7, 1.0, 30.0, 60.0, 89.9, 90.0, 137.5, 180.0, 200.0, 269.9, 270.0)
 
@@ -117,6 +128,31 @@ def _instructions(call) -> int:
     return executed
 
 
+def _record_inits() -> set:
+    """The code of every ``__init__`` a ``_Record`` subclass defines."""
+    codes, classes = set(), [_Record]
+    while classes:
+        cls = classes.pop()
+        classes += cls.__subclasses__()
+        if "__init__" in vars(cls):
+            codes.add(vars(cls)["__init__"].__code__)
+    return codes
+
+
+def _records(call) -> int:
+    """The records ``call()`` builds: the calls of a ``_Record`` subclass's ``__init__``."""
+    inits = _record_inits()
+    built = 0
+
+    def count(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code in inits:
+            built += 1
+
+    _hooked(call, sys.setprofile, count)
+    return built
+
+
 def _per_row(count, document) -> int:
     """``count``'s events per row of ``document``, with the document's setup cancelled."""
     per_grid = {rows: count(_document(document, rows)) for rows in (ROWS_LO, ROWS_HI)}
@@ -145,6 +181,12 @@ def test_frames_per_op_within_budget(trisect, deg):
 def test_budget_is_tight():
     # the counter sees the whole op: the budgets are reached, not just bounded
     assert {trisect.__name__: _frames(_op(trisect, 1.0)) for trisect in METHODS} == BUDGETS
+
+
+@pytest.mark.parametrize("trisect", METHODS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("deg", ANGLES_DEG)
+def test_records_per_op_are_pinned(trisect, deg):
+    assert _records(_op(trisect, math.radians(deg))) == RECORDS[trisect.__name__]
 
 
 @pytest.mark.parametrize("trisect", METHODS, ids=lambda fn: fn.__name__)

@@ -18,14 +18,13 @@ from trisectrix.geom import (
     ORIGIN,
     Point,
     Ray,
-    angle_distance,
-    bisect_angle,
-    ccw_sweep,
     intersect_circle_line,
     polar_angle,
     solve_cubic,
     uniform_grid,
 )
+
+from helpers import angle_gap
 
 SQRT3 = math.sqrt(3.0)
 
@@ -70,40 +69,40 @@ class TestUniformGrid:
 
 class TestIntersectCircleLine:
     def test_two_point_case(self):
-        xs = intersect_circle_line(Point(0.0, 2.0), 2.0, 1.0)
+        xs = intersect_circle_line(0.0, 2.0, 2.0, 1.0)
         assert len(xs) == 2
         assert xs[0] == pytest.approx(-SQRT3, abs=1e-12)
         assert xs[1] == pytest.approx(SQRT3, abs=1e-12)
         for x in xs:  # both on the circle at y = 1
-            assert Point(x, 1.0).distance_to(Point(0.0, 2.0)) == pytest.approx(2.0, abs=1e-12)
+            assert math.hypot(x, 1.0 - 2.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_tangency_collapses_to_one_point(self):
-        xs = intersect_circle_line(Point(0.0, -1.0), 2.0, 1.0)
+        xs = intersect_circle_line(0.0, -1.0, 2.0, 1.0)
         assert len(xs) == 1
         assert xs[0] == pytest.approx(0.0, abs=1e-12)
-        assert Point(xs[0], 1.0).distance_to(Point(0.0, -1.0)) == pytest.approx(2.0, abs=1e-12)
+        assert math.hypot(xs[0], 1.0 - -1.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_miss_is_empty(self):
-        assert intersect_circle_line(Point(0.0, 5.0), 2.0, 1.0) == []
+        assert intersect_circle_line(0.0, 5.0, 2.0, 1.0) == []
 
     def test_points_satisfy_both_equations(self):
         # each x with y = y0 is on the circle
         rng = random.Random(11)
         for _ in range(300):
-            center = Point(rng.uniform(-4, 4), rng.uniform(-4, 4))
+            cx, cy = rng.uniform(-4, 4), rng.uniform(-4, 4)
             radius, y0 = rng.uniform(0.1, 5.0), rng.uniform(-4, 4)
-            xs = intersect_circle_line(center, radius, y0)
+            xs = intersect_circle_line(cx, cy, radius, y0)
             for x in xs:
-                assert abs(Point(x, y0).distance_to(center) - radius) <= 1e-9
+                assert abs(math.hypot(x - cx, y0 - cy) - radius) <= 1e-9
             assert xs == sorted(xs)
 
     def test_translation_invariance(self):
         # moving circle and line by (dx, dy) moves each x by dx
         rng = random.Random(13)
-        base = intersect_circle_line(Point(0.5, 1.5), 2.0, 1.0)
+        base = intersect_circle_line(0.5, 1.5, 2.0, 1.0)
         for _ in range(100):
             dx, dy = rng.uniform(-20, 20), rng.uniform(-20, 20)
-            moved = intersect_circle_line(Point(0.5 + dx, 1.5 + dy), 2.0, 1.0 + dy)
+            moved = intersect_circle_line(0.5 + dx, 1.5 + dy, 2.0, 1.0 + dy)
             assert len(moved) == len(base)
             for x, x_moved in zip(base, moved):
                 assert abs(x_moved - (x + dx)) <= 1e-9
@@ -126,36 +125,7 @@ class TestAngles:
         for angle in [i * math.tau / 37 - math.pi for i in range(37)]:
             r = Ray(angle)
             for d in (1e-3, 0.7, 5.0, 1e4):
-                assert angle_distance(polar_angle(r.point_at(d)), r.angle) <= 1e-12
-
-
-class TestBisectAngle:
-    def test_simple_bisection(self):
-        a = bisect_angle(math.radians(30), math.radians(90))
-        assert angle_distance(a, math.radians(60)) <= 1e-12
-
-    def test_ccw_convention_through_the_back(self):
-        assert angle_distance(bisect_angle(math.radians(90), math.radians(270)), math.pi) <= 1e-12
-        # the other way round the sweep passes 0 and the result is not wrapped
-        assert bisect_angle(math.radians(270), math.radians(90)) == pytest.approx(math.tau)
-
-    def test_zero_sweep_returns_same_ray(self):
-        r1 = Ray(0.7)
-        assert Ray(bisect_angle(r1.angle, r1.angle)) == r1
-
-    @given(
-        st.floats(-math.pi, math.pi, allow_nan=False, allow_infinity=False),
-        st.floats(1e-6, math.tau - 1e-6),
-    )
-    def test_repeated_bisection_gives_quarters(self, base, sweep):
-        a1 = Ray(base).angle
-        a2 = Ray(base + sweep).angle
-        measured = ccw_sweep(a1, a2)
-        mid = bisect_angle(a1, a2)
-        q1 = bisect_angle(a1, mid)
-        q3 = bisect_angle(mid, a2)
-        assert angle_distance(q1, a1 + measured / 4) <= 1e-12
-        assert angle_distance(q3, a1 + 3 * measured / 4) <= 1e-12
+                assert angle_gap(polar_angle(r.point_at(d)), r.angle) <= 1e-12
 
 
 def cauchy_window(c3, c2, c1, c0):

@@ -10,7 +10,7 @@ from trisectrix import linkage
 from trisectrix.construct import TrisectionResult, trisect_via_scudder, verify_trisection
 from trisectrix.curve import trace_point
 from trisectrix.errors import OutOfDomain, OutOfRange
-from trisectrix.geom import ORIGIN, Point, angle_distance, polar_angle
+from trisectrix.geom import ORIGIN, Point, polar_angle
 from trisectrix.linkage import (
     PHI_MAX,
     PHI_MIN,
@@ -18,6 +18,8 @@ from trisectrix.linkage import (
     state_from_leg_angle,
     _tip_angle,
 )
+
+from helpers import angle_gap, distance
 
 SQRT3 = math.sqrt(3.0)
 
@@ -83,10 +85,10 @@ class TestStateFromLegAngle:
     def test_state_invariants_on_grid(self):
         for u in u_grid():
             st = state_from_leg_angle(u)
-            assert abs(st.C.distance_to(st.D) - 2.0) <= 1e-12
+            assert abs(distance(st.C, st.D) - 2.0) <= 1e-12
             assert abs(st.C.y - 1.0) <= 1e-12
             mid = Point((st.C.x + st.D.x) * 0.5, (st.C.y + st.D.y) * 0.5)
-            assert mid.distance_to(st.E) <= 1e-12
+            assert distance(mid, st.E) <= 1e-12
             top_x, top_y = st.D.x - st.C.x, st.D.y - st.C.y
             leg_dot_top = st.E.x * top_x + st.E.y * top_y
             assert abs(leg_dot_top) / (math.hypot(st.E.x, st.E.y) * math.hypot(top_x, top_y)) <= 1e-12
@@ -97,13 +99,13 @@ class TestStateFromLegAngle:
         for u in u_grid():
             st = state_from_leg_angle(u)
             csc = 1.0 / math.sin(u / 2.0)
-            assert abs(st.C.distance_to(ORIGIN) - csc) <= 1e-9 * max(1.0, csc)
-            assert abs(st.D.distance_to(ORIGIN) - csc) <= 1e-9 * max(1.0, csc)
+            assert abs(distance(st.C, ORIGIN) - csc) <= 1e-9 * max(1.0, csc)
+            assert abs(distance(st.D, ORIGIN) - csc) <= 1e-9 * max(1.0, csc)
 
     def test_tracing_pencil_follows_the_curve(self):
         for u in u_grid():
             st = state_from_leg_angle(u)
-            assert st.D.distance_to(trace_point(u / 2.0)) <= 1e-9
+            assert distance(st.D, trace_point(u / 2.0)) <= 1e-9
 
     def test_tip_angle_monotone_on_grid(self):
         # the bracketed placement solve leans on this; the float tip angle
@@ -168,7 +170,7 @@ class TestScudderPlace:
         for deg in range(1, 270):
             phi = math.radians(deg)
             sol = scudder_place(phi)
-            assert angle_distance(polar_angle(sol.state.D), phi) <= 1e-9
+            assert angle_gap(polar_angle(sol.state.D), phi) <= 1e-9
             assert sol.iterations <= 200
 
     def test_range_validation(self):

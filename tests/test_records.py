@@ -12,8 +12,10 @@ import pytest
 
 from trisectrix.certificate import Certificate
 from trisectrix.construct import TrisectionResult, trisect_via_curve, trisect_via_scudder, verify_trisection
-from trisectrix.geom import Point, Ray, _Record, angle_distance, normalize_angle
+from trisectrix.geom import Point, Ray, _Record
 from trisectrix.linkage import LinkageState, PlacementSolution, scudder_place, state_from_leg_angle
+
+from helpers import angle_gap
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -135,7 +137,11 @@ class TestCertificateVerdict:
 
 
 class TestAngleDistance:
-    """angle_distance folds the remainder with abs alone; it must equal abs(normalize_angle(a - b)) bit for bit."""
+    """The angle residuals fold the remainder with abs alone, in line.
+
+    That must equal the size of Ray's wrap of a - b to (-pi, pi] bit for
+    bit, so these edges also pin Ray's wrap, which is in line too.
+    """
 
     EDGES = [
         (math.pi, 0.0), (0.0, math.pi), (-math.pi, 0.0), (0.0, -math.pi),
@@ -147,19 +153,20 @@ class TestAngleDistance:
 
     @pytest.mark.parametrize("a, b", EDGES)
     def test_edges(self, a, b):
-        assert angle_distance(a, b).hex() == abs(normalize_angle(a - b)).hex()
+        assert angle_gap(a, b).hex() == abs(Ray(a - b).angle).hex()
 
     def test_difference_of_plus_or_minus_pi_exactly(self):
         for a, b in [(math.pi, 0.0), (0.0, math.pi), (2.5, 2.5 - math.pi), (2.5 - math.pi, 2.5)]:
             assert abs(a - b) == math.pi
-            assert angle_distance(a, b) == math.pi
+            assert angle_gap(a, b) == math.pi
+            assert Ray(a - b).angle == math.pi
 
     def test_random_pairs(self):
         rng = random.Random(15)
         for _ in range(20000):
             a = rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-3, 3)
             b = rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-3, 3)
-            assert angle_distance(a, b).hex() == abs(normalize_angle(a - b)).hex(), (a, b)
+            assert angle_gap(a, b).hex() == abs(Ray(a - b).angle).hex(), (a, b)
 
 
 def _new_modules(statement: str) -> list[str]:

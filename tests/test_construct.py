@@ -245,8 +245,9 @@ def _window_angles():
 class TestWindowPin:
     # sha256 over the repr of both rays, both witnesses and the residuals
     # at ulp-adjacent angles, where a wrap to (-pi, pi] or a sector taken
-    # mod 2*pi is one rounding from its other branch; TestSolverPin's
-    # grid never lands there
+    # mod 2*pi is one rounding from its other branch (just past pi the
+    # curve's atan2 of D rounds to -pi); TestSolverPin's grid never
+    # lands there
     DIGEST = "a698664b381b64072942590e0e052d1763d4cf27aa668d2106d1b75bfb3ab2c2"
 
     def test_outputs_are_bit_identical(self):

@@ -74,13 +74,13 @@ class TestIntersectCircleLine:
         assert xs[0] == pytest.approx(-SQRT3, abs=1e-12)
         assert xs[1] == pytest.approx(SQRT3, abs=1e-12)
         for x in xs:  # both on the circle at y = 1
-            assert math.hypot(x, 1.0 - 2.0) == pytest.approx(2.0, abs=1e-12)
+            assert math.hypot(x - 0.0, 1.0 - 2.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_tangency_collapses_to_one_point(self):
         xs = intersect_circle_line(0.0, -1.0, 2.0, 1.0)
         assert len(xs) == 1
         assert xs[0] == pytest.approx(0.0, abs=1e-12)
-        assert math.hypot(xs[0], 1.0 - -1.0) == pytest.approx(2.0, abs=1e-12)
+        assert math.hypot(xs[0] - 0.0, 1.0 - (-1.0)) == pytest.approx(2.0, abs=1e-12)
 
     def test_miss_is_empty(self):
         assert intersect_circle_line(0.0, 5.0, 2.0, 1.0) == []

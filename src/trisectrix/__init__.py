@@ -10,20 +10,8 @@ from .construct import (
     trisect_via_scudder,
     verify_trisection,
 )
-from .curve import (
-    implicit_value,
-    intersect_ray,
-    on_trace,
-    sample_trace,
-    trace_point,
-)
-from .geom import (
-    ORIGIN,
-    Point,
-    Ray,
-    intersect_circle_line,
-    polar_angle,
-)
+from .curve import implicit_value, intersect_ray, sample_trace, trace_point
+from .geom import Point, Ray
 from .linkage import (
     LinkageState,
     PlacementSolution,
@@ -36,16 +24,12 @@ __all__ = [
     "LinkageState",
     "METHOD_CURVE",
     "METHOD_SCUDDER",
-    "ORIGIN",
     "PlacementSolution",
     "Point",
     "Ray",
     "TrisectionResult",
     "implicit_value",
-    "intersect_circle_line",
     "intersect_ray",
-    "on_trace",
-    "polar_angle",
     "sample_trace",
     "scudder_place",
     "state_from_leg_angle",

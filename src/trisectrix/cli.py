@@ -19,7 +19,7 @@ import sys
 
 from . import construct, curve, linkage
 from .errors import BadRange, OutOfRange, TrisectrixError
-from .geom import ORIGIN, Point, Ray, uniform_grid
+from .geom import Point, Ray, uniform_grid
 from .svg import (
     COLOR_ASYMPTOTE,
     COLOR_AXIS,
@@ -37,6 +37,8 @@ from .svg import (
     Scene,
     fixed_field,
 )
+
+_ORIGIN = Point(0.0, 0.0)
 
 # Long enough to cross the default window from the origin at any angle.
 _RAY_REACH = 12.0
@@ -146,16 +148,16 @@ def trisect_svg(res: construct.TrisectionResult, precision: int) -> str:
     )
     base = Ray(0.0)
     target = Ray(res.phi)
-    scene.line(ORIGIN, base.point_at(_RAY_REACH), COLOR_BASE_RAY, cls="base-ray")
-    scene.line(ORIGIN, target.point_at(_RAY_REACH), COLOR_BASE_RAY, cls="base-ray")
+    scene.line(_ORIGIN, base.point_at(_RAY_REACH), COLOR_BASE_RAY, cls="base-ray")
+    scene.line(_ORIGIN, target.point_at(_RAY_REACH), COLOR_BASE_RAY, cls="base-ray")
     if res.method == construct.METHOD_CURVE:
         scene.circle(res.D, construct.TOP_LENGTH, COLOR_CIRCLE, cls="construction-circle")
-    scene.line(ORIGIN, res.ray1.point_at(_RAY_REACH), COLOR_TRISECTOR, cls="trisector")
-    scene.line(ORIGIN, res.ray2.point_at(_RAY_REACH), COLOR_TRISECTOR, cls="trisector")
+    scene.line(_ORIGIN, res.ray1.point_at(_RAY_REACH), COLOR_TRISECTOR, cls="trisector")
+    scene.line(_ORIGIN, res.ray2.point_at(_RAY_REACH), COLOR_TRISECTOR, cls="trisector")
     e = res.midpoint_e()
     for point, label in ((res.C, "C"), (res.D, "D"), (e, "E")):
         scene.witness(point, label, cls="witness")
-    scene.text(ORIGIN, "O", dx_px=-16.0, dy_px=16.0)
+    scene.text(_ORIGIN, "O", dx_px=-16.0, dy_px=16.0)
     scene.text(base.point_at(X_MAX - 0.8), "A")
     scene.text(target.point_at(3.3), "B")
     return scene.to_svg()

@@ -26,8 +26,8 @@ import math
 
 from . import curve, linkage
 from .certificate import Certificate
-from .errors import BadRange
-from .geom import MAX_GRID_POINTS, Point, Ray, _Record, _slot_setters, intersect_circle_line, polar_angle
+from .errors import BadRange, OutOfDomain
+from .geom import MAX_GRID_POINTS, Point, Ray, _Record, _slot_setters, intersect_circle_line
 
 METHOD_CURVE = "curve"
 METHOD_SCUDDER = "scudder"
@@ -110,6 +110,13 @@ def verify_trisection(res: TrisectionResult, tol: float) -> Certificate:
     a1, a2 = res.ray1.angle, res.ray2.angle
     tau = math.tau
     remainder = math.remainder
+    # D's polar angle, in (-pi, pi]; a hand-built result can put D at
+    # the origin, which has none
+    if D.x == 0.0 and D.y == 0.0:
+        raise OutOfDomain("the origin has no polar angle")
+    ad = math.atan2(D.y, D.x)
+    if ad <= -math.pi:
+        ad += tau
     # each sector is a counterclockwise sweep in [0, 2*pi); the first
     # starts at the base ray, angle 0.  Each angle residual is the
     # separation of two directions in [0, pi], ignoring 2*pi wraps.
@@ -122,8 +129,7 @@ def verify_trisection(res: TrisectionResult, tol: float) -> Certificate:
         "equal_sectors": max(
             abs(sector_1 - sector_2), abs(sector_2 - sector_3), abs(sector_1 - sector_3)
         ),
-        # polar_angle, not atan2: a hand-built result with D at the origin has no angle
-        "d_on_target_ray": abs(remainder(polar_angle(D) - phi, tau)),
+        "d_on_target_ray": abs(remainder(ad - phi, tau)),
         "c_on_guide": abs(C.y - 1.0),
         "cd_length": abs(math.hypot(C.x - D.x, C.y - D.y) - TOP_LENGTH),
     }

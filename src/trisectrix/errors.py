@@ -10,10 +10,6 @@ class TrisectrixError(Exception):
     """Base class for all package-specific errors."""
 
 
-class OriginHasNoAngle(TrisectrixError, ValueError):
-    """Polar angle requested for the origin."""
-
-
 class OutOfDomain(TrisectrixError, ValueError):
     """Argument outside the mathematical domain of the operation."""
 

@@ -1,16 +1,16 @@
 """Minimal plane-geometry kernel for the fixed construction frame.
 
-Points and rays from the origin O (+x along the base edge), the polar
-angle of a point, the one circle step the construction needs (a circle
-meeting a horizontal line), and the cubic solve the curve uses.  It
-finds the root on an interval where the caller keeps the cubic
-monotone, by Newton steps kept inside the sign-change bracket, with the
-cubic and its slope evaluated in line, and splits the bracket where
-Newton is slow (_split, which the placement search uses too).  It stops
-once the bracket is two adjacent floats and returns the one with the
-smaller |f|.  All lengths are dimensionless multiples of the
-straightedge width; all angles are radians.  The construction itself
-does its other angle arithmetic in line, on floats.
+Points and rays from the origin O (+x along the base edge), the one
+circle step the construction needs (a circle meeting a horizontal
+line), and the cubic solve the curve uses.  It finds the root on an
+interval where the caller keeps the cubic monotone, by Newton steps
+kept inside the sign-change bracket, with the cubic and its slope
+evaluated in line, and splits the bracket where Newton is slow (_split,
+which the placement search uses too).  It stops once the bracket is
+two adjacent floats and returns the one with the smaller |f|.  All
+lengths are dimensionless multiples of the straightedge width; all
+angles are radians.  The construction itself does its angle arithmetic
+in line, on floats.
 
 Everything here is a pure function over immutable values.  The package's
 values (points, rays and the records built from them) are frozen
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import BadRange, OriginHasNoAngle, OutOfDomain
+from .errors import BadRange, OutOfDomain
 
 # Largest grid any sampler or sweep builds; a bigger request is refused
 # before anything is allocated.
@@ -85,8 +85,6 @@ class Point(_Record):
 
 _point_x, _point_y = _slot_setters(Point)
 
-ORIGIN = Point(0.0, 0.0)
-
 
 def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
     """n >= 2 evenly spaced values from lo to hi; the last one is exactly hi."""
@@ -131,16 +129,6 @@ def intersect_circle_line(cx: float, cy: float, radius: float, y0: float) -> lis
         return [cx]
     h = math.sqrt(disc)
     return [cx - h, cx + h]
-
-
-def polar_angle(p: Point) -> float:
-    """Direction of p from the origin, in (-pi, pi]."""
-    if p.x == 0.0 and p.y == 0.0:
-        raise OriginHasNoAngle("the origin has no polar angle")
-    a = math.atan2(p.y, p.x)
-    if a <= -math.pi:
-        a += math.tau
-    return a
 
 
 # --- real-root polynomial solving -----------------------------------------

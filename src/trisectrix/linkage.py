@@ -143,7 +143,7 @@ def scudder_place(phi: float) -> PlacementSolution:
     the end picked at two adjacent floats.
     """
     if not PHI_MIN <= phi <= PHI_MAX:
-        raise OutOfRange(f"trisection angle must lie in [{PHI_MIN}, 3*pi/2], got {phi}")
+        raise OutOfRange(f"query angle must lie in [{PHI_MIN}, 3*pi/2] radians, got {phi}")
 
     tol = _RESIDUAL_RTOL * phi
     lo, g_lo = _LEG_MIN, _TIP_MIN - phi

@@ -8,6 +8,11 @@ def angle_gap(a: float, b: float) -> float:
     return abs(math.remainder(a - b, math.tau))
 
 
+def direction(p) -> float:
+    """Polar angle of a point other than the origin, in [-pi, pi]."""
+    return math.atan2(p.y, p.x)
+
+
 def distance(p, q) -> float:
     """Euclidean distance between two points."""
     return math.hypot(p.x - q.x, p.y - q.y)

@@ -25,10 +25,10 @@ from trisectrix.curve import (
     on_trace,
     trace_point,
 )
-from trisectrix.geom import Point, polar_angle, solve_cubic
+from trisectrix.geom import Point, solve_cubic
 from trisectrix.linkage import scudder_place, state_from_leg_angle
 
-from helpers import angle_gap, distance
+from helpers import angle_gap, direction, distance
 from mirror_branch import mirror_hit
 
 FULL_GRID_DEG = range(1, 270)
@@ -134,7 +134,7 @@ def test_criterion_09_spurious_branch_rejection():
         assert on_trace(t, phi)
         mirror = mirror_hit(phi)
         mirror_d, mirror_t = mirror
-        assert angle_gap(polar_angle(mirror_d), phi) <= 1e-12
+        assert angle_gap(direction(mirror_d), phi) <= 1e-12
         assert abs(implicit_value(mirror_d)) <= 1e-12
         assert not on_trace(mirror_t, phi)
         forced = complete_curve_construction(phi, mirror)

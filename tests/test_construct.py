@@ -20,10 +20,10 @@ from trisectrix.construct import (
     verify_trisection,
 )
 from trisectrix.curve import PHI_MIN, implicit_value, intersect_ray, on_trace
-from trisectrix.errors import BadRange, OutOfRange, TrisectrixError
-from trisectrix.geom import Point, Ray, intersect_circle_line, polar_angle
+from trisectrix.errors import BadRange, OutOfDomain, OutOfRange, TrisectrixError
+from trisectrix.geom import Point, Ray, intersect_circle_line
 
-from helpers import angle_gap, bisector, distance
+from helpers import angle_gap, bisector, direction, distance
 from mirror_branch import mirror_hit
 
 SQRT3 = math.sqrt(3.0)
@@ -281,6 +281,14 @@ class TestVerifyTrisection:
         assert residuals["ray1_at_third"] > 1e-9
         assert residuals["equal_sectors"] > 1e-9
 
+    def test_origin_has_no_angle(self):
+        # the only cover of the certificate's refusal: no route builds D at the origin
+        res = trisect_via_curve(1.0)
+        at_origin = TrisectionResult(res.phi, res.method, res.ray1, res.ray2, res.C, Point(0.0, 0.0))
+        with pytest.raises(OutOfDomain, match=r"^the origin has no polar angle$") as raised:
+            verify_trisection(at_origin, 1e-9)
+        assert isinstance(raised.value, TrisectrixError) and isinstance(raised.value, ValueError)
+
     def test_bad_tolerance(self):
         for tol in (0.0, -1e-9, math.nan, math.inf, -math.inf):
             with pytest.raises(TrisectrixError):
@@ -320,8 +328,8 @@ class TestRightmostRule:
             assert verify_trisection(res, 1e-9).passed
             if len(xs) == 2:
                 wrong_c = Point(xs[0], GUIDE_Y)
-                ray1 = Ray(polar_angle(wrong_c))
-                ray2 = Ray(bisector(ray1.angle, polar_angle(d)))
+                ray1 = Ray(direction(wrong_c))
+                ray2 = Ray(bisector(ray1.angle, direction(d)))
                 wrong = TrisectionResult(phi, METHOD_CURVE, ray1, ray2, wrong_c, d)
                 assert not verify_trisection(wrong, 1e-9).passed
 
@@ -339,8 +347,8 @@ class TestScaleInvariance:
                 c_scaled = Point(intersect_circle_line(d_scaled.x, d_scaled.y, TOP_LENGTH * lam, lam)[-1], lam)
                 c_unit_scaled = Point(lam * unit.C.x, lam * unit.C.y)
                 assert distance(c_scaled, c_unit_scaled) <= 1e-12 * lam * max(1.0, math.hypot(unit.C.x, unit.C.y))
-                ray1 = Ray(polar_angle(c_scaled))
-                ray2 = Ray(bisector(ray1.angle, polar_angle(d_scaled)))
+                ray1 = Ray(direction(c_scaled))
+                ray2 = Ray(bisector(ray1.angle, direction(d_scaled)))
                 assert angle_gap(ray1.angle, unit.ray1.angle) <= 1e-12
                 assert angle_gap(ray2.angle, unit.ray2.angle) <= 1e-12
 
@@ -351,7 +359,7 @@ class TestSpuriousBranch:
             phi = math.radians(deg)
             mirror = mirror_hit(phi)
             mirror_d, mirror_t = mirror
-            assert angle_gap(polar_angle(mirror_d), phi) <= 1e-12
+            assert angle_gap(direction(mirror_d), phi) <= 1e-12
             assert abs(implicit_value(mirror_d)) <= 1e-12
             assert not on_trace(mirror_t, phi)
             forced = complete_curve_construction(phi, mirror)

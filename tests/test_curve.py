@@ -16,9 +16,9 @@ from trisectrix.curve import (
     trace_point,
 )
 from trisectrix.errors import BadRange, NoTraceRoot, OutOfDomain, OutOfRange
-from trisectrix.geom import Point, polar_angle, uniform_grid
+from trisectrix.geom import Point, uniform_grid
 
-from helpers import angle_gap, distance
+from helpers import angle_gap, direction, distance
 from mirror_branch import mirror_hit
 
 
@@ -76,7 +76,7 @@ class TestTracePoint:
     def test_polar_angle_is_three_t(self):
         for i in range(500):
             t = 0.01 + (T_MAX - 0.01) * i / 499
-            assert angle_gap(polar_angle(trace_point(t)), 3.0 * t) <= 1e-12
+            assert angle_gap(direction(trace_point(t)), 3.0 * t) <= 1e-12
 
     def test_approaches_asymptote(self):
         p = trace_point(0.01)
@@ -110,12 +110,12 @@ class TestOnTrace:
 
     def test_trace_point_is_on_trace(self):
         t = math.radians(20)
-        assert on_trace(t, polar_angle(trace_point(t)))
+        assert on_trace(t, direction(trace_point(t)))
 
     def test_mirror_image_is_off_trace(self):
         t = math.radians(20)
         p = trace_point(t)
-        assert not on_trace(t, polar_angle(Point(-p.x, p.y)))
+        assert not on_trace(t, direction(Point(-p.x, p.y)))
 
 
 class TestSampleTrace:
@@ -141,7 +141,7 @@ class TestSampleTrace:
     def test_all_samples_pass_membership(self):
         ts = uniform_grid(0.001, math.pi / 2, 2000)
         for t, p in zip(ts, sample_trace(0.001, math.pi / 2, 2000)):
-            assert on_trace(t, polar_angle(p)), t
+            assert on_trace(t, direction(p)), t
 
 
 class TestIntersectRay:

@@ -38,14 +38,14 @@ DOCUMENTS = (simulate_csv, curve_csv)
 # prints readable keys.
 
 # Upper bounds on the frames per op.  At every angle below the curve
-# method enters 16 and the placement 18 (17 at 270 degrees, where the
+# method enters 15 and the placement 17 (16 at 270 degrees, where the
 # bracket end is the placement and no tip angle is evaluated).
-BUDGETS = {"trisect_via_curve": 16, "trisect_via_scudder": 18}
+BUDGETS = {"trisect_via_curve": 15, "trisect_via_scudder": 17}
 
 # Instructions per op, which depend on the interpreter's minor version:
 # (the count at 1 rad, the most at any angle below).
 INSTRUCTIONS = {
-    (3, 11): {"trisect_via_curve": (1084, 1298), "trisect_via_scudder": (770, 773)},
+    (3, 11): {"trisect_via_curve": (1079, 1293), "trisect_via_scudder": (765, 768)},
 }
 
 # Records built per op, at every angle below.  The curve method builds D,

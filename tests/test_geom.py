@@ -12,19 +12,17 @@ from hypothesis import assume, given, strategies as st
 from trisectrix import curve, geom
 from trisectrix.construct import trisect_via_curve, verify_trisection
 from trisectrix.curve import PHI_MIN
-from trisectrix.errors import BadRange, OriginHasNoAngle, OutOfDomain
+from trisectrix.errors import BadRange, OutOfDomain
 from trisectrix.geom import (
     MAX_GRID_POINTS,
-    ORIGIN,
     Point,
     Ray,
     intersect_circle_line,
-    polar_angle,
     solve_cubic,
     uniform_grid,
 )
 
-from helpers import angle_gap
+from helpers import angle_gap, direction
 
 SQRT3 = math.sqrt(3.0)
 
@@ -109,23 +107,11 @@ class TestIntersectCircleLine:
 
 
 class TestAngles:
-    def test_polar_angle_examples(self):
-        assert polar_angle(Point(1.0, 0.0)) == 0.0
-        assert polar_angle(Point(0.0, 2.0)) == pytest.approx(math.pi / 2, abs=1e-15)
-        assert polar_angle(Point(-1.1547, 0.0)) == pytest.approx(math.pi, abs=1e-15)
-
-    def test_polar_angle_range_is_half_open(self):
-        assert polar_angle(Point(-2.0, -0.0)) == math.pi
-
-    def test_origin_has_no_angle(self):
-        with pytest.raises(OriginHasNoAngle):
-            polar_angle(ORIGIN)
-
     def test_ray_points_keep_the_ray_angle(self):
         for angle in [i * math.tau / 37 - math.pi for i in range(37)]:
             r = Ray(angle)
             for d in (1e-3, 0.7, 5.0, 1e4):
-                assert angle_gap(polar_angle(r.point_at(d)), r.angle) <= 1e-12
+                assert angle_gap(direction(r.point_at(d)), r.angle) <= 1e-12
 
 
 def cauchy_window(c3, c2, c1, c0):

@@ -8,9 +8,9 @@ import pytest
 
 from trisectrix import linkage
 from trisectrix.construct import TrisectionResult, trisect_via_scudder, verify_trisection
-from trisectrix.curve import trace_point
+from trisectrix.curve import intersect_ray, trace_point
 from trisectrix.errors import OutOfDomain, OutOfRange
-from trisectrix.geom import ORIGIN, Point, polar_angle
+from trisectrix.geom import Point
 from trisectrix.linkage import (
     PHI_MAX,
     PHI_MIN,
@@ -19,7 +19,7 @@ from trisectrix.linkage import (
     _tip_angle,
 )
 
-from helpers import angle_gap, distance
+from helpers import angle_gap, direction, distance
 
 SQRT3 = math.sqrt(3.0)
 
@@ -99,8 +99,8 @@ class TestStateFromLegAngle:
         for u in u_grid():
             st = state_from_leg_angle(u)
             csc = 1.0 / math.sin(u / 2.0)
-            assert abs(distance(st.C, ORIGIN) - csc) <= 1e-9 * max(1.0, csc)
-            assert abs(distance(st.D, ORIGIN) - csc) <= 1e-9 * max(1.0, csc)
+            assert abs(distance(st.C, Point(0.0, 0.0)) - csc) <= 1e-9 * max(1.0, csc)
+            assert abs(distance(st.D, Point(0.0, 0.0)) - csc) <= 1e-9 * max(1.0, csc)
 
     def test_tracing_pencil_follows_the_curve(self):
         for u in u_grid():
@@ -115,7 +115,7 @@ class TestStateFromLegAngle:
         for u in u_grid(2001, 1e-6, math.pi - 1e-6):
             st = state_from_leg_angle(u)
             ang = _tip_angle(st)
-            a = polar_angle(st.D)
+            a = direction(st.D)
             assert ang == (a + math.tau if a < 0.0 else a)
             assert ang > prev
             prev = ang
@@ -170,7 +170,7 @@ class TestScudderPlace:
         for deg in range(1, 270):
             phi = math.radians(deg)
             sol = scudder_place(phi)
-            assert angle_gap(polar_angle(sol.state.D), phi) <= 1e-9
+            assert angle_gap(direction(sol.state.D), phi) <= 1e-9
             assert sol.iterations <= 200
 
     def test_range_validation(self):
@@ -178,12 +178,20 @@ class TestScudderPlace:
             with pytest.raises(OutOfRange):
                 scudder_place(phi)
 
+    def test_range_message_is_the_curve_methods(self):
+        # one domain, one message: both methods refuse phi in the same words
+        for phi in (0.0, 1e-300, 1.5 * math.pi + 1e-9, math.nan):
+            with pytest.raises(OutOfRange) as want:
+                intersect_ray(phi)
+            with pytest.raises(OutOfRange, match=f"^{re.escape(str(want.value))}$"):
+                scudder_place(phi)
+
     def test_smallest_reachable_angle(self):
         # the tip angle at the shortest representable leg; below it no
         # placement exists in double precision
         sol = scudder_place(PHI_MIN)
         assert sol.iterations == 0
-        assert polar_angle(sol.state.D) == pytest.approx(PHI_MIN, rel=1e-15)
+        assert direction(sol.state.D) == pytest.approx(PHI_MIN, rel=1e-15)
         for phi in (math.nextafter(PHI_MIN, 0.0), 5e-324):
             with pytest.raises(OutOfRange):
                 scudder_place(phi)
@@ -278,8 +286,8 @@ class TestVerifyPlacement:
         assert verify_trisection(trisect_via_scudder(math.pi / 2), 1e-9).passed
         # the three sectors are each 30 degrees here
         st = scudder_place(math.pi / 2).state
-        assert polar_angle(st.C) == pytest.approx(math.pi / 6, abs=1e-9)
-        assert polar_angle(st.E) == pytest.approx(math.pi / 3, abs=1e-9)
+        assert direction(st.C) == pytest.approx(math.pi / 6, abs=1e-9)
+        assert direction(st.E) == pytest.approx(math.pi / 3, abs=1e-9)
 
     def test_perturbed_tip_is_detected(self):
         cert = verify_trisection(_with_tip_nudged(math.pi / 2, 1e-3), 1e-9)

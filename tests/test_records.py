@@ -1,4 +1,4 @@
-"""Tests for the frozen value records, the certificate's verdict, and the import footprint they allow."""
+"""Tests for the frozen value records, the certificate's verdict, the import footprint they allow, and the public names."""
 
 import copy
 import math
@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import trisectrix
 from trisectrix.certificate import Certificate
 from trisectrix.construct import TrisectionResult, trisect_via_curve, trisect_via_scudder, verify_trisection
 from trisectrix.geom import Point, Ray, _Record
@@ -203,3 +204,23 @@ class TestLeanImport:
             "tempfile", "pathlib", "shutil", "random",
         }
         assert not forbidden & set(loaded)
+
+
+class TestPublicApi:
+    # the paper's operations (trace the curve, meet a ray, place the
+    # square, trisect, verify, sweep) and the records they return
+    NAMES = [
+        "Certificate", "LinkageState", "METHOD_CURVE", "METHOD_SCUDDER", "PlacementSolution", "Point", "Ray",
+        "TrisectionResult", "implicit_value", "intersect_ray", "sample_trace", "scudder_place",
+        "state_from_leg_angle", "sweep_verify", "trace_point", "trisect_via_curve", "trisect_via_scudder",
+        "verify_trisection",
+    ]
+
+    def test_all_is_the_operations_and_their_records(self):
+        assert sorted(trisectrix.__all__) == self.NAMES
+        for name in self.NAMES:
+            assert hasattr(trisectrix, name), name
+
+    def test_geometry_helpers_are_not_exported(self):
+        for name in ("ORIGIN", "polar_angle", "intersect_circle_line", "on_trace", "solve_cubic"):
+            assert not hasattr(trisectrix, name), name

@@ -35,7 +35,7 @@ from .svg import (
     Y_MAX,
     Y_MIN,
     Scene,
-    fixed_field,
+    fixed_blocks,
 )
 
 _ORIGIN = Point(0.0, 0.0)
@@ -76,20 +76,28 @@ def _point_pair(p: Point) -> list[float]:
 # --- content builders ------------------------------------------------------
 
 
+def _csv(header: str, kernel, lo_deg: float, hi_deg: float, n: int, precision: int) -> str:
+    """The CSV document: ``header``, then a row per grid angle, its degrees and ``kernel(its radians)``."""
+    radians = math.radians
+
+    def flatten(block: list[float]) -> list[float]:
+        flat = []
+        append = flat.append
+        for deg in block:
+            append(deg)
+            flat += kernel(radians(deg))
+        return flat
+
+    fields = header.count(",") + 1
+    return "\n".join([header, *fixed_blocks(uniform_grid(lo_deg, hi_deg, n), flatten, fields, precision, "\n"), ""])
+
+
 def curve_csv(t_min_deg: float, t_max_deg: float, samples: int, precision: int) -> str:
-    row = ",".join([fixed_field(precision)] * 3).format
-    lines = ["t_deg,x,y"]
-    for t_deg in uniform_grid(t_min_deg, t_max_deg, samples):
-        lines.append(row(t_deg, *curve._trace_xy(math.radians(t_deg))))
-    return "\n".join(lines) + "\n"
+    return _csv("t_deg,x,y", curve._trace_xy, t_min_deg, t_max_deg, samples, precision)
 
 
 def simulate_csv(u_min_deg: float, u_max_deg: float, steps: int, precision: int) -> str:
-    row = ",".join([fixed_field(precision)] * 8).format
-    lines = ["u_deg,s,Cx,Cy,Dx,Dy,Ex,Ey"]
-    for u_deg in uniform_grid(u_min_deg, u_max_deg, steps):
-        lines.append(row(u_deg, *linkage._pencils(math.radians(u_deg))))
-    return "\n".join(lines) + "\n"
+    return _csv("u_deg,s,Cx,Cy,Dx,Dy,Ex,Ey", linkage._pencils, u_min_deg, u_max_deg, steps, precision)
 
 
 def trisect_report(res: construct.TrisectionResult, tol: float) -> tuple[dict, bool]:

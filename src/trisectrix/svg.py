@@ -39,12 +39,34 @@ Y_MIN, Y_MAX = -2.0, 4.0
 SCALE = 100.0
 
 
+# The most rows of a table that one str.format call writes.  Past ~128
+# rows a bigger block is no faster; a block, not the whole table, bounds
+# the memory its arguments take.
+BLOCK_ROWS = 512
+
+
 def fixed_field(precision: int) -> str:
     """Format field for every SVG and CSV number, at ``precision`` decimals.
 
     The ``z`` flag prints a value that rounds to zero unsigned, never "-0.000".
+    fixed_blocks repeats this field in one template per block of rows.
     """
     return f"{{:z.{precision}f}}"
+
+
+def fixed_blocks(rows: list, flatten, fields: int, precision: int, sep: str) -> list[str]:
+    """``rows`` as text, ``fields`` comma-separated fixed_field numbers a row, rows joined by ``sep``.
+
+    ``flatten(block)`` gives a slice of at most BLOCK_ROWS rows as one flat
+    list of its numbers, row by row; each block is formatted by one
+    str.format call.  The blocks, joined by ``sep``, are the whole table.
+    """
+    row = ",".join([fixed_field(precision)] * fields)
+    blocks = []
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start : start + BLOCK_ROWS]
+        blocks.append(sep.join([row] * len(block)).format(*flatten(block)))
+    return blocks
 
 
 _PROLOGUE = (
@@ -60,6 +82,17 @@ def to_screen(p: Point) -> tuple[float, float]:
     return (p.x - X_MIN) * SCALE, HEIGHT_PX - (p.y - Y_MIN) * SCALE
 
 
+def _screen_xy(points: list[Point]) -> list[float]:
+    """The points' screen positions as one flat list, x and y alternating."""
+    # to_screen inlined: one call fewer per point of a long trace
+    flat = []
+    append = flat.append
+    for p in points:
+        append((p.x - X_MIN) * SCALE)
+        append(HEIGHT_PX - (p.y - Y_MIN) * SCALE)
+    return flat
+
+
 def _meets_canvas(left: float, top: float, right: float, bottom: float) -> bool:
     """Whether the screen box [left, right] x [top, bottom] meets the canvas."""
     return right >= 0.0 and left <= WIDTH_PX and bottom >= 0.0 and top <= HEIGHT_PX
@@ -69,9 +102,8 @@ class Scene:
     """Accumulates shapes in draw order and serializes to an SVG document."""
 
     def __init__(self, precision: int):
-        field = fixed_field(precision)
-        self._fmt = field.format
-        self._pair = f"{field},{field}".format
+        self._precision = precision
+        self._fmt = fixed_field(precision).format
         self._parts = [_PROLOGUE]
 
     def line(
@@ -86,9 +118,7 @@ class Scene:
         )
 
     def polyline(self, points: list[Point], color: str, width: float = STROKE_MAIN, *, cls: str) -> None:
-        # to_screen inlined: one call fewer per point of a long trace
-        pair = self._pair
-        coords = " ".join([pair((p.x - X_MIN) * SCALE, HEIGHT_PX - (p.y - Y_MIN) * SCALE) for p in points])
+        coords = " ".join(fixed_blocks(points, _screen_xy, 2, self._precision, " "))
         self._parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="{width}" class="{cls}" />'
         )

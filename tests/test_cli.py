@@ -13,9 +13,11 @@ from xml.etree import ElementTree as ET
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trisectrix.curve import trace_point
-from trisectrix.geom import Point
-from trisectrix.svg import SCALE, X_MIN, Y_MAX, Scene, fixed_field
+from trisectrix.cli import curve_csv, curve_svg, simulate_csv
+from trisectrix.curve import _trace_xy, sample_trace, trace_point
+from trisectrix.geom import Point, uniform_grid
+from trisectrix.linkage import _pencils
+from trisectrix.svg import BLOCK_ROWS, SCALE, X_MIN, Y_MAX, Scene, fixed_field, to_screen
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -684,3 +686,52 @@ class TestFixedPointFormat:
     def test_negative_values_that_round_to_zero_print_unsigned(self, precision):
         tiny = -0.4 * 10.0**-precision
         assert fixed_field(precision).format(tiny) == "0." + "0" * precision
+
+
+def _row_by_row(rows, precision, sep):
+    """The rows formatted one str.format call each and joined by ``sep``."""
+    row = ",".join([fixed_field(precision)] * len(rows[0]))
+    return sep.join([row.format(*values) for values in rows])
+
+
+def _csv_reference(header, kernel, lo_deg, hi_deg, n, precision):
+    rows = [(deg, *kernel(math.radians(deg))) for deg in uniform_grid(lo_deg, hi_deg, n)]
+    return header + "\n" + _row_by_row(rows, precision, "\n") + "\n"
+
+
+class TestBlockFormatting:
+    """The tables are formatted a block of rows at a time; the bytes match a
+    row-by-row reference on both sides of each block edge, the last
+    partial block included."""
+
+    ROWS = (2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
+    PRECISIONS = (1, 6, 15)
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_curve_csv(self, rows, precision):
+        expected = _csv_reference("t_deg,x,y", _trace_xy, 0.3, 90.0, rows, precision)
+        assert curve_csv(0.3, 90.0, rows, precision) == expected
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_simulate_csv(self, rows, precision):
+        expected = _csv_reference("u_deg,s,Cx,Cy,Dx,Dy,Ex,Ey", _pencils, 1.0, 179.0, rows, precision)
+        assert simulate_csv(1.0, 179.0, rows, precision) == expected
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_curve_svg_points(self, rows, precision):
+        points = sample_trace(math.radians(0.3), math.radians(90.0), rows)
+        expected = _row_by_row([to_screen(p) for p in points], precision, " ")
+        doc = curve_svg(0.3, 90.0, rows, precision)
+        assert re.search(r'<polyline points="([^"]*)"', doc).group(1) == expected
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_tiny_negative_ex_prints_unsigned(self, rows):
+        # near u = 180 degrees E's x is a tiny negative: -cot(u/2) to first order
+        lo, hi = 179.99, 179.99999999999997
+        assert all(_pencils(math.radians(u))[5] < 0.0 for u in uniform_grid(lo, hi, rows))
+        doc = simulate_csv(lo, hi, rows, 1)
+        assert doc == _csv_reference("u_deg,s,Cx,Cy,Dx,Dy,Ex,Ey", _pencils, lo, hi, rows, 1)
+        assert {line.split(",")[6] for line in doc.splitlines()[1:]} == {"0.0"}

@@ -12,9 +12,13 @@ count.  Instructions are counted with ``sys.settrace`` and
 counts of the current code, so a change that puts back a call layer, or
 a single instruction, on this path fails here.
 
-The CSV documents get the same ratchet per row: the count for a grid of
-ROWS_HI rows less the count for ROWS_LO rows, divided by the difference,
-so the document's fixed setup cancels.
+The CSV documents get the same ratchet per row, and the curve's SVG per
+point of its trace.  Their numbers are formatted a block of BLOCK_ROWS rows
+at a time, so a row's cost is the count for a grid of ROWS_HI rows less the
+count for ROWS_LO rows, divided by the difference: both grids are two full
+blocks and a partial one, so the document's fixed setup and its blocks'
+cost cancel.  A block's own cost is the count for one more full block less
+its rows'.
 
 The records an op builds are counted the same way, as the calls of a
 ``_Record`` subclass's ``__init__``: each op builds only the records it
@@ -27,12 +31,14 @@ import sys
 
 import pytest
 
-from trisectrix.cli import curve_csv, simulate_csv
+from trisectrix.cli import curve_csv, curve_svg, simulate_csv
 from trisectrix.construct import trisect_via_curve, trisect_via_scudder, verify_trisection
 from trisectrix.geom import _Record
+from trisectrix.svg import BLOCK_ROWS
 
 METHODS = (trisect_via_curve, trisect_via_scudder)
-DOCUMENTS = (simulate_csv, curve_csv)
+CSV_DOCUMENTS = (simulate_csv, curve_csv)
+DOCUMENTS = (*CSV_DOCUMENTS, curve_svg)
 
 # The pins below are keyed by function name, so a failed comparison
 # prints readable keys.
@@ -56,16 +62,24 @@ RECORDS = {"trisect_via_curve": 6, "trisect_via_scudder": 9}
 
 ANGLES_DEG = (1e-7, 1.0, 30.0, 60.0, 89.9, 90.0, 137.5, 180.0, 200.0, 269.9, 270.0)
 
-# Frames and instructions per CSV row, by the interpreter's minor version.
-# Each row is written from floats: simulate_csv enters linkage._pencils,
-# curve_csv enters curve._trace_xy, and no record is built.
+# Frames and instructions per row, by the interpreter's minor version.
+# Each CSV row is written from floats: simulate_csv enters
+# linkage._pencils, curve_csv enters curve._trace_xy, and no record is
+# built.  Each point of curve_svg's trace enters curve.trace_point,
+# curve._trace_xy and Point.__init__.
 ROW_COSTS = {
-    (3, 11): {"simulate_csv": (1, 108), "curve_csv": (1, 84)},
+    (3, 11): {"simulate_csv": (1, 105), "curve_csv": (1, 81), "curve_svg": (3, 131)},
+}
+
+# Frames and instructions per full block, on top of its rows': the call
+# that flattens the block's numbers, and one str.format call.
+BLOCK_COSTS = {
+    (3, 11): {"simulate_csv": (1, 45), "curve_csv": (1, 45), "curve_svg": (1, 45)},
 }
 
 # The documents, with the grid size left out: (low end, high end) in degrees.
-ROW_RANGES = {"simulate_csv": (1.0, 179.0), "curve_csv": (0.3, 90.0)}
-ROWS_LO, ROWS_HI = 1001, 2001
+ROW_RANGES = {"simulate_csv": (1.0, 179.0), "curve_csv": (0.3, 90.0), "curve_svg": (0.3, 90.0)}
+ROWS_LO, ROWS_HI = 2 * BLOCK_ROWS + 100, 2 * BLOCK_ROWS + 400
 
 
 def _hooked(call, set_hook, hook) -> None:
@@ -92,7 +106,7 @@ def _op(trisect, phi: float):
 
 
 def _document(document, rows: int):
-    """One CSV document of ``rows`` rows at precision 6."""
+    """One document of ``rows`` rows at precision 6."""
     lo, hi = ROW_RANGES[document.__name__]
     return lambda: document(lo, hi, rows, 6)
 
@@ -161,6 +175,17 @@ def _per_row(count, document) -> int:
     return per_row
 
 
+def _per_block(count, document) -> int:
+    """``count``'s events per full block of ``document``, less its rows'."""
+    more = count(_document(document, ROWS_LO + BLOCK_ROWS)) - count(_document(document, ROWS_LO))
+    return more - BLOCK_ROWS * _per_row(count, document)
+
+
+def _costs(per, document) -> tuple[int, int]:
+    """(frames, instructions) of ``document`` by ``per`` (_per_row or _per_block)."""
+    return per(_frames, document), per(_instructions, document)
+
+
 @pytest.fixture
 def instructions():
     """The pinned (count at 1 rad, most at any angle) by method, for this interpreter."""
@@ -207,18 +232,37 @@ def test_instruction_budget_is_tight(instructions):
     assert counts == instructions
 
 
-@pytest.fixture
-def row_costs():
-    """The pinned (frames, instructions) per row by document, for this interpreter."""
-    pinned = ROW_COSTS.get(sys.version_info[:2])
+def _pinned(costs: dict) -> dict:
+    """``costs`` for this interpreter, by document; skips where none are recorded or a tracer is set."""
+    pinned = costs.get(sys.version_info[:2])
     if pinned is None:
-        pytest.skip(f"no row costs recorded for Python {sys.version_info[0]}.{sys.version_info[1]}")
+        pytest.skip(f"no document costs recorded for Python {sys.version_info[0]}.{sys.version_info[1]}")
     if sys.gettrace() is not None:
         pytest.skip("a tracer (coverage or a debugger) is already set")
     return pinned
 
 
-@pytest.mark.parametrize("document", DOCUMENTS, ids=lambda fn: fn.__name__)
+@pytest.fixture
+def row_costs():
+    """The pinned (frames, instructions) per row by document, for this interpreter."""
+    return _pinned(ROW_COSTS)
+
+
+@pytest.fixture
+def block_costs():
+    """The pinned (frames, instructions) per full block by document, for this interpreter."""
+    return _pinned(BLOCK_COSTS)
+
+
+@pytest.mark.parametrize("document", CSV_DOCUMENTS, ids=lambda fn: fn.__name__)
 def test_csv_row_cost_is_pinned(row_costs, document):
-    cost = (_per_row(_frames, document), _per_row(_instructions, document))
-    assert cost == row_costs[document.__name__]
+    assert _costs(_per_row, document) == row_costs[document.__name__]
+
+
+def test_svg_point_cost_is_pinned(row_costs):
+    assert _costs(_per_row, curve_svg) == row_costs["curve_svg"]
+
+
+@pytest.mark.parametrize("document", DOCUMENTS, ids=lambda fn: fn.__name__)
+def test_block_cost_is_pinned(block_costs, document):
+    assert _costs(_per_block, document) == block_costs[document.__name__]

@@ -12,7 +12,6 @@ or I/O error.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -251,6 +250,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only a main call needs it; kept out of the CLI's start-up
+
     parser = argparse.ArgumentParser(
         prog="trisectrix",
         description="Trace the carpenter's-square trisectrix and trisect angles with it.",

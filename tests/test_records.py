@@ -205,6 +205,10 @@ class TestLeanImport:
         }
         assert not forbidden & set(loaded)
 
+    def test_cli_import_defers_argparse(self):
+        # build_parser imports it at the first main call
+        assert "argparse" not in _new_modules("import trisectrix.cli")
+
 
 class TestPublicApi:
     # the paper's operations (trace the curve, meet a ray, place the

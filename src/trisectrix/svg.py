@@ -2,10 +2,11 @@
 
 World coordinates are y-up; the renderer flips to SVG's y-down screen
 space.  All numbers are emitted at a fixed decimal precision so repeated
-runs produce byte-identical files.  Each shape is written as one element
-string, with no XML library.  Nothing is escaped because nothing needs it:
-every attribute value and every label is a formatted number or a constant
-of this package.
+runs produce byte-identical files.  Each shape is written as element
+text, with no XML library; a polyline's points stay in their formatted
+blocks, and the document is joined once.  Nothing is escaped because
+nothing needs it: every attribute value and every label is a formatted
+number or a constant of this package.
 """
 
 from __future__ import annotations
@@ -82,15 +83,20 @@ def to_screen(p: Point) -> tuple[float, float]:
     return (p.x - X_MIN) * SCALE, HEIGHT_PX - (p.y - Y_MIN) * SCALE
 
 
-def _screen_xy(points: list[Point]) -> list[float]:
-    """The points' screen positions as one flat list, x and y alternating."""
-    # to_screen inlined: one call fewer per point of a long trace
-    flat = []
-    append = flat.append
-    for p in points:
-        append((p.x - X_MIN) * SCALE)
-        append(HEIGHT_PX - (p.y - Y_MIN) * SCALE)
-    return flat
+def screen_xy(world_xy):
+    """Block flattener for Scene.polyline: screen positions, x and y alternating, of rows at world_xy(row)."""
+
+    def flatten(block: list) -> list[float]:
+        # to_screen in line: one call fewer per point of a long trace
+        flat = []
+        append = flat.append
+        for row in block:
+            x, y = world_xy(row)
+            append((x - X_MIN) * SCALE)
+            append(HEIGHT_PX - (y - Y_MIN) * SCALE)
+        return flat
+
+    return flatten
 
 
 def _meets_canvas(left: float, top: float, right: float, bottom: float) -> bool:
@@ -117,11 +123,16 @@ class Scene:
             f' stroke="{color}" stroke-width="{width}"{dash} class="{cls}" />'
         )
 
-    def polyline(self, points: list[Point], color: str, width: float = STROKE_MAIN, *, cls: str) -> None:
-        coords = " ".join(fixed_blocks(points, _screen_xy, 2, self._precision, " "))
-        self._parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="{width}" class="{cls}" />'
-        )
+    def polyline(self, rows: list, flatten, color: str, width: float = STROKE_MAIN, *, cls: str) -> None:
+        """Polyline through the screen positions ``flatten`` (see screen_xy) gives ``rows``.
+
+        Its formatted blocks (fixed_blocks) stay parts of the scene, joined once by to_svg.
+        """
+        blocks = fixed_blocks(rows, flatten, 2, self._precision, " ")
+        points = [" "] * (2 * len(blocks) - 1)
+        points[::2] = blocks
+        tail = f'" fill="none" stroke="{color}" stroke-width="{width}" class="{cls}" />'
+        self._parts += ['<polyline points="', *points, tail]
 
     def circle(self, center: Point, radius: float, color: str, *, cls: str) -> None:
         """Circle outline, drawn only if its pixel extent can meet the canvas."""
@@ -160,4 +171,4 @@ class Scene:
         )
 
     def to_svg(self) -> str:
-        return "".join(self._parts) + "</svg>\n"
+        return "".join([*self._parts, "</svg>\n"])

@@ -8,13 +8,16 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from xml.etree import ElementTree as ET
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from trisectrix import cli
 from trisectrix.cli import curve_csv, curve_svg, simulate_csv
 from trisectrix.curve import _trace_xy, sample_trace, trace_point
+from trisectrix.errors import OutOfDomain, TrisectrixError
 from trisectrix.geom import Point, uniform_grid
 from trisectrix.linkage import _pencils
 from trisectrix.svg import BLOCK_ROWS, SCALE, X_MIN, Y_MAX, Scene, fixed_field, to_screen
@@ -640,6 +643,65 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+class TestTraceScreenOverflow:
+    """A trace point far enough out is a finite double whose screen x is not."""
+
+    ARGS = ("curve", "--format", "svg", "--t-min-deg", "1e-306", "--t-max-deg", "1e-305", "--samples", "3")
+    MESSAGE = "error: non-finite screen point (inf, 100.0) at t = 1.74532925199433e-308\n"
+
+    def test_is_usage_error_in_process(self, capsys):
+        assert cli.main(list(self.ARGS)) == 2
+        assert capsys.readouterr() == ("", self.MESSAGE)
+
+    def test_exit_status(self):
+        assert run_cli(*self.ARGS) == (2, "", self.MESSAGE)
+
+    @settings(max_examples=300)
+    @given(st.floats(1e-309, 1e-300))
+    @example(1e-306)
+    @example(1e-304)
+    def test_a_drawn_trace_has_only_finite_coordinates(self, t_min_deg):
+        # the first point is the farthest out, so it alone decides
+        try:
+            doc = curve_svg(t_min_deg, 90.0, 3, 1)
+        except OutOfDomain as exc:
+            assert str(exc).startswith(("non-finite screen point (inf, ", "non-finite point (inf, "))
+        else:
+            assert "inf" not in doc and "nan" not in doc
+
+
+class TestTraceGrid:
+    @pytest.mark.parametrize(
+        "t_min_deg, t_max_deg, samples",
+        [
+            (0.3, 90.0, 1),
+            (60.0, 30.0, 1),  # the sample count is checked first
+            (60.0, 30.0, 10),
+            (30.0, 30.0, 2),
+            (0.3, 91.0, 5),
+            (5e-324, 90.0, 2),
+            (1e-320, 90.0, 2),
+        ],
+    )
+    def test_curve_svg_refuses_what_sample_trace_refuses(self, t_min_deg, t_max_deg, samples):
+        with pytest.raises(TrisectrixError) as expected:
+            sample_trace(math.radians(t_min_deg), math.radians(t_max_deg), samples)
+        with pytest.raises(TrisectrixError) as refused:
+            curve_svg(t_min_deg, t_max_deg, samples, 6)
+        assert (type(refused.value), str(refused.value)) == (type(expected.value), str(expected.value))
+
+    def test_peak_memory_is_bounded_by_the_document(self):
+        # the formatted blocks are the scene's parts, joined once; the grid
+        # is freed before the join
+        tracemalloc.start()
+        try:
+            doc = curve_svg(0.3, 90.0, 10**5, 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(doc)
 
 
 def _reference_fixed(x, precision):

@@ -22,7 +22,7 @@ its rows'.
 
 The records an op builds are counted the same way, as the calls of a
 ``_Record`` subclass's ``__init__``: each op builds only the records it
-returns, and none to compute with.
+returns, and none to compute with.  A document builds none per row.
 """
 
 import gc
@@ -63,12 +63,11 @@ RECORDS = {"trisect_via_curve": 6, "trisect_via_scudder": 9}
 ANGLES_DEG = (1e-7, 1.0, 30.0, 60.0, 89.9, 90.0, 137.5, 180.0, 200.0, 269.9, 270.0)
 
 # Frames and instructions per row, by the interpreter's minor version.
-# Each CSV row is written from floats: simulate_csv enters
-# linkage._pencils, curve_csv enters curve._trace_xy, and no record is
-# built.  Each point of curve_svg's trace enters curve.trace_point,
-# curve._trace_xy and Point.__init__.
+# Every row is written from floats: simulate_csv enters
+# linkage._pencils, and curve_csv and each point of curve_svg's trace
+# enter curve._trace_xy; no record is built (test_no_records_per_row).
 ROW_COSTS = {
-    (3, 11): {"simulate_csv": (1, 105), "curve_csv": (1, 81), "curve_svg": (3, 131)},
+    (3, 11): {"simulate_csv": (1, 105), "curve_csv": (1, 81), "curve_svg": (1, 93)},
 }
 
 # Frames and instructions per full block, on top of its rows': the call
@@ -261,6 +260,11 @@ def test_csv_row_cost_is_pinned(row_costs, document):
 
 def test_svg_point_cost_is_pinned(row_costs):
     assert _costs(_per_row, curve_svg) == row_costs["curve_svg"]
+
+
+@pytest.mark.parametrize("document", DOCUMENTS, ids=lambda fn: fn.__name__)
+def test_no_records_per_row(document):
+    assert _per_row(_records, document) == 0
 
 
 @pytest.mark.parametrize("document", DOCUMENTS, ids=lambda fn: fn.__name__)

@@ -105,27 +105,24 @@ def simulate_csv(u_min_deg: float, u_max_deg: float, steps: int, precision: int)
     return _csv("u_deg,s,Cx,Cy,Dx,Dy,Ex,Ey", linkage._pencils, u_min_deg, u_max_deg, steps, precision)
 
 
-def trisect_report(res: construct.TrisectionResult, tol: float) -> tuple[dict, bool]:
+def trisect_report(res: construct.TrisectionResult, tol: float) -> dict:
     cert = construct.verify_trisection(res, tol)
     # worst residual over the whole certificate keeps `pass` exactly
     # equivalent to `error_rad <= tolerance`
-    error_rad = cert.worst()[1]
-    passed = cert.passed
-    payload = {
+    return {
         "angle_deg": math.degrees(res.phi),
         "method": res.method,
         "ray1_deg": math.degrees(res.ray1.angle),
         "ray2_deg": math.degrees(res.ray2.angle),
-        "error_rad": error_rad,
+        "error_rad": cert.worst()[1],
         "points": {
             "c": _point_pair(res.C),
             "d": _point_pair(res.D),
             "e": _point_pair(res.midpoint_e()),
         },
         "tolerance": tol,
-        "pass": passed,
+        "pass": cert.passed,
     }
-    return payload, passed
 
 
 def _paint_axes(scene: Scene) -> None:
@@ -242,12 +239,12 @@ def _run_trisect(args: argparse.Namespace) -> int:
     if not 0.0 < args.angle_deg <= 270.0:
         raise OutOfRange(f"angle must lie in (0, 270] degrees, got {args.angle_deg}")
     res = construct._METHOD_FNS[args.method](math.radians(args.angle_deg))
-    payload, passed = trisect_report(res, args.tol)
+    payload = trisect_report(res, args.tol)
     if args.format == "json":
         _emit(_to_json(payload), args.out)
     else:
         _emit(trisect_svg(res, args.precision), args.out)
-    return 0 if passed else 1
+    return 0 if payload["pass"] else 1
 
 
 def _run_simulate(args: argparse.Namespace) -> int:

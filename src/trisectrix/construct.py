@@ -73,7 +73,7 @@ def complete_curve_construction(phi: float, hit: tuple[Point, float]) -> Trisect
     """
     d, t = hit
     lift = 4.0 * math.cos(t) ** 2
-    cx = intersect_circle_line(d.x, lift, TOP_LENGTH, GUIDE_Y + 1.0)[-1]  # ascending: the last is the right-most
+    cx = intersect_circle_line(d.x, lift)
     # C lies above the base line, so its angle is in (0, pi) and needs no wrap
     a1 = math.atan2(GUIDE_Y, cx)
     ad = math.atan2(d.y, d.x)

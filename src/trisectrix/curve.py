@@ -134,11 +134,11 @@ def intersect_ray(phi: float) -> tuple[Point, float]:
     c = math.cos(phi)
     if abs(s) <= abs(c):  # x = sin t
         lo, hi = _LOW_WINDOW if phi < 0.5 * math.pi else _HIGH_WINDOW
-        (x,) = solve_cubic(4.0, 0.0, -3.0, s, lo, hi)
+        (x,) = solve_cubic(-s, lo, hi)
         t = math.asin(x)
     else:  # x = cos t
         lo, hi = _LOW_WINDOW if phi > math.pi else _HIGH_WINDOW
-        (x,) = solve_cubic(4.0, 0.0, -3.0, -c, lo, hi)
+        (x,) = solve_cubic(c, lo, hi)
         t = math.acos(x)
     if not on_trace(t, phi):
         raise NoTraceRoot(f"the trace root at phi={phi} misses the ray by more than {TRACE_TOL}")

@@ -1,16 +1,14 @@
 """Minimal plane-geometry kernel for the fixed construction frame.
 
-Points and rays from the origin O (+x along the base edge), the one
-circle step the construction needs (a circle meeting a horizontal
-line), and the cubic solve the curve uses.  It finds the root on an
-interval where the caller keeps the cubic monotone, by Newton steps
-kept inside the sign-change bracket, with the cubic and its slope
-evaluated in line, and splits the bracket where Newton is slow (_split,
-which the placement search uses too).  It stops once the bracket is
-two adjacent floats and returns the one with the smaller |f|.  All
-lengths are dimensionless multiples of the straightedge width; all
-angles are radians.  The construction itself does its angle arithmetic
-in line, on floats.
+Points and rays from the origin O (+x along the base edge), and the
+curve method's two solves, each in the one form it is used in: the
+right-most x where the radius-2 circle about D meets the guide line, and
+the x with T3(x) = 4x^3 - 3x = k on a bracket where T3 is monotone, by
+Newton steps kept inside the sign-change bracket and splits where Newton
+is slow (_split, which the placement search uses too).  All lengths are
+dimensionless multiples of the straightedge width; all angles are
+radians.  The construction itself does its angle arithmetic in line, on
+floats.
 
 Everything here is a pure function over immutable values.  The package's
 values (points, rays and the records built from them) are frozen
@@ -114,24 +112,7 @@ class Ray(_Record):
 (_ray_angle,) = _slot_setters(Ray)
 
 
-def intersect_circle_line(cx: float, cy: float, radius: float, y0: float) -> list[float]:
-    """x-coordinates where the circle about (cx, cy) meets the horizontal line y = y0.
-
-    0, 1 (tangency) or 2 values, ascending.  The squared
-    half-chord r^2 - d^2 is formed as the product (d + r)(r - d) of the
-    center's offsets from the two lines y0 -+ r, so it keeps its relative
-    accuracy near tangency and no tolerance decides it.
-    """
-    disc = (cy - (y0 - radius)) * ((y0 + radius) - cy)
-    if disc < 0.0:
-        return []
-    if disc == 0.0:
-        return [cx]
-    h = math.sqrt(disc)
-    return [cx - h, cx + h]
-
-
-# --- real-root polynomial solving -----------------------------------------
+# --- the curve method's two solves ------------------------------------------
 
 # Points a solve may take Newton steps for; quadratic convergence needs at
 # most 7 in the curve's windows.  After them every point splits the
@@ -145,38 +126,49 @@ _NEWTON_POINTS = 32
 _CONVERGED = 2.0 * math.ulp(1.0)
 
 
-# perfbench/tracing.py binds this name, counts its calls and takes the
-# len of its result, so the name and the one-item list stay until the
-# benchmark stops tracing internals.
-def solve_cubic(c3: float, c2: float, c1: float, c0: float, lo: float, hi: float) -> list[float]:
-    """The root of c3*x^3 + c2*x^2 + c1*x + c0 in [lo, hi], where the caller keeps the cubic monotone.
+# perfbench/tracing.py wraps the two functions below by name, counts
+# their calls and takes the len of solve_cubic's result, so both names
+# and the one-item list stay until the benchmark stops tracing internals.
+def intersect_circle_line(cx: float, lift: float) -> float:
+    """x of the right-most point where the radius-2 circle about (cx, lift) meets the line y = 2.
 
-    Returns [root], or [] when the end values share a sign.  Bracketed
-    Newton (the rtsafe scheme of Numerical Recipes), with the cubic and
-    its derivative evaluated by Horner's rule in line.  The first point
-    is the bracket's secant point; each evaluated point replaces the
-    bracket end of its sign, and the next point is the Newton step from
-    it.  A point that rounds onto a bracket end (a converged step rounds
-    back to x, which is one) moves to that end's neighbour toward the
-    other end.  The bracket is split instead (_split) after a point
-    outside it, after a zero slope, after a step no shorter than half
-    the last one (Newton creeping toward a root far below the bracket's
-    scale, or lost in rounding noise; a step within _CONVERGED of x is
-    noise about a converged root and is kept), and after every point
-    past the first _NEWTON_POINTS.  The search ends at a point where the
-    cubic is exactly 0, or once no point lies strictly inside the
-    bracket: it is then two adjacent floats, and the one with the
-    smaller |f| (the lower on a tie) comes back.
+    The caller keeps lift in [0, 4], so the squared half-chord, formed
+    as the product lift * (4 - lift) of the center's offsets from the
+    lines y = 0 and y = 4, is never negative, and it keeps its relative
+    accuracy near tangency (lift = 0), where it is exactly 0.
     """
-    f_lo = ((c3 * lo + c2) * lo + c1) * lo + c0
-    f_hi = ((c3 * hi + c2) * hi + c1) * hi + c0
+    return cx + math.sqrt(lift * (4.0 - lift))
+
+
+def solve_cubic(k: float, lo: float, hi: float) -> list[float]:
+    """The x in [lo, hi] with T3(x) = 4x^3 - 3x = k, where the caller keeps T3 monotone.
+
+    Returns [x], or [] when T3 - k has one sign at both ends.  Bracketed
+    Newton (the rtsafe scheme of Numerical Recipes), with T3 - k and its
+    slope 12x^2 - 3 evaluated by Horner's rule in line; the slope is 0
+    only at -+1/2, never strictly inside a monotone bracket.  The first
+    point is the bracket's secant point; each evaluated point replaces
+    the bracket end of its sign, and the next point is the Newton step
+    from it.  A point that rounds onto a bracket end (a converged step
+    rounds back to x, which is one) moves to that end's neighbour toward
+    the other end.  The bracket is split instead (_split) after a point
+    outside it, after a step no shorter than half the last one (Newton
+    creeping toward a root far below the bracket's scale, or lost in
+    rounding noise; a step within _CONVERGED of x is noise about a
+    converged root and is kept), and after every point past the first
+    _NEWTON_POINTS.  The search ends at a point where T3(x) - k is
+    exactly 0, or once no point lies strictly inside the bracket: it is
+    then two adjacent floats, and the one with the smaller |T3(x) - k|
+    (the lower on a tie) comes back.
+    """
+    f_lo = (4.0 * lo * lo - 3.0) * lo - k
+    f_hi = (4.0 * hi * hi - 3.0) * hi - k
     if not (f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo):
         return []
     if f_lo == 0.0:
         return [lo]
     if f_hi == 0.0:
         return [hi]
-    d2, d1 = 3.0 * c3, 2.0 * c2  # the derivative is (d2 * x + d1) * x + c1
     neg_lo = f_lo < 0.0
     # the weight ratio first: f * (hi - lo) underflows when both are tiny
     if abs(f_lo) <= abs(f_hi):
@@ -195,15 +187,14 @@ def solve_cubic(c3: float, c2: float, c1: float, c0: float, lo: float, hi: float
                 x = _split(lo, hi)
             if not lo < x < hi:  # lo and hi are adjacent floats
                 return [lo if abs(f_lo) <= abs(f_hi) else hi]
-        f_x = ((c3 * x + c2) * x + c1) * x + c0
+        f_x = (4.0 * x * x - 3.0) * x - k
         if f_x == 0.0:
             return [x]
         if (f_x < 0.0) == neg_lo:
             lo, f_lo = x, f_x
         else:
             hi, f_hi = x, f_x
-        slope = (d2 * x + d1) * x + c1
-        step = f_x / slope if slope else math.inf
+        step = f_x / (12.0 * x * x - 3.0)
         length = abs(step)
         newton -= 1
         if newton > 0 and (length < 0.5 * last or length <= _CONVERGED * abs(x)):

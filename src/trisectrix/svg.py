@@ -123,7 +123,7 @@ class Scene:
             f' stroke="{color}" stroke-width="{width}"{dash} class="{cls}" />'
         )
 
-    def polyline(self, rows: list, flatten, color: str, width: float = STROKE_MAIN, *, cls: str) -> None:
+    def polyline(self, rows: list, flatten, color: str, width: float, *, cls: str) -> None:
         """Polyline through the screen positions ``flatten`` (see screen_xy) gives ``rows``.
 
         Its formatted blocks (fixed_blocks) stay parts of the scene, joined once by to_svg.

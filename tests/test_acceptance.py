@@ -11,6 +11,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from trisectrix.construct import (
     complete_curve_construction,
     sweep_verify,
@@ -142,23 +144,42 @@ def test_criterion_09_spurious_branch_rejection():
     _report(9, "mirror-branch candidates at 30 and 120 deg rejected by verification")
 
 
+def _solver_picks_the_better_float(k: float, x: float) -> bool:
+    """x zeroes T3(x) - k as the solver rounds it, or has the smaller |T3 - k| of two adjacent floats across a sign change.
+
+    On a tie the lower float is the one the solver returns.
+    """
+    def f(v):
+        return (4.0 * v * v - 3.0) * v - k
+
+    below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
+    f_x, f_below, f_above = f(x), f(below), f(above)
+    return (
+        f_x == 0.0
+        or (f_below < 0.0) != (f_x < 0.0) and f_below != 0.0 and abs(f_x) < abs(f_below)
+        or (f_above < 0.0) != (f_x < 0.0) and f_above != 0.0 and abs(f_x) <= abs(f_above)
+    )
+
+
 def test_criterion_10_cubic_solver_oracle():
+    mpmath = pytest.importorskip("mpmath")
     rng = random.Random(20260810)
     worst = 0.0
-    for _ in range(10_000):
-        roots = sorted(rng.uniform(-10.0, 10.0) for _ in range(3))
-        c2 = -(roots[0] + roots[1] + roots[2])
-        c1 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
-        c0 = -roots[0] * roots[1] * roots[2]
-        bound = 1.0 + max(abs(c2), abs(c1), abs(c0))  # Cauchy's bound on the roots
-        # the slope 3x^2 + 2*c2*x + c1 is zero at s0 < s1: one root on each monotone piece
-        q = -(c2 + math.copysign(math.sqrt(c2 * c2 - 3.0 * c1), c2))
-        s0, s1 = sorted((q / 3.0, c1 / q))
-        got = [x for lo, hi in ((-bound, s0), (s0, s1), (s1, bound)) for x in solve_cubic(1.0, c2, c1, c0, lo, hi)]
-        assert len(got) == 3
-        worst = max(worst, max(abs(a - b) for a, b in zip(got, roots)))
-    assert worst <= 1e-8
-    _report(10, f"10^4 constructed cubics recovered, worst root error {worst:.3e}")
+    with mpmath.workdps(50):
+        for _ in range(10_000):
+            k = rng.uniform(-math.sqrt(0.5), math.sqrt(0.5))
+            # the roots of T3(x) = k are cos((acos k + 2 pi j) / 3): the low
+            # window holds the middle one (for k <= 0), the high window the largest
+            for (lo, hi), kk in (((0.0, 0.26), -abs(k)), ((0.7, 0.97), k)):
+                (x,) = solve_cubic(kk, lo, hi)
+                third = mpmath.acos(kk) / 3
+                exact = mpmath.cos(2 * mpmath.pi / 3 - third) if lo == 0.0 else mpmath.cos(third)
+                assert abs(4 * exact**3 - 3 * exact - kk) <= mpmath.mpf(10) ** -45
+                assert _solver_picks_the_better_float(kk, x), (kk, x)
+                worst = max(worst, float(abs(x - exact) / math.ulp(float(exact))))
+    # the rounding of T3(x) - k can put the pair's sign change an ulp or so off the root
+    assert worst <= 2.0
+    _report(10, f"10^4 seeded k on both curve windows: each root the better of two adjacent floats, worst {worst:.2f} ulp from 50 digits")
 
 
 def test_criterion_11_tangency_degeneracy():

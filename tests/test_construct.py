@@ -21,9 +21,9 @@ from trisectrix.construct import (
 )
 from trisectrix.curve import PHI_MIN, implicit_value, intersect_ray, on_trace
 from trisectrix.errors import BadRange, OutOfDomain, OutOfRange, TrisectrixError
-from trisectrix.geom import Point, Ray, intersect_circle_line
+from trisectrix.geom import Point, Ray
 
-from helpers import angle_gap, bisector, direction, distance
+from helpers import angle_gap, bisector, circle_line_xs, direction, distance
 from mirror_branch import mirror_hit
 
 SQRT3 = math.sqrt(3.0)
@@ -60,7 +60,7 @@ class TestCurveMethod:
         assert angle_gap(res.ray1.angle, math.pi / 2) <= 1e-9
         assert angle_gap(res.ray2.angle, math.pi) <= 1e-9
         # the radius-2 circle is tangent to the guide line down there
-        assert len(intersect_circle_line(res.D.x, res.D.y, TOP_LENGTH, GUIDE_Y)) == 1
+        assert len(circle_line_xs(res.D.x, res.D.y, TOP_LENGTH, GUIDE_Y)) == 1
 
     def test_range_validation(self):
         for phi in (0.0, -0.2, 1.5 * math.pi + 1e-9):
@@ -320,7 +320,7 @@ class TestRightmostRule:
             phi = math.radians(deg)
             hit = intersect_ray(phi)
             d, _ = hit
-            xs = intersect_circle_line(d.x, d.y, TOP_LENGTH, GUIDE_Y)
+            xs = circle_line_xs(d.x, d.y, TOP_LENGTH, GUIDE_Y)
             res = complete_curve_construction(phi, hit)
             # the construction solves the same circle in the frame of y = -1
             assert res.C.y == GUIDE_Y
@@ -344,7 +344,7 @@ class TestScaleInvariance:
                 unit = trisect_via_curve(phi)
                 d, _ = intersect_ray(phi)
                 d_scaled = Point(lam * d.x, lam * d.y)
-                c_scaled = Point(intersect_circle_line(d_scaled.x, d_scaled.y, TOP_LENGTH * lam, lam)[-1], lam)
+                c_scaled = Point(circle_line_xs(d_scaled.x, d_scaled.y, TOP_LENGTH * lam, lam)[-1], lam)
                 c_unit_scaled = Point(lam * unit.C.x, lam * unit.C.y)
                 assert distance(c_scaled, c_unit_scaled) <= 1e-12 * lam * max(1.0, math.hypot(unit.C.x, unit.C.y))
                 ray1 = Ray(direction(c_scaled))

@@ -22,7 +22,7 @@ from trisectrix.geom import (
     uniform_grid,
 )
 
-from helpers import angle_gap, direction
+from helpers import angle_gap, circle_line_xs, direction
 
 SQRT3 = math.sqrt(3.0)
 
@@ -66,44 +66,35 @@ class TestUniformGrid:
 
 
 class TestIntersectCircleLine:
+    """The right-most x where the radius-2 circle about (cx, lift) meets y = 2, for lift in [0, 4]."""
+
     def test_two_point_case(self):
-        xs = intersect_circle_line(0.0, 2.0, 2.0, 1.0)
-        assert len(xs) == 2
-        assert xs[0] == pytest.approx(-SQRT3, abs=1e-12)
-        assert xs[1] == pytest.approx(SQRT3, abs=1e-12)
-        for x in xs:  # both on the circle at y = 1
-            assert math.hypot(x - 0.0, 1.0 - 2.0) == pytest.approx(2.0, abs=1e-12)
+        # the circle about (0, 1) meets y = 2 at -sqrt(3) and sqrt(3)
+        assert intersect_circle_line(0.0, 1.0) == pytest.approx(SQRT3, abs=1e-15)
+        assert intersect_circle_line(0.0, 1.0) == circle_line_xs(0.0, 1.0, 2.0, 2.0)[-1]
 
     def test_tangency_collapses_to_one_point(self):
-        xs = intersect_circle_line(0.0, -1.0, 2.0, 1.0)
-        assert len(xs) == 1
-        assert xs[0] == pytest.approx(0.0, abs=1e-12)
-        assert math.hypot(xs[0] - 0.0, 1.0 - (-1.0)) == pytest.approx(2.0, abs=1e-12)
-
-    def test_miss_is_empty(self):
-        assert intersect_circle_line(0.0, 5.0, 2.0, 1.0) == []
+        # at lift 0 (D on the closure line) the circle touches y = 2 at x = cx, as at 270 degrees
+        for cx in (0.0, 0.7, -3.5e-16):
+            assert intersect_circle_line(cx, 0.0) == cx
 
     def test_points_satisfy_both_equations(self):
-        # each x with y = y0 is on the circle
+        # the x at y = 2 is on the circle, right of its center, and the general reference's right-most
         rng = random.Random(11)
         for _ in range(300):
-            cx, cy = rng.uniform(-4, 4), rng.uniform(-4, 4)
-            radius, y0 = rng.uniform(0.1, 5.0), rng.uniform(-4, 4)
-            xs = intersect_circle_line(cx, cy, radius, y0)
-            for x in xs:
-                assert abs(math.hypot(x - cx, y0 - cy) - radius) <= 1e-9
-            assert xs == sorted(xs)
+            cx, lift = rng.uniform(-4, 4), rng.uniform(0.0, 4.0)
+            x = intersect_circle_line(cx, lift)
+            assert abs(math.hypot(x - cx, 2.0 - lift) - 2.0) <= 1e-9
+            assert x >= cx
+            assert x == pytest.approx(circle_line_xs(cx, lift, 2.0, 2.0)[-1], rel=1e-12, abs=1e-12)
 
     def test_translation_invariance(self):
-        # moving circle and line by (dx, dy) moves each x by dx
+        # moving the circle by dx along the line moves its x by dx
         rng = random.Random(13)
-        base = intersect_circle_line(0.5, 1.5, 2.0, 1.0)
+        base = intersect_circle_line(0.5, 1.5)
         for _ in range(100):
-            dx, dy = rng.uniform(-20, 20), rng.uniform(-20, 20)
-            moved = intersect_circle_line(0.5 + dx, 1.5 + dy, 2.0, 1.0 + dy)
-            assert len(moved) == len(base)
-            for x, x_moved in zip(base, moved):
-                assert abs(x_moved - (x + dx)) <= 1e-9
+            dx = rng.uniform(-20, 20)
+            assert abs(intersect_circle_line(0.5 + dx, 1.5) - (base + dx)) <= 1e-9
 
 
 class TestAngles:
@@ -114,138 +105,106 @@ class TestAngles:
                 assert angle_gap(direction(r.point_at(d)), r.angle) <= 1e-12
 
 
-def cauchy_window(c3, c2, c1, c0):
-    """[-B, B] with Cauchy's bound B = 1 + max |c_i / c3|: it holds every real root."""
-    bound = 1.0 + max(abs(c2), abs(c1), abs(c0)) / abs(c3)
+def t3_window(k):
+    """[-B, B] with Cauchy's bound B = 1 + max(3/4, |k|/4) on the roots of x^3 - (3/4)x - k/4: it holds every x with T3(x) = k."""
+    bound = 1.0 + max(0.75, abs(k) / 4.0)
     return -bound, bound
 
 
-def slope_zeros(c3, c2, c1):
-    """Real zeros of the slope 3*c3*x^2 + 2*c2*x + c1, by the stable quadratic formula."""
-    a, b = 3.0 * c3, 2.0 * c2
-    if not a:
-        return [-c1 / b] if b else []
-    disc = b * b - 4.0 * a * c1
-    if disc < 0.0:
-        return []
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-    return [q / a, c1 / q] if q else [0.0]
-
-
-def roots_by_piece(c3, c2, c1, c0, lo, hi):
+def roots_by_piece(k, lo, hi):
     """solve_cubic on each monotone piece of [lo, hi], ascending.
 
-    The pieces end at the slope's zeros inside [lo, hi]; a root at one
-    ends two pieces and comes back from both.
+    The pieces end at -1/2 and 1/2, the zeros of T3's slope 12x^2 - 3,
+    where they lie inside [lo, hi]; a root at one ends two pieces and
+    comes back from both.
     """
-    ends = [lo, *sorted(x for x in slope_zeros(c3, c2, c1) if lo < x < hi), hi]
-    return [x for a, b in zip(ends, ends[1:]) for x in solve_cubic(c3, c2, c1, c0, a, b)]
+    ends = [lo, *(x for x in (-0.5, 0.5) if lo < x < hi), hi]
+    return [x for a, b in zip(ends, ends[1:]) for x in solve_cubic(k, a, b)]
+
+
+def t3_residual(k, x):
+    """T3(x) - k, rounded as the solver rounds it."""
+    return (4.0 * x * x - 3.0) * x - k
 
 
 class TestSolveCubic:
+    """T3(x) = 4x^3 - 3x = k on a bracket where T3 is monotone."""
+
     def test_single_real_root(self):
-        # monotone over the whole window: the slope 3x^2 only touches 0, and 3x^2 + 1 never does
-        assert solve_cubic(1.0, 0.0, 0.0, -1.0, *cauchy_window(1.0, 0.0, 0.0, -1.0)) == [1.0]
-        assert solve_cubic(1.0, 0.0, 1.0, -2.0, *cauchy_window(1.0, 0.0, 1.0, -2.0)) == [1.0]
+        # |k| > 1: one real root, beyond both stationary points -1/2 and 1/2
+        assert roots_by_piece(26.0, *t3_window(26.0)) == [2.0]
+        assert roots_by_piece(-26.0, *t3_window(-26.0)) == [-2.0]
+        (x,) = roots_by_piece(2.0, *t3_window(2.0))
+        assert x == pytest.approx(math.cosh(math.acosh(2.0) / 3.0), rel=1e-15)
 
     def test_three_distinct_roots(self):
-        roots = roots_by_piece(1.0, -6.0, 11.0, -6.0, *cauchy_window(1.0, -6.0, 11.0, -6.0))
-        assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
+        # T3(x) = 0 at 0 and -+sqrt(3)/2, one on each monotone piece
+        roots = roots_by_piece(0.0, *t3_window(0.0))
+        assert roots == pytest.approx([-0.5 * SQRT3, 0.0, 0.5 * SQRT3], abs=1e-15)
 
     def test_window_keeps_only_its_roots(self):
-        # (x - 1)(x - 2)(x - 3), monotone on each window: one holding a
-        # root, one ending on a root, and one holding none
-        assert solve_cubic(1.0, -6.0, 11.0, -6.0, 1.5, 2.5) == pytest.approx([2.0], abs=1e-15)
-        assert solve_cubic(1.0, -6.0, 11.0, -6.0, 2.6, 3.0) == [3.0]
-        assert solve_cubic(1.0, -6.0, 11.0, -6.0, 3.5, 10.0) == []
-
-    def test_linear_and_constant_degradation(self):
-        assert solve_cubic(0.0, 0.0, 2.0, -4.0, -10.0, 10.0) == [2.0]
-        assert solve_cubic(0.0, 0.0, 0.0, 5.0, -10.0, 10.0) == []
+        # monotone windows: one holding a root, one ending on a root, and one holding none
+        assert solve_cubic(0.0, 0.6, 0.9) == pytest.approx([0.5 * SQRT3], abs=1e-15)
+        assert solve_cubic(1.0, 0.5, 1.0) == [1.0]
+        assert solve_cubic(0.0, 0.9, 1.5) == []
 
     def test_residuals_scale_with_root_size(self):
-        for coeffs in [(1.0, -6.0, 11.0, -6.0), (-1.0, 3.0, 0.0, -4.0), (2.0, -40.0, 0.0, 1000.0)]:
-            c3, c2, c1, c0 = coeffs
-            for r in roots_by_piece(c3, c2, c1, c0, *cauchy_window(*coeffs)):
-                val = ((c3 * r + c2) * r + c1) * r + c0
-                assert abs(val) <= 1e-9 * max(1.0, abs(r) ** 3)
-
-    def test_tiny_leading_coefficient_keeps_all_roots(self):
-        # the third root sits near 3/|c3|, far beyond the moderate pair
-        for s in (3.35e-9, 1e-8, 1e-7, 1e-6, 1e-5):
-            for c3 in (-s, s):
-                roots = roots_by_piece(c3, 3.0, 0.0, -4.0, *cauchy_window(c3, 3.0, 0.0, -4.0))
-                assert len(roots) == 3, (c3, roots)
-                for r in roots:
-                    val = ((c3 * r + 3.0) * r) * r - 4.0
-                    assert abs(val) <= 1e-9 * max(1.0, abs(r) ** 3), (c3, r)
-                moderate = sorted(roots, key=abs)[:2]
-                for r in moderate:
-                    assert abs(abs(r) - 2.0 / SQRT3) <= 0.3 * s + 1e-9, (c3, r)
+        for k in (0.3, -0.9, 26.5, 1e3, -1e12, 1e30):
+            roots = roots_by_piece(k, *t3_window(k))
+            assert roots, k
+            for r in roots:
+                assert abs(t3_residual(k, r)) <= 1e-9 * max(1.0, abs(r) ** 3), (k, r)
 
     def test_one_real_root_with_negative_depressed_p(self):
-        # x^3 - 3x + 10: two stationary points, one real root beyond both
-        roots = roots_by_piece(1.0, 0.0, -3.0, 10.0, *cauchy_window(1.0, 0.0, -3.0, 10.0))
+        # T3(x) = -40 is x^3 - (3/4)x + 10 = 0: two stationary points, one real root beyond both
+        roots = roots_by_piece(-40.0, *t3_window(-40.0))
         assert len(roots) == 1
         r = roots[0]
-        assert abs(r ** 3 - 3.0 * r + 10.0) <= 1e-9
+        assert r < -0.5 and abs(4.0 * r**3 - 3.0 * r + 40.0) <= 1e-9 * abs(r) ** 3
 
-    @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=3, max_size=3))
-    def test_recovers_constructed_roots(self, roots):
-        roots = sorted(roots)
+    @given(st.floats(0.0, math.pi / 3.0))
+    def test_recovers_constructed_roots(self, theta):
+        # T3(cos a) = cos 3a, so cos(theta) and cos(theta -+ 2pi/3) all solve T3(x) = cos(3 theta)
+        roots = sorted(math.cos(theta + j * math.tau / 3.0) for j in (-1, 0, 1))
         # a near-collision leaves no float with the right sign at the
         # stationary point between
         assume(roots[1] - roots[0] > 1e-3 and roots[2] - roots[1] > 1e-3)
-        c2 = -(roots[0] + roots[1] + roots[2])
-        c1 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
-        c0 = -roots[0] * roots[1] * roots[2]
-        got = roots_by_piece(1.0, c2, c1, c0, *cauchy_window(1.0, c2, c1, c0))
+        got = roots_by_piece(math.cos(3.0 * theta), *t3_window(1.0))
         assert len(got) == 3
         for a, b in zip(got, roots):
             assert abs(a - b) <= 1e-8
 
-    @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), st.integers(-100, 100))
-    def test_recovers_constructed_roots_at_any_scale(self, unit_roots, exponent):
-        # the Cauchy window is ~1 wide for tiny roots and ~scale^3 for huge
-        # ones, so Newton from its secant point creeps toward the roots by
+    @given(st.floats(1.0, 10.0), st.integers(-290, 32), st.sampled_from([1.0, -1.0]))
+    def test_recovers_constructed_roots_at_any_scale(self, mantissa, exponent, sign):
+        # the Cauchy window is ~1 wide for tiny roots and ~k/4 for huge
+        # ones, so Newton from its secant point creeps toward the root by
         # a factor of about 2/3 a step
-        unit_roots = sorted(unit_roots)
-        assume(unit_roots[1] - unit_roots[0] > 1e-3 and unit_roots[2] - unit_roots[1] > 1e-3)
-        scale = 10.0**exponent
-        roots = [scale * r for r in unit_roots]
-        c2 = -(roots[0] + roots[1] + roots[2])
-        c1 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
-        c0 = -roots[0] * roots[1] * roots[2]
-        got = roots_by_piece(1.0, c2, c1, c0, *cauchy_window(1.0, c2, c1, c0))
-        assert len(got) == 3
-        for a, b in zip(got, roots):
-            assert abs(a - b) <= 1e-8 * scale
+        x0 = sign * mantissa * 10.0**exponent
+        # next to the stationary points a rounding of k moves the root by ~sqrt(ulp)
+        assume(abs(abs(x0) - 0.5) > 1e-3)
+        k = (4.0 * x0 * x0 - 3.0) * x0
+        got = roots_by_piece(k, *t3_window(k))
+        assert any(abs(x - x0) <= 1e-12 * abs(x0) for x in got), (x0, got)
 
     def test_tiny_constants_keep_their_roots(self):
-        # the low curve window at tiny angles, c0 = sin(phi) down to the
+        # the low curve window at tiny angles, k = -sin(phi) down to the
         # smallest subnormal: the first point rounds onto the end 0 (for
         # 5e-324), and bisecting from 0.26 would need ~1,000 halvings
-        for c0, root in ((1e-200, 3.3333333333333335e-201), (1.5e-300, 5e-301), (5e-324, 0.0)):
-            assert solve_cubic(4.0, 0.0, -3.0, c0, 0.0, 0.26) == [root]
+        for k, root in ((-1e-200, 3.3333333333333335e-201), (-1.5e-300, 5e-301), (-5e-324, 0.0)):
+            assert solve_cubic(k, 0.0, 0.26) == [root]
         assert verify_trisection(trisect_via_curve(PHI_MIN), 1e-9).passed
 
 
-def cubic_value(coeffs, x):
-    """The cubic at x, rounded as the solver rounds it."""
-    c3, c2, c1, c0 = coeffs
-    return ((c3 * x + c2) * x + c1) * x + c0
+def is_better_of_adjacent_pair(k, x):
+    """x is a zero of T3 - k, or one of two adjacent floats across which it changes sign, with the smaller |T3 - k|.
 
-
-def is_better_of_adjacent_pair(coeffs, x):
-    """x is a zero, or one of two adjacent floats across which the cubic changes sign, with the smaller |f|.
-
-    On a tie in |f| the lower float is the one returned.
+    On a tie the lower float is the one returned.
     """
-    f_x = cubic_value(coeffs, x)
+    f_x = t3_residual(k, x)
     if f_x == 0.0:
         return True
     below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
-    f_below, f_above = cubic_value(coeffs, below), cubic_value(coeffs, above)
+    f_below, f_above = t3_residual(k, below), t3_residual(k, above)
     return (
         (f_below < 0.0) != (f_x < 0.0) and f_below != 0.0 and abs(f_x) < abs(f_below)
         or (f_above < 0.0) != (f_x < 0.0) and f_above != 0.0 and abs(f_x) <= abs(f_above)
@@ -278,49 +237,58 @@ def traced_lines(code, call, watch=None):
     return ran, outcome, watched
 
 
-_T3 = (4.0, 0.0, -3.0)  # T3(x) = 4x^3 - 3x, the curve's cubic without its constant
-_CUBE = (1.0, -3.0, 3.0, -1.0)  # (x - 1)^3
+def monotone(lo, hi):
+    """T3 is monotone on [lo, hi]: neither zero of its slope, -1/2 or 1/2, lies strictly inside."""
+    return not (lo < -0.5 < hi or lo < 0.5 < hi)
 
-# One named case per branch of solve_cubic: (name, its arguments, check of
-# the outcome, the line the branch runs as (its text, which occurrence)).
-# Each interval holds no zero of the cubic's slope strictly inside.
+
+# One named case per branch of solve_cubic: (name, its arguments (k, lo,
+# hi), check of the outcome, the line the branch runs as (its text, which
+# occurrence)).  Each bracket is monotone.
 PIECE_CASES = [
-    ("root at the lower end", (1.0, -6.0, 11.0, -6.0, 1.0, 1.4), lambda r: r == [1.0], ("return [lo]", 0)),
-    ("root at the upper end", (1.0, -6.0, 11.0, -6.0, 2.6, 3.0), lambda r: r == [3.0], ("return [hi]", 0)),
-    ("end values of one sign", (*_T3, -0.5, 0.0, 0.26), lambda r: r == [], ("return []", 0)),
-    # the secant point of a line is its root, and f there is exactly 0
-    ("exact zero mid-bracket", (0.0, 0.0, 2.0, -4.0, -10.0, 10.0), lambda r: r == [2.0], ("return [x]", 0)),
+    ("root at the lower end", (1.0, -0.5, 0.5), lambda r: r == [-0.5], ("return [lo]", 0)),
+    ("root at the upper end", (-1.0, 0.2, 0.5), lambda r: r == [0.5], ("return [hi]", 0)),
+    ("end values of one sign", (0.5, 0.0, 0.26), lambda r: r == [], ("return []", 0)),
+    # the fifth Newton step lands on a float where T3 - k rounds to exactly 0
+    (
+        "exact zero mid-bracket",
+        (2066206264.0076056, 0.5, 1000.0),
+        lambda r: r == [802.3639286375994] and t3_residual(2066206264.0076056, r[0]) == 0.0,
+        ("return [x]", 0),
+    ),
     # converged Newton steps that round back onto the end just set
     (
         "step onto the lower end",
-        (*_T3, 0.25, 0.7, 0.97),
-        lambda r: r == [0.8208917637264629] and is_better_of_adjacent_pair((*_T3, 0.25), r[0]),
+        (-0.25, 0.7, 0.97),
+        lambda r: r == [0.8208917637264629] and is_better_of_adjacent_pair(-0.25, r[0]),
         ("x = math.nextafter(lo, hi)", 0),
     ),
     (
         "step onto the upper end",
-        (*_T3, -0.5, 0.7, 0.97),
-        lambda r: r == [0.9396926207859084] and is_better_of_adjacent_pair((*_T3, -0.5), r[0]),
+        (0.5, 0.7, 0.97),
+        lambda r: r == [0.9396926207859084] and is_better_of_adjacent_pair(0.5, r[0]),
         ("x = math.nextafter(hi, lo)", 0),
     ),
     (
         "bracket closed to adjacent floats",
-        (*_T3, -0.5, 0.7, 0.97),
+        (0.5, 0.7, 0.97),
         lambda r: r == [0.9396926207859084],
         ("return [lo if abs(f_lo) <= abs(f_hi) else hi]", 0),
     ),
-    # from the secant point 0.5 the Newton step of x^3 - 2 lands at 3.0
+    # the secant point 1.82 lies far below the root 5.2, where T3 is flat
+    # and its Newton step lands past 10
     (
         "split after a step out of the bracket",
-        (1.0, 0.0, 0.0, -2.0, 0.0, 2.0),
-        lambda r: r == [2.0 ** (1.0 / 3.0)] and is_better_of_adjacent_pair((1.0, 0.0, 0.0, -2.0), r[0]),
+        (548.9672289159056, 0.5, 10.0),
+        lambda r: r == [5.206633327373439] and is_better_of_adjacent_pair(548.9672289159056, r[0]),
         ("x = _split(lo, hi)", 0),
     ),
-    # Newton creeps toward 1e-10 from 1 by a factor 2/3 a step
+    # from the secant point next to the stationary point -1/2, Newton
+    # takes a long step and then one no shorter than half of it
     (
         "split after a slow step",
-        (1.0, 0.0, 0.0, -1e-30, 0.0, 2.0),
-        lambda r: r == [1e-10] and is_better_of_adjacent_pair((1.0, 0.0, 0.0, -1e-30), r[0]),
+        (0.9952696412445595, -0.5, 0.5),
+        lambda r: r == [-0.4716525234779932] and is_better_of_adjacent_pair(0.9952696412445595, r[0]),
         ("x = _split(lo, hi)", 1),
     ),
 ]
@@ -338,7 +306,7 @@ class TestNewtonPiece:
         return [first + i for i, line in enumerate(source) if line.strip() == text][occurrence]
 
     def evaluations(self, ran):
-        return ran[self.line_of("f_x = ((c3 * x + c2) * x + c1) * x + c0")]
+        return ran[self.line_of("f_x = (4.0 * x * x - 3.0) * x - k")]
 
     @pytest.mark.parametrize("name, args, check, branch", PIECE_CASES, ids=[case[0] for case in PIECE_CASES])
     def test_named_case_reaches_its_branch(self, name, args, check, branch):
@@ -347,64 +315,68 @@ class TestNewtonPiece:
         assert ran[self.line_of(*branch)], name
 
     def test_named_cases_are_monotone_pieces(self):
-        for name, (c3, c2, c1, _, lo, hi), _, _ in PIECE_CASES:
-            assert not [x for x in slope_zeros(c3, c2, c1) if lo < x < hi], name
+        for name, (_, lo, hi), _, _ in PIECE_CASES:
+            assert monotone(lo, hi), name
 
     def test_curve_windows_are_monotone_pieces(self):
-        # T3' = 12x^2 - 3 is zero only at -1/2 and 1/2, outside both windows
-        assert sorted(slope_zeros(*_T3)) == [-0.5, 0.5]
+        # T3' = 12x^2 - 3 is zero at -1/2 and 1/2, outside both windows
+        assert [12.0 * x * x - 3.0 for x in (-0.5, 0.5)] == [0.0, 0.0]
         for lo, hi in (curve._LOW_WINDOW, curve._HIGH_WINDOW):
-            assert not [x for x in slope_zeros(*_T3) if lo < x < hi]
+            assert monotone(lo, hi)
 
-    def test_zero_slope_splits(self):
-        # a near-double root in a window 6e-15 wide: the slope rounds to 0
-        # there, and the step it would give is infinite
-        lo, hi = -2.3934892758625543, -2.393489275862548
-        coeffs = (1.0, 4.298552614053178, 3.3907064259273003, -2.798090073735238)
-        ran, roots, slopes = traced_lines(self.CODE, lambda: solve_cubic(*coeffs, lo, hi), "slope")
-        assert 0.0 in slopes
-        assert ran[self.line_of("x = _split(lo, hi)", 1)]
-        (x,) = roots
-        assert lo <= x <= hi and is_better_of_adjacent_pair(coeffs, x)
+    def test_slope_is_nonzero_beside_its_zeros(self):
+        # the solver divides by 12x^2 - 3 unguarded: as it rounds, the slope
+        # is 0 only at -1/2 and 1/2 themselves, which no point strictly
+        # inside a monotone bracket can be
+        for zero in (-0.5, 0.5):
+            for toward in (-math.inf, math.inf):
+                x = zero
+                for _ in range(64):
+                    x = math.nextafter(x, toward)
+                    assert 12.0 * x * x - 3.0 != 0.0, x
 
     def test_converged_steps_in_rounding_noise_are_kept(self):
         # at this k the last Newton steps are 1.5e-16 and then exactly half
         # that: rounding noise about the root, so no split follows
-        ran, roots, _ = traced_lines(self.CODE, lambda: solve_cubic(*_T3, 0.7014370866579387, 0.7, 0.97))
-        assert roots == [0.7089866748427832] and is_better_of_adjacent_pair((*_T3, 0.7014370866579387), roots[0])
+        k = -0.7014370866579387
+        ran, roots, _ = traced_lines(self.CODE, lambda: solve_cubic(k, 0.7, 0.97))
+        assert roots == [0.7089866748427832] and is_better_of_adjacent_pair(k, roots[0])
         assert self.evaluations(ran) <= 7
 
     def test_creeping_newton_splits_long_before_the_newton_points_run_out(self):
-        # from 1 toward 1e-10 Newton shrinks x by about 2/3 a step; each
-        # such step is followed by a split at the geometric mean
-        ran, roots, _ = traced_lines(self.CODE, lambda: solve_cubic(1.0, 0.0, 0.0, -1e-30, 0.0, 2.0))
-        assert roots == [1e-10]
+        # from 707 toward the root 1.098 Newton shrinks x by about 2/3 a
+        # step; each such step is followed by a split at the geometric mean
+        ran, roots, _ = traced_lines(self.CODE, lambda: solve_cubic(2.0, 0.5, 1e6))
+        assert roots == [1.0979116727228235] and is_better_of_adjacent_pair(2.0, roots[0])
+        assert ran[self.line_of("x = _split(lo, hi)", 1)] >= 3
         assert self.evaluations(ran) <= geom._NEWTON_POINTS // 2
 
-    def test_a_triple_root_ends_by_splitting_alone(self):
-        # Newton creeps at a triple root and its steps there are rounding
-        # noise; past _NEWTON_POINTS every point splits the bracket
-        # (x - 1)^3 is monotone on [0, 4]: its slope only touches 0 at the root
-        ran, (x,), _ = traced_lines(self.CODE, lambda: solve_cubic(*_CUBE, 0.0, 4.0))
-        assert self.evaluations(ran) > geom._NEWTON_POINTS
-        assert abs(x - 1.0) <= 1e-5 and is_better_of_adjacent_pair(_CUBE, x)
+    def test_newton_points_run_out_and_splitting_alone_ends_the_search(self):
+        # close above the stationary point 1/2, T3 is flat and convex:
+        # Newton from below the root overshoots a bracket end that sits
+        # next to it, so the bracket closes by splits; past _NEWTON_POINTS
+        # every point splits it
+        k = -0.999074985432344
+        ran, (x,), _ = traced_lines(self.CODE, lambda: solve_cubic(k, 0.5, 1e6))
+        assert geom._NEWTON_POINTS < self.evaluations(ran) <= 98
+        assert is_better_of_adjacent_pair(k, x)
 
     @pytest.mark.parametrize(
-        "coeffs, lo, hi",
+        "k, lo, hi",
         [
-            ((1.0, 0.0, 0.0, -1e-300), -1e300, 1e300),
-            ((0.0, 0.0, 1.0, -1e-300), -sys.float_info.max, sys.float_info.max),
-            ((0.0, 0.0, 1.0, -1.0), -sys.float_info.max, sys.float_info.max),
-            ((0.0, 0.0, 1.0, -math.pi), 0.0, sys.float_info.max),
+            (1e-300, -0.5, 0.5),
+            (math.pi, 0.5, 1e100),
+            (-1e300, -1e100, -0.5),
+            (2.0, 0.5, 1e102),
         ],
     )
-    def test_splitting_alone_closes_any_bracket_within_66_points(self, monkeypatch, coeffs, lo, hi):
+    def test_splitting_alone_closes_any_bracket_within_66_points(self, monkeypatch, k, lo, hi):
         # 1 split at 0, 12 halving the exponent range and 53 halving one
         # binade: the bound that ends the search loop
         monkeypatch.setattr(geom, "_NEWTON_POINTS", 1)
-        ran, (x,), _ = traced_lines(self.CODE, lambda: solve_cubic(*coeffs, lo, hi))
+        ran, (x,), _ = traced_lines(self.CODE, lambda: solve_cubic(k, lo, hi))
         assert self.evaluations(ran) <= 1 + 66
-        assert is_better_of_adjacent_pair(coeffs, x)
+        assert is_better_of_adjacent_pair(k, x)
 
     @pytest.mark.parametrize(
         "lo, hi, point",
@@ -443,7 +415,6 @@ class TestNewtonPiece:
         # T3(x) = k; the low window holds a root only for k <= 0
         if window[0] == 0.0:
             k = -abs(k)
-        coeffs = (*_T3, -k)
-        (x,) = solve_cubic(*coeffs, *window)
+        (x,) = solve_cubic(k, *window)
         assert window[0] <= x <= window[1]
-        assert is_better_of_adjacent_pair(coeffs, x), (k, window, x)
+        assert is_better_of_adjacent_pair(k, x), (k, window, x)

@@ -4,9 +4,9 @@ World coordinates are y-up; the renderer flips to SVG's y-down screen
 space.  All numbers are emitted at a fixed decimal precision so repeated
 runs produce byte-identical files.  Each shape is written as element
 text, with no XML library; a polyline's points stay in their formatted
-blocks, and the document is joined once.  Nothing is escaped because
-nothing needs it: every attribute value and every label is a formatted
-number or a constant of this package.
+blocks, one printf template each, and the document is joined once.
+Nothing is escaped because nothing needs it: every attribute value and
+every label is a formatted number or a constant of this package.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ Y_MIN, Y_MAX = -2.0, 4.0
 SCALE = 100.0
 
 
-# The most rows of a table that one str.format call writes.  Past ~128
+# The most rows of a table that one printf template writes.  Past ~128
 # rows a bigger block is no faster; a block, not the whole table, bounds
 # the memory its arguments take.
 BLOCK_ROWS = 512
@@ -50,7 +50,7 @@ def fixed_field(precision: int) -> str:
     """Format field for every SVG and CSV number, at ``precision`` decimals.
 
     The ``z`` flag prints a value that rounds to zero unsigned, never "-0.000".
-    fixed_blocks repeats this field in one template per block of rows.
+    fixed_blocks writes the same text through printf fields.
     """
     return f"{{:z.{precision}f}}"
 
@@ -59,14 +59,21 @@ def fixed_blocks(rows: list, flatten, fields: int, precision: int, sep: str) -> 
     """``rows`` as text, ``fields`` comma-separated fixed_field numbers a row, rows joined by ``sep``.
 
     ``flatten(block)`` gives a slice of at most BLOCK_ROWS rows as one flat
-    list of its numbers, row by row; each block is formatted by one
-    str.format call.  The blocks, joined by ``sep``, are the whole table.
+    list of its numbers, row by row; each block is formatted by one printf
+    template of ``%.<precision>f`` fields, fixed_field less its ``z`` flag.
+    One replace per block then drops the sign of "-0.000...": a "-" only
+    starts a field, and every field has exactly ``precision`` decimals, so
+    each match is a whole field.  The blocks, joined by ``sep``, are the
+    whole table.
     """
-    row = ",".join([fixed_field(precision)] * fields)
+    row = ",".join([f"%.{precision}f"] * fields)
+    zero = "0." + "0" * precision
+    negative_zero = "-" + zero
     blocks = []
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start : start + BLOCK_ROWS]
-        blocks.append(sep.join([row] * len(block)).format(*flatten(block)))
+        text = sep.join([row] * len(block)) % tuple(flatten(block))
+        blocks.append(text.replace(negative_zero, zero))
     return blocks
 
 
@@ -99,6 +106,26 @@ def screen_xy(world_xy):
     return flatten
 
 
+def _first_drawn(rows: list, flatten, width: float) -> int:
+    """Index of the first of ``rows`` that a polyline of stroke ``width`` draws.
+
+    A point is off the canvas when its screen x from ``flatten`` lies past
+    the right edge by more than half the stroke.  The points off the
+    canvas must be one leading run, as a trace of the trisectrix's are;
+    the run's last point is kept, so the segment that enters the canvas
+    is still drawn.  Bisection finds it from O(log n) points.
+    """
+    edge = WIDTH_PX + width / 2.0
+    lo, hi = 0, len(rows)  # rows[lo] is off unless lo == 0, rows[hi:] are not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if flatten(rows[mid : mid + 1])[0] > edge:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _meets_canvas(left: float, top: float, right: float, bottom: float) -> bool:
     """Whether the screen box [left, right] x [top, bottom] meets the canvas."""
     return right >= 0.0 and left <= WIDTH_PX and bottom >= 0.0 and top <= HEIGHT_PX
@@ -126,9 +153,12 @@ class Scene:
     def polyline(self, rows: list, flatten, color: str, width: float, *, cls: str) -> None:
         """Polyline through the screen positions ``flatten`` (see screen_xy) gives ``rows``.
 
-        Its formatted blocks (fixed_blocks) stay parts of the scene, joined once by to_svg.
+        The leading points past the canvas's right edge are dropped, all
+        but the last (_first_drawn).  The formatted blocks (fixed_blocks)
+        stay parts of the scene, joined once by to_svg.
         """
-        blocks = fixed_blocks(rows, flatten, 2, self._precision, " ")
+        start = _first_drawn(rows, flatten, width)
+        blocks = fixed_blocks(rows[start:], flatten, 2, self._precision, " ")
         points = [" "] * (2 * len(blocks) - 1)
         points[::2] = blocks
         tail = f'" fill="none" stroke="{color}" stroke-width="{width}" class="{cls}" />'

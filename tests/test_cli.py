@@ -12,15 +12,28 @@ import tracemalloc
 from xml.etree import ElementTree as ET
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from trisectrix import cli
 from trisectrix.cli import curve_csv, curve_svg, simulate_csv
-from trisectrix.curve import _trace_xy, sample_trace, trace_point
+from trisectrix.construct import trisect_via_curve, trisect_via_scudder
+from trisectrix.curve import DEFAULT_SAMPLE_T_MIN, T_MAX, _trace_xy, sample_trace, trace_point
 from trisectrix.errors import OutOfDomain, TrisectrixError
 from trisectrix.geom import Point, uniform_grid
 from trisectrix.linkage import _pencils
-from trisectrix.svg import BLOCK_ROWS, SCALE, X_MIN, Y_MAX, Scene, fixed_field, to_screen
+from trisectrix.svg import (
+    BLOCK_ROWS,
+    SCALE,
+    STROKE_BOLD,
+    STROKE_THIN,
+    WIDTH_PX,
+    X_MIN,
+    Y_MAX,
+    Scene,
+    fixed_blocks,
+    fixed_field,
+    to_screen,
+)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -179,7 +192,7 @@ class TestOffCanvasShapes:
     @pytest.mark.parametrize("method", ["curve", "scudder"])
     @pytest.mark.parametrize("angle", ["1e-298", "1e-9", "10"])
     def test_no_coordinate_runs_far_off_canvas(self, angle, method):
-        # D lies up to ~1.7e300 units out; the trace polyline reaches ~2.03e4 px
+        # D lies up to ~1.7e300 units out; the trace polyline stops one grid step past the canvas
         code, out, _ = run_cli("trisect", "--angle-deg", angle, "--method", method, "--format", "svg")
         assert code == 0
         numbers = re.findall(r"(?<![#\w.])-?\d+(?:\.\d+)?", out)  # not the #rrggbb colours
@@ -409,27 +422,27 @@ class TestSvgBytes:
         [
             (
                 ("curve", "--format", "svg", "--samples", "64"),
-                "69cd829bdabc0cad5fbbdf9314713a3bb2f7ebdaab8a7e8366ec01c7910e06e1",
+                "56e8db308e2313c0da354505ddd3b9f898fd55256f77504580d4e840e380e676",
             ),
             (
                 ("trisect", "--angle-deg", "137.5", "--format", "svg"),
-                "ed074cfba5bf33980149900bf8ce17fb58ba9ca49ae24bce9e2c611f98fa71f3",
+                "bad808db96cb60f2068373bff90a7c4094077cf4c4b3e5c8abb10c2db23935ce",
             ),
             (
                 ("trisect", "--angle-deg", "137.5", "--format", "svg", "--method", "scudder"),
-                "39726e1e4cdd5514dd7cea795f4a7339d1020bd33a8970e5b7af3c8b70578aac",
+                "b447e9ffc2a9963929b2998eaebe286625ad91cb989a135136347b866beaa33c",
             ),
             (
                 ("trisect", "--angle-deg", "1e-9", "--format", "svg", "--precision", "15"),
-                "86d9a0cf087e15fe40aa3777e6ed54c3a96be0bea02936b1001009f1950e6beb",
+                "6d44eb73cc24a7de74c6746b0046bb64db016638a6787d25015c0b53cf44aae4",
             ),
             (
                 ("trisect", "--angle-deg", "1e-298", "--format", "svg"),
-                "1ce131b0a8e3602abeca473a7a8d8493116c4f1871519bfa08dd0c8419e0da9e",
+                "fde450f9afedb7b6557b27d8f12eb9a41f1d0275c1bac94139fba7ed667d001d",
             ),
             (
                 ("trisect", "--angle-deg", "270", "--format", "svg", "--method", "scudder"),
-                "ed4f1692ba6ef3f07382e586b32b91d741f9d9dcc8067ae888d590010bb95796",
+                "17c7cafb4e0f3bbad40a41ff4113880b0e719167d9f796ce8316905464c8724c",
             ),
         ],
         ids=[
@@ -732,6 +745,11 @@ def _value_and_precision(draw):
     return value, precision
 
 
+def _flat(block):
+    """A block of rows as one flat list of its numbers, row by row."""
+    return [v for row in block for v in row]
+
+
 class TestFixedPointFormat:
     @settings(max_examples=2000)
     @given(_value_and_precision())
@@ -740,9 +758,20 @@ class TestFixedPointFormat:
     @example((0.5, 1))
     @example((2.675, 2))
     @example((-99999999.99999999, 15))
+    @example((-5e-324, 15))
+    @example((-0.5e-15, 15))
+    @example((1.7976931348623157e308, 15))
     def test_matches_round_then_format(self, case):
         value, precision = case
-        assert fixed_field(precision).format(value) == _reference_fixed(value, precision)
+        field = fixed_field(precision).format(value)
+        assert field == _reference_fixed(value, precision)
+        # fixed_blocks' printf template gives the same bytes, in a one-row
+        # block and mid-block, beside negative neighbours
+        pair, neighbour = f"{field},{field}", fixed_field(precision).format(-1.0)
+        for sep in (" ", "\n"):
+            assert fixed_blocks([(value, value)], _flat, 2, precision, sep) == [pair]
+            mid_block = fixed_blocks([(-1.0, -1.0), (value, value), (-1.0, -1.0)], _flat, 2, precision, sep)
+            assert mid_block == [sep.join([f"{neighbour},{neighbour}", pair, f"{neighbour},{neighbour}"])]
 
     @pytest.mark.parametrize("precision", range(1, 16))
     def test_negative_values_that_round_to_zero_print_unsigned(self, precision):
@@ -754,6 +783,13 @@ def _row_by_row(rows, precision, sep):
     """The rows formatted one str.format call each and joined by ``sep``."""
     row = ",".join([fixed_field(precision)] * len(rows[0]))
     return sep.join([row.format(*values) for values in rows])
+
+
+def _clipped(screen, width):
+    """``screen`` less its leading points past the canvas's right edge, all but the last: a linear scan."""
+    edge = WIDTH_PX + width / 2.0
+    on = next((i for i, (x, _) in enumerate(screen) if x <= edge), len(screen))
+    return screen[max(on - 1, 0) :]
 
 
 def _csv_reference(header, kernel, lo_deg, hi_deg, n, precision):
@@ -785,7 +821,7 @@ class TestBlockFormatting:
     @pytest.mark.parametrize("rows", ROWS)
     def test_curve_svg_points(self, rows, precision):
         points = sample_trace(math.radians(0.3), math.radians(90.0), rows)
-        expected = _row_by_row([to_screen(p) for p in points], precision, " ")
+        expected = _row_by_row(_clipped([to_screen(p) for p in points], STROKE_BOLD), precision, " ")
         doc = curve_svg(0.3, 90.0, rows, precision)
         assert re.search(r'<polyline points="([^"]*)"', doc).group(1) == expected
 
@@ -797,3 +833,66 @@ class TestBlockFormatting:
         doc = simulate_csv(lo, hi, rows, 1)
         assert doc == _csv_reference("u_deg,s,Cx,Cy,Dx,Dy,Ex,Ey", _pencils, lo, hi, rows, 1)
         assert {line.split(",")[6] for line in doc.splitlines()[1:]} == {"0.0"}
+
+
+def _polyline_points(doc):
+    return re.search(r'<polyline points="([^"]*)"', doc).group(1).split(" ")
+
+
+class TestTraceClip:
+    """An SVG trace drops its leading points past the canvas's right edge,
+    all but the last.
+
+    Before the node x(t) falls as t grows; after it |x| < 1.2 and y stays
+    in [-1, 3].  So the points off the canvas are one leading run past its
+    right edge, and each segment between two of them, stroke included,
+    lies wholly right of the canvas: the clipped and unclipped polylines
+    draw the same picture.
+    """
+
+    @staticmethod
+    def _dropped(doc, points, width, precision):
+        """The leading points of ``points`` that ``doc``'s trace drops, checked against the unclipped trace."""
+        screen = [to_screen(p) for p in points]
+        unclipped = _row_by_row(screen, precision, " ").split(" ")
+        drawn = _polyline_points(doc)
+        dropped = len(unclipped) - len(drawn)
+        assert drawn == unclipped[dropped:]
+        edge = WIDTH_PX + width / 2.0
+        if dropped:
+            # every dropped point lies past the edge, and so does the first kept one
+            assert all(x > edge for x, _ in screen[: dropped + 1])
+        # the point after the first kept one is on the canvas
+        assert dropped + 1 == len(screen) or screen[dropped + 1][0] <= edge
+        return dropped
+
+    @pytest.mark.parametrize(
+        "t_min_deg, t_max_deg, samples, dropped",
+        [
+            (20.0, 90.0, 512, 0),
+            (math.degrees(DEFAULT_SAMPLE_T_MIN), 90.0, 512, 47),
+            (math.degrees(DEFAULT_SAMPLE_T_MIN), 5.0, 512, 511),
+            (1e-304, 90.0, 3, 0),
+        ],
+        ids=["nothing-dropped", "some-dropped", "all-but-the-last-dropped", "coarse-grid"],
+    )
+    def test_curve_svg(self, t_min_deg, t_max_deg, samples, dropped):
+        points = sample_trace(math.radians(t_min_deg), math.radians(t_max_deg), samples)
+        doc = curve_svg(t_min_deg, t_max_deg, samples, 6)
+        assert self._dropped(doc, points, STROKE_BOLD, 6) == dropped
+
+    @settings(max_examples=200)
+    @given(st.floats(-300.0, math.log10(85.0)), st.floats(0.0, 1.0), st.integers(2, 2000), st.integers(1, 15))
+    def test_curve_svg_over_seeded_grids(self, log_t_min, span, samples, precision):
+        t_min_deg = 10.0**log_t_min
+        t_max_deg = t_min_deg + span * (90.0 - t_min_deg)
+        assume(t_max_deg > t_min_deg)
+        points = sample_trace(math.radians(t_min_deg), math.radians(t_max_deg), samples)
+        self._dropped(curve_svg(t_min_deg, t_max_deg, samples, precision), points, STROKE_BOLD, precision)
+
+    @pytest.mark.parametrize("method", (trisect_via_curve, trisect_via_scudder), ids=("curve", "scudder"))
+    @pytest.mark.parametrize("angle_deg", (1e-9, 30.0, 137.5, 270.0))
+    def test_trisect_svg(self, angle_deg, method):
+        doc = cli.trisect_svg(method(math.radians(angle_deg)), 6)
+        points = sample_trace(DEFAULT_SAMPLE_T_MIN, T_MAX, cli._TRISECT_TRACE_SAMPLES)
+        assert self._dropped(doc, points, STROKE_THIN, 6) > 0

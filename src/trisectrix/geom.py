@@ -3,9 +3,8 @@
 Points and rays from the origin O (+x along the base edge), and the
 curve method's two solves, each in the one form it is used in: the
 right-most x where the radius-2 circle about D meets the guide line, and
-the x with T3(x) = 4x^3 - 3x = k on a bracket where T3 is monotone, by
-Newton steps kept inside the sign-change bracket and splits where Newton
-is slow (_split, which the placement search uses too).  All lengths are
+the x with T3(x) = 4x^3 - 3x = k in one of the curve's two windows, by
+Newton steps kept inside the sign-change bracket.  All lengths are
 dimensionless multiples of the straightedge width; all angles are
 radians.  The construction itself does its angle arithmetic in line, on
 floats.
@@ -114,18 +113,6 @@ class Ray(_Record):
 
 # --- the curve method's two solves ------------------------------------------
 
-# Points a solve may take Newton steps for; quadratic convergence needs at
-# most 7 in the curve's windows.  After them every point splits the
-# bracket, which closes any finite bracket within 66 more points (1 at 0,
-# 12 halving the exponent range, 53 halving one binade), so a solve ends
-# within 98 points.
-_NEWTON_POINTS = 32
-
-# A Newton step at most this long relative to x is rounding noise about a
-# converged root, not a sign that Newton is slow.
-_CONVERGED = 2.0 * math.ulp(1.0)
-
-
 # perfbench/tracing.py wraps the two functions below by name, counts
 # their calls and takes the len of solve_cubic's result, so both names
 # and the one-item list stay until the benchmark stops tracing internals.
@@ -141,50 +128,39 @@ def intersect_circle_line(cx: float, lift: float) -> float:
 
 
 def solve_cubic(k: float, lo: float, hi: float) -> list[float]:
-    """The x in [lo, hi] with T3(x) = 4x^3 - 3x = k, where the caller keeps T3 monotone.
+    """[x] with T3(x) = 4x^3 - 3x = k, for x in one of the curve's windows [0, 0.26] or [0.7, 0.97].
 
-    Returns [x], or [] when T3 - k has one sign at both ends.  Bracketed
-    Newton (the rtsafe scheme of Numerical Recipes), with T3 - k and its
-    slope 12x^2 - 3 evaluated by Horner's rule in line; the slope is 0
-    only at -+1/2, never strictly inside a monotone bracket.  The first
-    point is the bracket's secant point; each evaluated point replaces
-    the bracket end of its sign, and the next point is the Newton step
-    from it.  A point that rounds onto a bracket end (a converged step
-    rounds back to x, which is one) moves to that end's neighbour toward
-    the other end.  The bracket is split instead (_split) after a point
-    outside it, after a step no shorter than half the last one (Newton
-    creeping toward a root far below the bracket's scale, or lost in
-    rounding noise; a step within _CONVERGED of x is noise about a
-    converged root and is kept), and after every point past the first
-    _NEWTON_POINTS.  The search ends at a point where T3(x) - k is
-    exactly 0, or once no point lies strictly inside the bracket: it is
-    then two adjacent floats, and the one with the smaller |T3(x) - k|
-    (the lower on a tie) comes back.
+    The caller passes |k| <= sqrt(1/2), and k < 0 on the low window.
+    There T3 is monotone and convex (T3'' = 24x >= 0), with |T3'| >= 2.18,
+    and T3 - k has strict opposite signs at the two ends: T3(0) = 0,
+    T3(0.26) ~ -0.710 < -sqrt(1/2), T3(0.7) ~ -0.728 and T3(0.97) ~ 0.741.
+    So the bracket's secant point lies on one side of the root, the
+    Newton step from it on the other, and every later step stays on
+    that side and converges quadratically: a solve evaluates at most 7
+    points.  T3 - k and its slope 12x^2 - 3 are evaluated by Horner's
+    rule in line.  Each evaluated point replaces the bracket end of its
+    sign, and the next point is the Newton step from it.  A point that
+    rounds onto an end (the secant point for the tiniest k, or a
+    converged step back onto the end it just set) moves to that end's
+    neighbour toward the other end.  The solve ends at a point where
+    T3(x) - k is exactly 0, or once no point lies strictly inside the
+    bracket: it is then two adjacent floats, and the one with the
+    smaller |T3(x) - k| (the lower on a tie) comes back.
     """
     f_lo = (4.0 * lo * lo - 3.0) * lo - k
     f_hi = (4.0 * hi * hi - 3.0) * hi - k
-    if not (f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo):
-        return []
-    if f_lo == 0.0:
-        return [lo]
-    if f_hi == 0.0:
-        return [hi]
     neg_lo = f_lo < 0.0
     # the weight ratio first: f * (hi - lo) underflows when both are tiny
     if abs(f_lo) <= abs(f_hi):
         x = lo - (f_lo / (f_hi - f_lo)) * (hi - lo)
     else:
         x = hi - (f_hi / (f_hi - f_lo)) * (hi - lo)
-    newton = _NEWTON_POINTS
-    last = math.inf  # length of the last Newton step
-    while True:  # at most 98 points; see _NEWTON_POINTS
+    while True:
         if not lo < x < hi:
             if x == lo:
                 x = math.nextafter(lo, hi)
-            elif x == hi:
-                x = math.nextafter(hi, lo)
             else:
-                x = _split(lo, hi)
+                x = math.nextafter(hi, lo)
             if not lo < x < hi:  # lo and hi are adjacent floats
                 return [lo if abs(f_lo) <= abs(f_hi) else hi]
         f_x = (4.0 * x * x - 3.0) * x - k
@@ -194,29 +170,4 @@ def solve_cubic(k: float, lo: float, hi: float) -> list[float]:
             lo, f_lo = x, f_x
         else:
             hi, f_hi = x, f_x
-        step = f_x / (12.0 * x * x - 3.0)
-        length = abs(step)
-        newton -= 1
-        if newton > 0 and (length < 0.5 * last or length <= _CONVERGED * abs(x)):
-            x -= step
-            last = length
-        else:
-            x = _split(lo, hi)
-            last = math.inf
-
-
-def _split(lo: float, hi: float) -> float:
-    """A point splitting the bracket [lo, hi], strictly inside it unless the ends are adjacent floats.
-
-    The midpoint when the ends lie within a factor 2 of each other; 0
-    when they straddle it; otherwise their geometric mean, with an end
-    at 0 counted as the smallest subnormal.  So a root far below the
-    bracket's scale takes at most 12 splits to reach, not up to ~1,000
-    halvings.
-    """
-    if lo < 0.0 < hi:
-        return 0.0
-    small, big = sorted((abs(lo), abs(hi)))
-    if big <= 2.0 * small:
-        return lo + 0.5 * (hi - lo)
-    return math.copysign(math.sqrt(max(small, 5e-324)) * math.sqrt(big), hi + lo)
+        x -= f_x / (12.0 * x * x - 3.0)

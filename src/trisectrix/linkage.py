@@ -29,7 +29,7 @@ import math
 
 from .curve import PHI_MAX, PHI_MIN
 from .errors import OutOfDomain, OutOfRange
-from .geom import Point, _Record, _slot_setters, _split
+from .geom import Point, _Record, _slot_setters
 
 # The placement searches the whole leg range (0, pi) that doubles reach:
 # at 1e-300 the slide cot(u/2) = 2e300 is still finite, and the top end
@@ -136,7 +136,7 @@ def scudder_place(phi: float) -> PlacementSolution:
     point from the end with the smaller |g|; the tip angle is linear in u,
     so it lands on the placement.  Each point that misses replaces the
     bracket end of its sign, and the next point splits the bracket
-    (geom._split), which closes it within 66 points; at two adjacent
+    (_split, below), which closes it within 66 points; at two adjacent
     floats the end with the smaller |g| comes back.  Each point's g is
     read from the state built there, and the accepted point's state is
     the one returned.  An accepted end builds its state then, and so does
@@ -175,3 +175,20 @@ def scudder_place(phi: float) -> PlacementSolution:
                 st = state_from_leg_angle(u)
                 break
     return PlacementSolution(st, abs(g), iterations)
+
+
+def _split(lo: float, hi: float) -> float:
+    """A point splitting the bracket [lo, hi], strictly inside it unless the ends are adjacent floats.
+
+    The midpoint when the ends lie within a factor 2 of each other; 0
+    when they straddle it; otherwise their geometric mean, with an end
+    at 0 counted as the smallest subnormal.  So a root far below the
+    bracket's scale takes at most 12 splits to reach, not up to ~1,000
+    halvings.
+    """
+    if lo < 0.0 < hi:
+        return 0.0
+    small, big = sorted((abs(lo), abs(hi)))
+    if big <= 2.0 * small:
+        return lo + 0.5 * (hi - lo)
+    return math.copysign(math.sqrt(max(small, 5e-324)) * math.sqrt(big), hi + lo)

@@ -51,7 +51,7 @@ BUDGETS = {"trisect_via_curve": 15, "trisect_via_scudder": 17}
 # Instructions per op, which depend on the interpreter's minor version:
 # (the count at 1 rad, the most at any angle below).
 INSTRUCTIONS = {
-    (3, 11): {"trisect_via_curve": (997, 1195), "trisect_via_scudder": (765, 768)},
+    (3, 11): {"trisect_via_curve": (879, 1015), "trisect_via_scudder": (765, 768)},
 }
 
 # Records built per op, at every angle below.  The curve method builds D,

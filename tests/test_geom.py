@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from trisectrix import curve, geom
+from trisectrix import curve
 from trisectrix.construct import trisect_via_curve, verify_trisection
 from trisectrix.curve import PHI_MIN
 from trisectrix.errors import BadRange, OutOfDomain
@@ -105,21 +105,12 @@ class TestAngles:
                 assert angle_gap(direction(r.point_at(d)), r.angle) <= 1e-12
 
 
-def t3_window(k):
-    """[-B, B] with Cauchy's bound B = 1 + max(3/4, |k|/4) on the roots of x^3 - (3/4)x - k/4: it holds every x with T3(x) = k."""
-    bound = 1.0 + max(0.75, abs(k) / 4.0)
-    return -bound, bound
+# The curve's two windows of the ray equation T3(x) = k.
+WINDOWS = (curve._LOW_WINDOW, curve._HIGH_WINDOW)
 
-
-def roots_by_piece(k, lo, hi):
-    """solve_cubic on each monotone piece of [lo, hi], ascending.
-
-    The pieces end at -1/2 and 1/2, the zeros of T3's slope 12x^2 - 3,
-    where they lie inside [lo, hi]; a root at one ends two pieces and
-    comes back from both.
-    """
-    ends = [lo, *(x for x in (-0.5, 0.5) if lo < x < hi), hi]
-    return [x for a, b in zip(ends, ends[1:]) for x in solve_cubic(k, a, b)]
+# The largest |k| intersect_ray passes: the smaller of |sin phi| and
+# |cos phi|, which rounds to at most the double above sqrt(1/2).
+K_MAX = math.nextafter(math.sqrt(0.5), 1.0)
 
 
 def t3_residual(k, x):
@@ -128,63 +119,28 @@ def t3_residual(k, x):
 
 
 class TestSolveCubic:
-    """T3(x) = 4x^3 - 3x = k on a bracket where T3 is monotone."""
+    """T3(x) = 4x^3 - 3x = k on the curve's two windows."""
 
-    def test_single_real_root(self):
-        # |k| > 1: one real root, beyond both stationary points -1/2 and 1/2
-        assert roots_by_piece(26.0, *t3_window(26.0)) == [2.0]
-        assert roots_by_piece(-26.0, *t3_window(-26.0)) == [-2.0]
-        (x,) = roots_by_piece(2.0, *t3_window(2.0))
-        assert x == pytest.approx(math.cosh(math.acosh(2.0) / 3.0), rel=1e-15)
-
-    def test_three_distinct_roots(self):
-        # T3(x) = 0 at 0 and -+sqrt(3)/2, one on each monotone piece
-        roots = roots_by_piece(0.0, *t3_window(0.0))
-        assert roots == pytest.approx([-0.5 * SQRT3, 0.0, 0.5 * SQRT3], abs=1e-15)
-
-    def test_window_keeps_only_its_roots(self):
-        # monotone windows: one holding a root, one ending on a root, and one holding none
-        assert solve_cubic(0.0, 0.6, 0.9) == pytest.approx([0.5 * SQRT3], abs=1e-15)
-        assert solve_cubic(1.0, 0.5, 1.0) == [1.0]
-        assert solve_cubic(0.0, 0.9, 1.5) == []
-
-    def test_residuals_scale_with_root_size(self):
-        for k in (0.3, -0.9, 26.5, 1e3, -1e12, 1e30):
-            roots = roots_by_piece(k, *t3_window(k))
-            assert roots, k
-            for r in roots:
-                assert abs(t3_residual(k, r)) <= 1e-9 * max(1.0, abs(r) ** 3), (k, r)
-
-    def test_one_real_root_with_negative_depressed_p(self):
-        # T3(x) = -40 is x^3 - (3/4)x + 10 = 0: two stationary points, one real root beyond both
-        roots = roots_by_piece(-40.0, *t3_window(-40.0))
-        assert len(roots) == 1
-        r = roots[0]
-        assert r < -0.5 and abs(4.0 * r**3 - 3.0 * r + 40.0) <= 1e-9 * abs(r) ** 3
-
-    @given(st.floats(0.0, math.pi / 3.0))
+    @given(st.floats(math.pi / 12.0, math.pi / 4.0))
     def test_recovers_constructed_roots(self, theta):
-        # T3(cos a) = cos 3a, so cos(theta) and cos(theta -+ 2pi/3) all solve T3(x) = cos(3 theta)
-        roots = sorted(math.cos(theta + j * math.tau / 3.0) for j in (-1, 0, 1))
-        # a near-collision leaves no float with the right sign at the
-        # stationary point between
-        assume(roots[1] - roots[0] > 1e-3 and roots[2] - roots[1] > 1e-3)
-        got = roots_by_piece(math.cos(3.0 * theta), *t3_window(1.0))
-        assert len(got) == 3
-        for a, b in zip(got, roots):
-            assert abs(a - b) <= 1e-8
+        # T3(cos a) = cos 3a: with k = cos(3 theta) in [-sqrt(1/2), sqrt(1/2)]
+        # the high window holds cos(theta), and for k < 0 (theta > pi/6)
+        # the low window holds cos(2 pi/3 - theta)
+        k = math.cos(3.0 * theta)
+        assert solve_cubic(k, *curve._HIGH_WINDOW) == pytest.approx([math.cos(theta)], abs=2e-15)
+        if k < 0.0:
+            root = math.cos(math.tau / 3.0 - theta)
+            assert solve_cubic(k, *curve._LOW_WINDOW) == pytest.approx([root], abs=2e-15)
 
-    @given(st.floats(1.0, 10.0), st.integers(-290, 32), st.sampled_from([1.0, -1.0]))
-    def test_recovers_constructed_roots_at_any_scale(self, mantissa, exponent, sign):
-        # the Cauchy window is ~1 wide for tiny roots and ~k/4 for huge
-        # ones, so Newton from its secant point creeps toward the root by
-        # a factor of about 2/3 a step
-        x0 = sign * mantissa * 10.0**exponent
-        # next to the stationary points a rounding of k moves the root by ~sqrt(ulp)
-        assume(abs(abs(x0) - 0.5) > 1e-3)
+    @given(st.floats(1.0, 10.0), st.integers(-300, -1))
+    def test_recovers_constructed_roots_at_any_scale(self, mantissa, exponent):
+        # the low window's roots run from sin(PHI_MIN / 3) = 5e-301 up to
+        # sin 15 degrees; the secant point and the Newton steps scale with k
+        x0 = mantissa * 10.0**exponent
+        assume(x0 <= math.sin(math.pi / 12.0))
         k = (4.0 * x0 * x0 - 3.0) * x0
-        got = roots_by_piece(k, *t3_window(k))
-        assert any(abs(x - x0) <= 1e-12 * abs(x0) for x in got), (x0, got)
+        (x,) = solve_cubic(k, *curve._LOW_WINDOW)
+        assert abs(x - x0) <= 2e-15 * x0, (x0, x)
 
     def test_tiny_constants_keep_their_roots(self):
         # the low curve window at tiny angles, k = -sin(phi) down to the
@@ -237,23 +193,15 @@ def traced_lines(code, call, watch=None):
     return ran, outcome, watched
 
 
-def monotone(lo, hi):
-    """T3 is monotone on [lo, hi]: neither zero of its slope, -1/2 or 1/2, lies strictly inside."""
-    return not (lo < -0.5 < hi or lo < 0.5 < hi)
-
-
 # One named case per branch of solve_cubic: (name, its arguments (k, lo,
 # hi), check of the outcome, the line the branch runs as (its text, which
-# occurrence)).  Each bracket is monotone.
+# occurrence)).  Each bracket is one of the curve's windows.
 PIECE_CASES = [
-    ("root at the lower end", (1.0, -0.5, 0.5), lambda r: r == [-0.5], ("return [lo]", 0)),
-    ("root at the upper end", (-1.0, 0.2, 0.5), lambda r: r == [0.5], ("return [hi]", 0)),
-    ("end values of one sign", (0.5, 0.0, 0.26), lambda r: r == [], ("return []", 0)),
-    # the fifth Newton step lands on a float where T3 - k rounds to exactly 0
+    # T3(0.75) = -0.5625 exactly, and the fifth point is 0.75
     (
         "exact zero mid-bracket",
-        (2066206264.0076056, 0.5, 1000.0),
-        lambda r: r == [802.3639286375994] and t3_residual(2066206264.0076056, r[0]) == 0.0,
+        (-0.5625, 0.7, 0.97),
+        lambda r: r == [0.75] and t3_residual(-0.5625, r[0]) == 0.0,
         ("return [x]", 0),
     ),
     # converged Newton steps that round back onto the end just set
@@ -275,27 +223,11 @@ PIECE_CASES = [
         lambda r: r == [0.9396926207859084],
         ("return [lo if abs(f_lo) <= abs(f_hi) else hi]", 0),
     ),
-    # the secant point 1.82 lies far below the root 5.2, where T3 is flat
-    # and its Newton step lands past 10
-    (
-        "split after a step out of the bracket",
-        (548.9672289159056, 0.5, 10.0),
-        lambda r: r == [5.206633327373439] and is_better_of_adjacent_pair(548.9672289159056, r[0]),
-        ("x = _split(lo, hi)", 0),
-    ),
-    # from the secant point next to the stationary point -1/2, Newton
-    # takes a long step and then one no shorter than half of it
-    (
-        "split after a slow step",
-        (0.9952696412445595, -0.5, 0.5),
-        lambda r: r == [-0.4716525234779932] and is_better_of_adjacent_pair(0.9952696412445595, r[0]),
-        ("x = _split(lo, hi)", 1),
-    ),
 ]
 
 
 class TestNewtonPiece:
-    """solve_cubic's bracketed Newton search: every line runs, and the stop rule holds."""
+    """solve_cubic's Newton search on the curve's windows: every line runs, and the stop rule holds."""
 
     CODE = solve_cubic.__code__
 
@@ -315,88 +247,71 @@ class TestNewtonPiece:
         assert ran[self.line_of(*branch)], name
 
     def test_named_cases_are_monotone_pieces(self):
+        # each named case solves on a curve window, where T3 is monotone (below)
         for name, (_, lo, hi), _, _ in PIECE_CASES:
-            assert monotone(lo, hi), name
+            assert (lo, hi) in WINDOWS, name
 
     def test_curve_windows_are_monotone_pieces(self):
-        # T3' = 12x^2 - 3 is zero at -1/2 and 1/2, outside both windows
-        assert [12.0 * x * x - 3.0 for x in (-0.5, 0.5)] == [0.0, 0.0]
-        for lo, hi in (curve._LOW_WINDOW, curve._HIGH_WINDOW):
-            assert monotone(lo, hi)
+        # T3'' = 24x >= 0 on both windows, so T3' = 12x^2 - 3 rises across
+        # each: its end values have one sign and |T3'| >= 2.18 in between,
+        # and the solver divides by it unguarded
+        for lo, hi in WINDOWS:
+            assert lo >= 0.0
+            slopes = [12.0 * x * x - 3.0 for x in (lo, hi)]
+            assert slopes[0] * slopes[1] > 0.0 and min(abs(slope) for slope in slopes) >= 2.18
 
-    def test_slope_is_nonzero_beside_its_zeros(self):
-        # the solver divides by 12x^2 - 3 unguarded: as it rounds, the slope
-        # is 0 only at -1/2 and 1/2 themselves, which no point strictly
-        # inside a monotone bracket can be
-        for zero in (-0.5, 0.5):
-            for toward in (-math.inf, math.inf):
-                x = zero
-                for _ in range(64):
-                    x = math.nextafter(x, toward)
-                    assert 12.0 * x * x - 3.0 != 0.0, x
+    def test_window_ends_straddle_every_curve_k(self, monkeypatch):
+        # T3 at each window's ends lies strictly on either side of every k
+        # that intersect_ray passes: |k| <= K_MAX, and k < 0 on the low window
+        (low_lo, low_hi), (high_lo, high_hi) = ([t3_residual(0.0, x) for x in w] for w in WINDOWS)
+        assert low_lo == 0.0 and low_hi < -K_MAX
+        assert high_lo < -K_MAX and high_hi > K_MAX
+        passed = []
+
+        def recording(k, lo, hi):
+            passed.append((k, (lo, hi)))
+            return solve_cubic(k, lo, hi)
+
+        monkeypatch.setattr(curve, "solve_cubic", recording)
+        # a uniform grid, tiny angles, and the doubles beside the angles
+        # where the reading switches (45, 135 and 225 degrees) or the
+        # window does (90 and 180), and below 270
+        angles = uniform_grid(PHI_MIN, curve.PHI_MAX, 10_001)
+        angles += [PHI_MIN * 10.0 ** (i / 10.0) for i in range(3000)]
+        for deg in (45.0, 90.0, 135.0, 180.0, 225.0, 270.0):
+            for toward in (0.0, math.inf) if deg < 270.0 else (0.0,):
+                phi = math.radians(deg)
+                for _ in range(200):
+                    angles.append(phi)
+                    phi = math.nextafter(phi, toward)
+        for phi in angles:
+            curve.intersect_ray(phi)
+        assert len(passed) == len(angles)
+        for k, window in passed:
+            assert window in WINDOWS and abs(k) <= K_MAX, (k, window)
+            assert k < 0.0 or window == curve._HIGH_WINDOW, k
+
+    def test_at_most_seven_points_in_the_curve_windows(self):
+        # the seeded k of test_criterion_10 on both windows, the extreme
+        # |k| and tiny k
+        rng = random.Random(20260810)
+        ks = [rng.uniform(-math.sqrt(0.5), math.sqrt(0.5)) for _ in range(10_000)]
+        ks += [K_MAX, -K_MAX, -1.5e-300, -5e-324]
+        f_x_line = self.line_of("f_x = (4.0 * x * x - 3.0) * x - k")
+        points = Counter()
+        for k in ks:
+            for window, kk in ((curve._LOW_WINDOW, -abs(k)), (curve._HIGH_WINDOW, k)):
+                points[traced_lines(self.CODE, lambda: solve_cubic(kk, *window))[0][f_x_line]] += 1
+        assert max(points) <= 7, points
 
     def test_converged_steps_in_rounding_noise_are_kept(self):
         # at this k the last Newton steps are 1.5e-16 and then exactly half
-        # that: rounding noise about the root, so no split follows
+        # that: rounding noise about the root, and the search still stops
+        # within 7 points
         k = -0.7014370866579387
         ran, roots, _ = traced_lines(self.CODE, lambda: solve_cubic(k, 0.7, 0.97))
         assert roots == [0.7089866748427832] and is_better_of_adjacent_pair(k, roots[0])
         assert self.evaluations(ran) <= 7
-
-    def test_creeping_newton_splits_long_before_the_newton_points_run_out(self):
-        # from 707 toward the root 1.098 Newton shrinks x by about 2/3 a
-        # step; each such step is followed by a split at the geometric mean
-        ran, roots, _ = traced_lines(self.CODE, lambda: solve_cubic(2.0, 0.5, 1e6))
-        assert roots == [1.0979116727228235] and is_better_of_adjacent_pair(2.0, roots[0])
-        assert ran[self.line_of("x = _split(lo, hi)", 1)] >= 3
-        assert self.evaluations(ran) <= geom._NEWTON_POINTS // 2
-
-    def test_newton_points_run_out_and_splitting_alone_ends_the_search(self):
-        # close above the stationary point 1/2, T3 is flat and convex:
-        # Newton from below the root overshoots a bracket end that sits
-        # next to it, so the bracket closes by splits; past _NEWTON_POINTS
-        # every point splits it
-        k = -0.999074985432344
-        ran, (x,), _ = traced_lines(self.CODE, lambda: solve_cubic(k, 0.5, 1e6))
-        assert geom._NEWTON_POINTS < self.evaluations(ran) <= 98
-        assert is_better_of_adjacent_pair(k, x)
-
-    @pytest.mark.parametrize(
-        "k, lo, hi",
-        [
-            (1e-300, -0.5, 0.5),
-            (math.pi, 0.5, 1e100),
-            (-1e300, -1e100, -0.5),
-            (2.0, 0.5, 1e102),
-        ],
-    )
-    def test_splitting_alone_closes_any_bracket_within_66_points(self, monkeypatch, k, lo, hi):
-        # 1 split at 0, 12 halving the exponent range and 53 halving one
-        # binade: the bound that ends the search loop
-        monkeypatch.setattr(geom, "_NEWTON_POINTS", 1)
-        ran, (x,), _ = traced_lines(self.CODE, lambda: solve_cubic(k, lo, hi))
-        assert self.evaluations(ran) <= 1 + 66
-        assert is_better_of_adjacent_pair(k, x)
-
-    @pytest.mark.parametrize(
-        "lo, hi, point",
-        [
-            (-1.0, 2.0, 0.0),  # straddling 0
-            (1.0, 1.5, 1.25),  # within a factor 2: the midpoint
-            (-1.5, -1.0, -1.25),
-            (1e-10, 1e10, 1.0),  # the geometric mean
-            (-1e10, -1e-10, -1.0),
-            (0.0, 1e-300, math.sqrt(5e-324) * math.sqrt(1e-300)),  # 0 counts as the smallest subnormal
-        ],
-    )
-    def test_split(self, lo, hi, point):
-        assert geom._split(lo, hi) == pytest.approx(point, rel=1e-15)
-        assert lo < geom._split(lo, hi) < hi
-
-    def test_split_of_adjacent_floats_is_an_end(self):
-        for lo in (0.0, 5e-324, 1.0, -2.0):
-            hi = math.nextafter(lo, math.inf)
-            assert geom._split(lo, hi) in (lo, hi)
 
     def test_every_line_is_reached_by_a_named_case(self):
         ran = Counter()

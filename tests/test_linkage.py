@@ -240,6 +240,26 @@ class TestScudderPlace:
                     assert abs(_tip_angle(state_from_leg_angle(neighbour)) - phi) >= sol.residual
         assert adjacent >= 50 and on_side >= 1
 
+    @pytest.mark.parametrize(
+        "lo, hi, point",
+        [
+            (-1.0, 2.0, 0.0),  # straddling 0
+            (1.0, 1.5, 1.25),  # within a factor 2: the midpoint
+            (-1.5, -1.0, -1.25),
+            (1e-10, 1e10, 1.0),  # the geometric mean
+            (-1e10, -1e-10, -1.0),
+            (0.0, 1e-300, math.sqrt(5e-324) * math.sqrt(1e-300)),  # 0 counts as the smallest subnormal
+        ],
+    )
+    def test_split(self, lo, hi, point):
+        assert linkage._split(lo, hi) == pytest.approx(point, rel=1e-15)
+        assert lo < linkage._split(lo, hi) < hi
+
+    def test_split_of_adjacent_floats_is_an_end(self):
+        for lo in (0.0, 5e-324, 1.0, -2.0):
+            hi = math.nextafter(lo, math.inf)
+            assert linkage._split(lo, hi) in (lo, hi)
+
     def test_one_step_and_one_state_evaluation(self, monkeypatch):
         # the tip angle is linear in u (3u/2), so the first secant step
         # from the full leg range lands on the placement; the state is

@@ -72,15 +72,14 @@ _state_u, _state_s, _state_C, _state_D, _state_E = _slot_setters(LinkageState)
 class PlacementSolution(_Record):
     """A solved placement: the state whose tracing pencil lies on the target ray."""
 
-    __slots__ = ("state", "residual", "iterations")
+    __slots__ = ("state", "iterations")
 
-    def __init__(self, state: LinkageState, residual: float, iterations: int) -> None:
+    def __init__(self, state: LinkageState, iterations: int) -> None:
         _placement_state(self, state)
-        _placement_residual(self, residual)
         _placement_iterations(self, iterations)
 
 
-_placement_state, _placement_residual, _placement_iterations = _slot_setters(PlacementSolution)
+_placement_state, _placement_iterations = _slot_setters(PlacementSolution)
 
 
 def _pencils(u: float) -> tuple[float, float, float, float, float, float, float]:
@@ -129,18 +128,22 @@ def scudder_place(phi: float) -> PlacementSolution:
 
     A search over the whole leg range for a root of g(u) = tip angle - phi
     that stops at the first point with |g| <= _RESIDUAL_RTOL * phi.  The
-    residuals at the two ends come from the constant end tip angles, and
-    an end within tolerance is the placement (0 iterations).  No other phi
-    can leave the ends unbracketed: _TIP_MIN is PHI_MIN, and _TIP_MAX lies
+    g at the two ends comes from the constant end tip angles, and an end
+    within tolerance is the placement (0 iterations).  No other phi can
+    leave the ends unbracketed: _TIP_MIN is PHI_MIN, and _TIP_MAX lies
     within tolerance of every phi above it.  The first point is the secant
     point from the end with the smaller |g|; the tip angle is linear in u,
     so it lands on the placement.  Each point that misses replaces the
-    bracket end of its sign, and the next point splits the bracket
-    (_split, below), which closes it within 66 points; at two adjacent
-    floats the end with the smaller |g| comes back.  Each point's g is
-    read from the state built there, and the accepted point's state is
-    the one returned.  An accepted end builds its state then, and so does
-    the end picked at two adjacent floats.
+    bracket end of its sign, and the next point splits the bracket: at
+    its midpoint when the ends lie within a factor 2 of each other, else
+    at their geometric mean (both ends lie in [_LEG_MIN, _LEG_MAX], so
+    both are positive), so a root far below the bracket's scale takes a
+    few splits to reach, not ~1,000 halvings.  The splits close the
+    bracket within 66 points; at two adjacent floats the end with the
+    smaller |g| comes back.  Each point's g is read from the state built
+    there, and the accepted point's state is the one returned.  An
+    accepted end builds its state then, and so does the end picked at
+    two adjacent floats.
     """
     if not PHI_MIN <= phi <= PHI_MAX:
         raise OutOfRange(f"query angle must lie in [{PHI_MIN}, 3*pi/2] radians, got {phi}")
@@ -150,9 +153,9 @@ def scudder_place(phi: float) -> PlacementSolution:
     hi, g_hi = _LEG_MAX, _TIP_MAX - phi
     iterations = 0
     if abs(g_lo) <= tol:
-        st, g = state_from_leg_angle(lo), g_lo
+        st = state_from_leg_angle(lo)
     elif abs(g_hi) <= tol:
-        st, g = state_from_leg_angle(hi), g_hi
+        st = state_from_leg_angle(hi)
     else:
         # the secant point from the end with the smaller |g|
         if abs(g_lo) <= abs(g_hi):
@@ -169,26 +172,8 @@ def scudder_place(phi: float) -> PlacementSolution:
                 lo, g_lo = u, g
             else:
                 hi, g_hi = u, g
-            u = _split(lo, hi)
+            u = lo + 0.5 * (hi - lo) if hi <= 2.0 * lo else math.sqrt(lo) * math.sqrt(hi)
             if not lo < u < hi:  # lo and hi are adjacent floats
-                u, g = (lo, g_lo) if abs(g_lo) <= abs(g_hi) else (hi, g_hi)
-                st = state_from_leg_angle(u)
+                st = state_from_leg_angle(lo if abs(g_lo) <= abs(g_hi) else hi)
                 break
-    return PlacementSolution(st, abs(g), iterations)
-
-
-def _split(lo: float, hi: float) -> float:
-    """A point splitting the bracket [lo, hi], strictly inside it unless the ends are adjacent floats.
-
-    The midpoint when the ends lie within a factor 2 of each other; 0
-    when they straddle it; otherwise their geometric mean, with an end
-    at 0 counted as the smallest subnormal.  So a root far below the
-    bracket's scale takes at most 12 splits to reach, not up to ~1,000
-    halvings.
-    """
-    if lo < 0.0 < hi:
-        return 0.0
-    small, big = sorted((abs(lo), abs(hi)))
-    if big <= 2.0 * small:
-        return lo + 0.5 * (hi - lo)
-    return math.copysign(math.sqrt(max(small, 5e-324)) * math.sqrt(big), hi + lo)
+    return PlacementSolution(st, iterations)

@@ -411,8 +411,10 @@ class TestSweepVerify:
             sweep_verify(30.0, 10.0, 1.0, "curve")
         with pytest.raises(BadRange):
             sweep_verify(1.0, 270.0, 1.0, "curve")
-        with pytest.raises(BadRange):
-            sweep_verify(1.0, 30.0, 0.0, "curve")
+        # the step must be finite and positive
+        for step in (0.0, math.inf, math.nan):
+            with pytest.raises(BadRange):
+                sweep_verify(1.0, 30.0, step, "curve")
         with pytest.raises(TrisectrixError):
             sweep_verify(1.0, 30.0, 1.0, "nonsense")
 

@@ -230,14 +230,16 @@ class TestNewtonPiece:
     """solve_cubic's Newton search on the curve's windows: every line runs, and the stop rule holds."""
 
     CODE = solve_cubic.__code__
+    # the solver's source lines and the number of the first, read once
+    SOURCE, FIRST_LINE = inspect.getsourcelines(CODE)
 
     @classmethod
     def line_of(cls, text, occurrence=0):
         """Line number of the ``occurrence``-th line of the solver reading ``text``."""
-        source, first = inspect.getsourcelines(cls.CODE)
-        return [first + i for i, line in enumerate(source) if line.strip() == text][occurrence]
+        return [cls.FIRST_LINE + i for i, line in enumerate(cls.SOURCE) if line.strip() == text][occurrence]
 
     def evaluations(self, ran):
+        """The points a traced solve evaluated: the runs of its f_x line."""
         return ran[self.line_of("f_x = (4.0 * x * x - 3.0) * x - k")]
 
     @pytest.mark.parametrize("name, args, check, branch", PIECE_CASES, ids=[case[0] for case in PIECE_CASES])
@@ -297,11 +299,10 @@ class TestNewtonPiece:
         rng = random.Random(20260810)
         ks = [rng.uniform(-math.sqrt(0.5), math.sqrt(0.5)) for _ in range(10_000)]
         ks += [K_MAX, -K_MAX, -1.5e-300, -5e-324]
-        f_x_line = self.line_of("f_x = (4.0 * x * x - 3.0) * x - k")
         points = Counter()
         for k in ks:
             for window, kk in ((curve._LOW_WINDOW, -abs(k)), (curve._HIGH_WINDOW, k)):
-                points[traced_lines(self.CODE, lambda: solve_cubic(kk, *window))[0][f_x_line]] += 1
+                points[self.evaluations(traced_lines(self.CODE, lambda: solve_cubic(kk, *window))[0])] += 1
         assert max(points) <= 7, points
 
     def test_converged_steps_in_rounding_noise_are_kept(self):
@@ -318,8 +319,7 @@ class TestNewtonPiece:
         for _, args, _, _ in PIECE_CASES:
             ran += traced_lines(self.CODE, lambda: solve_cubic(*args))[0]
         body = {line for _, _, line in self.CODE.co_lines() if line is not None and line != self.CODE.co_firstlineno}
-        source = open(self.CODE.co_filename).read().splitlines()
-        missed = {line: source[line - 1].strip() for line in sorted(body - set(ran))}
+        missed = {line: self.SOURCE[line - self.FIRST_LINE].strip() for line in sorted(body - set(ran))}
         assert not missed, missed
 
     @given(

@@ -23,8 +23,10 @@ class BadRange(TrisectrixError, ValueError):
 
 
 class NoTraceRoot(TrisectrixError, RuntimeError):
-    """A ray-curve solve produced a root off the traced branch.
+    """A solve produced a point off the target ray.
 
-    Must not occur for valid query angles; signals an internal defect.
+    Either the ray-curve solve's root lies off the traced branch, or the
+    square's placement misses the ray by more than its tolerance.  Must
+    not occur for valid query angles; signals an internal defect.
     """
 

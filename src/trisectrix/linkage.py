@@ -19,8 +19,9 @@ Placing the square to trisect an angle phi means turning the leg until
 the tracing pencil D lies on the ray at angle phi.  The map from u to
 the polar angle of D is continuous and strictly increasing (it equals
 3u/2; asserted on a grid by the test suite), so the placement is the
-one root of tip angle - phi over the whole leg range, found by search
-without using any closed form.
+one root of tip angle - phi over the whole leg range.  It is found
+without using any closed form: one secant step between the tip angles
+measured at the two ends of the leg range, then a check of its residual.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from __future__ import annotations
 import math
 
 from .curve import PHI_MAX, PHI_MIN
-from .errors import OutOfDomain, OutOfRange
+from .errors import NoTraceRoot, OutOfDomain, OutOfRange
 from .geom import Point, _Record, _slot_setters
 
-# The placement searches the whole leg range (0, pi) that doubles reach:
+# The placement's leg range is the whole of (0, pi) that doubles reach:
 # at 1e-300 the slide cot(u/2) = 2e300 is still finite, and the top end
 # is the last double below pi.  The tip angle 3u/2 at _LEG_MIN is the
 # shared lower angle limit curve.PHI_MIN.
@@ -70,7 +71,10 @@ _state_u, _state_s, _state_C, _state_D, _state_E = _slot_setters(LinkageState)
 
 
 class PlacementSolution(_Record):
-    """A solved placement: the state whose tracing pencil lies on the target ray."""
+    """A solved placement: the state whose tracing pencil lies on the target ray.
+
+    iterations is 0 when an end of the leg range is the placement, else 1.
+    """
 
     __slots__ = ("state", "iterations")
 
@@ -126,54 +130,33 @@ _TIP_MAX = _tip_angle(state_from_leg_angle(_LEG_MAX))
 def scudder_place(phi: float) -> PlacementSolution:
     """Place the square so the tracing pencil lies on the ray at angle phi.
 
-    A search over the whole leg range for a root of g(u) = tip angle - phi
-    that stops at the first point with |g| <= _RESIDUAL_RTOL * phi.  The
-    g at the two ends comes from the constant end tip angles, and an end
-    within tolerance is the placement (0 iterations).  No other phi can
-    leave the ends unbracketed: _TIP_MIN is PHI_MIN, and _TIP_MAX lies
-    within tolerance of every phi above it.  The first point is the secant
-    point from the end with the smaller |g|; the tip angle is linear in u,
-    so it lands on the placement.  Each point that misses replaces the
-    bracket end of its sign, and the next point splits the bracket: at
-    its midpoint when the ends lie within a factor 2 of each other, else
-    at their geometric mean (both ends lie in [_LEG_MIN, _LEG_MAX], so
-    both are positive), so a root far below the bracket's scale takes a
-    few splits to reach, not ~1,000 halvings.  The splits close the
-    bracket within 66 points; at two adjacent floats the end with the
-    smaller |g| comes back.  Each point's g is read from the state built
-    there, and the accepted point's state is the one returned.  An
-    accepted end builds its state then, and so does the end picked at
-    two adjacent floats.
+    The placement is the leg angle where g(u) = tip angle - phi is within
+    _RESIDUAL_RTOL * phi of 0.  The g at the two ends of the leg range
+    comes from the constant end tip angles, and an end within tolerance is
+    the placement (0 iterations): _TIP_MIN is PHI_MIN, and _TIP_MAX lies
+    within tolerance of every phi above it.  Otherwise the placement is the
+    secant point of the two ends, taken from the end with the smaller |g|
+    (1 iteration): the tip angle is 3u/2, linear in u, so that one point
+    lands on the root.  Its state is built once, and its tip angle is read
+    and checked; a point that misses raises NoTraceRoot, an internal
+    defect, not a placement.
     """
     if not PHI_MIN <= phi <= PHI_MAX:
         raise OutOfRange(f"query angle must lie in [{PHI_MIN}, 3*pi/2] radians, got {phi}")
 
     tol = _RESIDUAL_RTOL * phi
-    lo, g_lo = _LEG_MIN, _TIP_MIN - phi
-    hi, g_hi = _LEG_MAX, _TIP_MAX - phi
-    iterations = 0
+    g_lo = _TIP_MIN - phi
+    g_hi = _TIP_MAX - phi
     if abs(g_lo) <= tol:
-        st = state_from_leg_angle(lo)
-    elif abs(g_hi) <= tol:
-        st = state_from_leg_angle(hi)
+        return PlacementSolution(state_from_leg_angle(_LEG_MIN), 0)
+    if abs(g_hi) <= tol:
+        return PlacementSolution(state_from_leg_angle(_LEG_MAX), 0)
+    # the secant point from the end with the smaller |g|
+    if abs(g_lo) <= abs(g_hi):
+        u = _LEG_MIN - (g_lo / (g_hi - g_lo)) * (_LEG_MAX - _LEG_MIN)
     else:
-        # the secant point from the end with the smaller |g|
-        if abs(g_lo) <= abs(g_hi):
-            u = lo - (g_lo / (g_hi - g_lo)) * (hi - lo)
-        else:
-            u = hi - (g_hi / (g_hi - g_lo)) * (hi - lo)
-        while True:  # at most 67 points
-            iterations += 1
-            st = state_from_leg_angle(u)
-            g = _tip_angle(st) - phi
-            if abs(g) <= tol:
-                break
-            if g < 0.0:
-                lo, g_lo = u, g
-            else:
-                hi, g_hi = u, g
-            u = lo + 0.5 * (hi - lo) if hi <= 2.0 * lo else math.sqrt(lo) * math.sqrt(hi)
-            if not lo < u < hi:  # lo and hi are adjacent floats
-                st = state_from_leg_angle(lo if abs(g_lo) <= abs(g_hi) else hi)
-                break
-    return PlacementSolution(st, iterations)
+        u = _LEG_MAX - (g_hi / (g_hi - g_lo)) * (_LEG_MAX - _LEG_MIN)
+    st = state_from_leg_angle(u)
+    if abs(_tip_angle(st) - phi) > tol:
+        raise NoTraceRoot(f"the placement at phi={phi} misses the ray by more than {tol}")
+    return PlacementSolution(st, 1)

@@ -57,11 +57,11 @@ def test_criterion_02_scudder_method_sweep():
     worst_iterations = max(
         scudder_place(math.radians(deg)).iterations for deg in FULL_GRID_DEG
     )
-    assert worst_iterations <= 200
+    assert worst_iterations <= 1
     _report(
         2,
         f"scudder sweep 1..269 deg, max error {rep['max_error_rad']:.3e} rad, "
-        f"<= {worst_iterations} solver iterations",
+        f"{worst_iterations} secant step per placement",
     )
 
 

@@ -45,13 +45,13 @@ DOCUMENTS = (*CSV_DOCUMENTS, curve_svg)
 
 # Upper bounds on the frames per op.  At every angle below the curve
 # method enters 15 and the placement 17 (16 at 270 degrees, where the
-# bracket end is the placement and no tip angle is evaluated).
+# range end is the placement and no tip angle is evaluated).
 BUDGETS = {"trisect_via_curve": 15, "trisect_via_scudder": 17}
 
 # Instructions per op, which depend on the interpreter's minor version:
 # (the count at 1 rad, the most at any angle below).
 INSTRUCTIONS = {
-    (3, 11): {"trisect_via_curve": (879, 1015), "trisect_via_scudder": (755, 758)},
+    (3, 11): {"trisect_via_curve": (879, 1015), "trisect_via_scudder": (741, 744)},
 }
 
 # Records built per op, at every angle below.  The curve method builds D,

@@ -27,6 +27,8 @@ from .svg import (
     COLOR_GUIDE,
     COLOR_TRACE,
     COLOR_TRISECTOR,
+    HEIGHT_PX,
+    SCALE,
     STROKE_BOLD,
     STROKE_THIN,
     X_MAX,
@@ -73,36 +75,82 @@ def _point_pair(p: Point) -> list[float]:
     return [p.x, p.y]
 
 
-# Screen positions of a polyline's rows: trace parameters, or Points.
-_trace_screen_xy = screen_xy(curve._trace_xy)
+# Screen positions of trisect_svg's trace, a Point a row.
 _point_screen_xy = screen_xy(_point_pair)
+
+
+def _trace_screen_xy(ts: list[float]) -> list[float]:
+    """Block flattener for curve_svg's trace: screen x and y, alternating, of the trace at each t of ``ts``.
+
+    curve._trace_xy and svg.to_screen in line, without _trace_xy's checks:
+    _drawable_trace_grid makes them on the one point that can fail them.
+    """
+    sin, cos = math.sin, math.cos
+    flat = []
+    append = flat.append
+    for t in ts:
+        st = sin(t)
+        append((cos(3.0 * t) / st - X_MIN) * SCALE)
+        append(HEIGHT_PX - (sin(3.0 * t) / st - Y_MIN) * SCALE)
+    return flat
 
 
 # --- content builders ------------------------------------------------------
 
 
-def _csv(header: str, kernel, lo_deg: float, hi_deg: float, n: int, precision: int) -> str:
-    """The CSV document: ``header``, then a row per grid angle, its degrees and ``kernel(its radians)``."""
-    radians = math.radians
+def _csv(header: str, kernel, flatten, lo_deg: float, hi_deg: float, n: int, precision: int) -> str:
+    """The CSV document: ``header``, then a row per grid angle, as ``flatten`` gives a block of them.
 
-    def flatten(block: list[float]) -> list[float]:
-        flat = []
-        append = flat.append
-        for deg in block:
-            append(deg)
-            flat += kernel(radians(deg))
-        return flat
-
-    blocks = fixed_blocks(uniform_grid(lo_deg, hi_deg, n), flatten, header.count(",") + 1, precision, "\n")
+    ``flatten`` computes ``kernel`` in line and without its checks.  The
+    grid is monotone, and the kernel's point is farthest out at its
+    smallest angle, so only the grid's end rows can fail them: those two
+    rows go through ``kernel`` first.
+    """
+    degrees = uniform_grid(lo_deg, hi_deg, n)
+    kernel(math.radians(degrees[0]))
+    kernel(math.radians(degrees[-1]))
+    blocks = fixed_blocks(degrees, flatten, header.count(",") + 1, precision, "\n")
     return "\n".join([header, *blocks, ""])
 
 
+def _curve_rows(block: list[float]) -> list[float]:
+    """Each row's degrees, then curve._trace_xy of its radians."""
+    sin, cos, radians = math.sin, math.cos, math.radians
+    flat = []
+    append = flat.append
+    for deg in block:
+        t = radians(deg)
+        st = sin(t)
+        append(deg)
+        append(cos(3.0 * t) / st)
+        append(sin(3.0 * t) / st)
+    return flat
+
+
+def _simulate_rows(block: list[float]) -> list[float]:
+    """Each row's degrees, then linkage._pencils of its radians."""
+    sin, cos, radians = math.sin, math.cos, math.radians
+    flat = []
+    for deg in block:
+        u = radians(deg)
+        half = 0.5 * u
+        s = cos(half) / sin(half)
+        cu = cos(u)
+        su = sin(u)
+        ex = s * cu
+        ey = s * su
+        flat += (deg, s, ex + su, ey - cu, ex - su, ey + cu, ex, ey)
+    return flat
+
+
 def curve_csv(t_min_deg: float, t_max_deg: float, samples: int, precision: int) -> str:
-    return _csv("t_deg,x,y", curve._trace_xy, t_min_deg, t_max_deg, samples, precision)
+    return _csv("t_deg,x,y", curve._trace_xy, _curve_rows, t_min_deg, t_max_deg, samples, precision)
 
 
 def simulate_csv(u_min_deg: float, u_max_deg: float, steps: int, precision: int) -> str:
-    return _csv("u_deg,s,Cx,Cy,Dx,Dy,Ex,Ey", linkage._pencils, u_min_deg, u_max_deg, steps, precision)
+    return _csv(
+        "u_deg,s,Cx,Cy,Dx,Dy,Ex,Ey", linkage._pencils, _simulate_rows, u_min_deg, u_max_deg, steps, precision
+    )
 
 
 def trisect_report(res: construct.TrisectionResult, tol: float) -> dict:
@@ -131,13 +179,16 @@ def _paint_axes(scene: Scene) -> None:
 
 
 def _drawable_trace_grid(t_min_deg: float, t_max_deg: float, samples: int) -> list[float]:
-    """curve._trace_grid over the degree range, refused where the trace runs past the largest screen x.
+    """curve._trace_grid over the degree range, refused where its first point fails a check.
 
-    |x(t)| = |cos 3t / sin t| falls from t = 0 to the node and stays below
-    1.2 after it, and y stays in [-1, 3]: no point lies farther out than
-    the first, so it alone is checked.
+    That point goes through curve._trace_xy's checks, and is refused if
+    its screen x runs past the largest double.  |x(t)| = |cos 3t / sin t|
+    falls from t = 0 to the node and stays below 1.2 after it, and y stays
+    in [-1, 3]: no point lies farther out than the first, so it alone is
+    checked.  _trace_screen_xy, which checks nothing, relies on that.
     """
     ts = curve._trace_grid(math.radians(t_min_deg), math.radians(t_max_deg), samples)
+    curve._trace_xy(ts[0])
     sx, sy = _trace_screen_xy(ts[:1])
     if not math.isfinite(sx):
         raise OutOfDomain(f"non-finite screen point ({sx}, {sy}) at t = {ts[0]}")

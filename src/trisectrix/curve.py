@@ -67,8 +67,9 @@ def _trace_xy(t: float) -> tuple[float, float]:
 
     D(t) = (cos 3t, sin 3t) / sin t: polar angle 3t, radius csc t.  The
     y-coordinate simplifies to 3 - 4 sin^2(t).  A point past the largest
-    double raises Point's error, so the CSV rows and the curve's SVG
-    trace need no Point.
+    double raises Point's error.  The CLI's curve CSV and SVG trace
+    compute the same expressions in one loop per block, and call this
+    only for its checks, on the grid points that can fail them.
     """
     if not 0.0 < t <= T_MAX:
         raise OutOfDomain(f"trace parameter must lie in (0, pi/2], got {t}")

@@ -89,8 +89,10 @@ _placement_state, _placement_iterations = _slot_setters(PlacementSolution)
 def _pencils(u: float) -> tuple[float, float, float, float, float, float, float]:
     """(s, Cx, Cy, Dx, Dy, Ex, Ey) at leg angle u in (0, pi): the compass's one float kernel.
 
-    state_from_leg_angle wraps it in records, and the CSV rows use it as
-    it is.  Only E is checked for finiteness: C and D lie a unit from it.
+    state_from_leg_angle wraps it in records.  The CLI's simulate CSV
+    computes the same expressions in one loop per block, and calls this
+    only for its checks, on the grid's two end rows.  Only E is checked
+    for finiteness: C and D lie a unit from it.
     """
     if not _U_FLOOR < u < math.pi:
         raise OutOfRange(f"leg angle must lie in (0, pi), got {u}")

@@ -834,6 +834,77 @@ class TestBlockFormatting:
         assert doc == _csv_reference("u_deg,s,Cx,Cy,Dx,Dy,Ex,Ey", _pencils, lo, hi, rows, 1)
         assert {line.split(",")[6] for line in doc.splitlines()[1:]} == {"0.0"}
 
+    # Seeded ranges, from a low end of 1e-300 degrees up to the last double
+    # below the range's top: a document's rows, computed in one loop per
+    # block and unchecked, match the kernel row by row.
+    SEEDED = (st.floats(0.0, 1.0), st.integers(2, 2 * BLOCK_ROWS + 1), st.integers(1, 15))
+
+    @staticmethod
+    def _seeded_range(log_lo, span, top):
+        lo = 10.0**log_lo
+        hi = min(lo + span * (top - lo), top)
+        assume(hi > lo)
+        return lo, hi
+
+    @settings(max_examples=100)
+    @given(st.floats(-300.0, math.log10(85.0)), *SEEDED)
+    @example(-300.0, 1.0, 2 * BLOCK_ROWS + 1, 15)
+    def test_curve_csv_over_seeded_ranges(self, log_lo, span, rows, precision):
+        lo, hi = self._seeded_range(log_lo, span, 90.0)
+        assert curve_csv(lo, hi, rows, precision) == _csv_reference("t_deg,x,y", _trace_xy, lo, hi, rows, precision)
+
+    @settings(max_examples=100)
+    @given(st.floats(-300.0, math.log10(179.0)), *SEEDED)
+    @example(-300.0, 1.0, 2 * BLOCK_ROWS + 1, 15)
+    @example(0.0, 1.0, BLOCK_ROWS + 1, 1)
+    def test_simulate_csv_over_seeded_ranges(self, log_lo, span, rows, precision):
+        lo, hi = self._seeded_range(log_lo, span, 179.99999999999997)
+        expected = _csv_reference("u_deg,s,Cx,Cy,Dx,Dy,Ex,Ey", _pencils, lo, hi, rows, precision)
+        assert simulate_csv(lo, hi, rows, precision) == expected
+
+
+class TestCsvEndRows:
+    """A CSV document passes its grid's two end rows through the per-row
+    kernel before any block: the grid is monotone, and the kernel's point
+    lies farthest out at the smallest angle, so only those rows can fail."""
+
+    FIRST_ROW_REFUSED = [
+        (curve_csv, _trace_xy, "curve", "t", 5e-324, 90.0),
+        (curve_csv, _trace_xy, "curve", "t", 1e-320, 90.0),
+        (simulate_csv, _pencils, "simulate", "u", 5e-324, 10.0),
+        (simulate_csv, _pencils, "simulate", "u", 1e-322, 10.0),
+    ]
+
+    @pytest.mark.parametrize("document, kernel, command, var, lo, hi", FIRST_ROW_REFUSED)
+    def test_refuses_what_the_first_row_refuses(self, document, kernel, command, var, lo, hi, capsys):
+        with pytest.raises(TrisectrixError) as expected:
+            kernel(math.radians(lo))
+        with pytest.raises(TrisectrixError) as refused:
+            document(lo, hi, 2 * BLOCK_ROWS + 1, 6)
+        assert (type(refused.value), str(refused.value)) == (type(expected.value), str(expected.value))
+        assert cli.main([command, f"--{var}-min-deg", repr(lo), f"--{var}-max-deg", repr(hi)]) == 2
+        assert capsys.readouterr() == ("", f"error: {expected.value}\n")
+
+    @pytest.mark.parametrize(
+        "document, kernel, argv",
+        [
+            (curve_csv, _trace_xy, ["curve", "--t-min-deg", "0.3", "--t-max-deg", "91"]),
+            (simulate_csv, _pencils, ["simulate", "--u-min-deg", "1", "--u-max-deg", "180"]),
+        ],
+        ids=["curve", "simulate"],
+    )
+    def test_an_end_past_the_range_is_refused(self, document, kernel, argv, capsys):
+        # rows past the range's top are refused with the type the row-by-row
+        # reference raises; the CLI refuses the range before any row
+        lo, hi = float(argv[2]), float(argv[4])
+        with pytest.raises(TrisectrixError) as expected:
+            _csv_reference("", kernel, lo, hi, 2 * BLOCK_ROWS + 1, 6)
+        with pytest.raises(type(expected.value)):
+            document(lo, hi, 2 * BLOCK_ROWS + 1, 6)
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
 
 def _polyline_points(doc):
     return re.search(r'<polyline points="([^"]*)"', doc).group(1).split(" ")

@@ -63,18 +63,21 @@ RECORDS = {"trisect_via_curve": 6, "trisect_via_scudder": 9}
 ANGLES_DEG = (1e-7, 1.0, 30.0, 60.0, 89.9, 90.0, 137.5, 180.0, 200.0, 269.9, 270.0)
 
 # Frames and instructions per row, by the interpreter's minor version.
-# Every row is written from floats: simulate_csv enters
-# linkage._pencils, and curve_csv and each point of curve_svg's trace
-# enter curve._trace_xy; no record is built (test_no_records_per_row).
+# Every row is written from floats, in its block's one loop, which
+# computes linkage._pencils (simulate_csv) or curve._trace_xy (curve_csv,
+# and each point of curve_svg's trace) in line: a row enters no frame,
+# and no record is built (test_no_records_per_row).  Those kernels run
+# once a document, on the grid's end rows, for their checks.
 ROW_COSTS = {
-    (3, 11): {"simulate_csv": (1, 105), "curve_csv": (1, 81), "curve_svg": (1, 93)},
+    (3, 11): {"simulate_csv": (0, 74), "curve_csv": (0, 58), "curve_svg": (0, 56)},
 }
 
 # Frames and instructions per full block, on top of its rows': the call
-# that flattens the block's numbers, the tuple of them that one printf
-# template formats, and the replace that drops the sign of a zero.
+# of the loop that flattens the block's numbers, with its locals bound,
+# the tuple of them that one printf template formats, and the replace
+# that drops the sign of a zero.
 BLOCK_COSTS = {
-    (3, 11): {"simulate_csv": (1, 53), "curve_csv": (1, 53), "curve_svg": (1, 53)},
+    (3, 11): {"simulate_csv": (1, 59), "curve_csv": (1, 62), "curve_svg": (1, 59)},
 }
 
 # The documents, with the grid size left out: (low end, high end) in degrees.

@@ -37,7 +37,6 @@ from .svg import (
     Y_MIN,
     Scene,
     fixed_blocks,
-    screen_xy,
 )
 
 _ORIGIN = Point(0.0, 0.0)
@@ -75,8 +74,14 @@ def _point_pair(p: Point) -> list[float]:
     return [p.x, p.y]
 
 
-# Screen positions of trisect_svg's trace, a Point a row.
-_point_screen_xy = screen_xy(_point_pair)
+def _point_screen_xy(points: list[Point]) -> list[float]:
+    """Block flattener for trisect_svg's trace: svg.to_screen in line, x and y alternating, of each Point."""
+    flat = []
+    append = flat.append
+    for p in points:
+        append((p.x - X_MIN) * SCALE)
+        append(HEIGHT_PX - (p.y - Y_MIN) * SCALE)
+    return flat
 
 
 def _trace_screen_xy(ts: list[float]) -> list[float]:
@@ -102,13 +107,13 @@ def _csv(header: str, kernel, flatten, lo_deg: float, hi_deg: float, n: int, pre
     """The CSV document: ``header``, then a row per grid angle, as ``flatten`` gives a block of them.
 
     ``flatten`` computes ``kernel`` in line and without its checks.  The
+    caller's range check keeps the grid's top in the kernel's domain, the
     grid is monotone, and the kernel's point is farthest out at its
-    smallest angle, so only the grid's end rows can fail them: those two
-    rows go through ``kernel`` first.
+    smallest angle: only the first row can fail, and it goes through
+    ``kernel`` first.
     """
     degrees = uniform_grid(lo_deg, hi_deg, n)
     kernel(math.radians(degrees[0]))
-    kernel(math.radians(degrees[-1]))
     blocks = fixed_blocks(degrees, flatten, header.count(",") + 1, precision, "\n")
     return "\n".join([header, *blocks, ""])
 
@@ -143,11 +148,19 @@ def _simulate_rows(block: list[float]) -> list[float]:
     return flat
 
 
+def _check_t_range(t_min_deg: float, t_max_deg: float) -> None:
+    if not 0.0 < t_min_deg < t_max_deg <= 90.0:
+        raise BadRange(f"need 0 < t-min < t-max <= 90 degrees, got [{t_min_deg}, {t_max_deg}]")
+
+
 def curve_csv(t_min_deg: float, t_max_deg: float, samples: int, precision: int) -> str:
+    _check_t_range(t_min_deg, t_max_deg)
     return _csv("t_deg,x,y", curve._trace_xy, _curve_rows, t_min_deg, t_max_deg, samples, precision)
 
 
 def simulate_csv(u_min_deg: float, u_max_deg: float, steps: int, precision: int) -> str:
+    if not 0.0 < u_min_deg < u_max_deg < 180.0:
+        raise BadRange(f"need 0 < u-min < u-max < 180 degrees, got [{u_min_deg}, {u_max_deg}]")
     return _csv(
         "u_deg,s,Cx,Cy,Dx,Dy,Ex,Ey", linkage._pencils, _simulate_rows, u_min_deg, u_max_deg, steps, precision
     )
@@ -179,15 +192,15 @@ def _paint_axes(scene: Scene) -> None:
 
 
 def _drawable_trace_grid(t_min_deg: float, t_max_deg: float, samples: int) -> list[float]:
-    """curve._trace_grid over the degree range, refused where its first point fails a check.
+    """The radian grid of ``samples`` t over a checked degree range, refused where its first t fails a check.
 
-    That point goes through curve._trace_xy's checks, and is refused if
-    its screen x runs past the largest double.  |x(t)| = |cos 3t / sin t|
+    That t goes through curve._trace_xy's checks, and is refused if its
+    screen x runs past the largest double.  |x(t)| = |cos 3t / sin t|
     falls from t = 0 to the node and stays below 1.2 after it, and y stays
     in [-1, 3]: no point lies farther out than the first, so it alone is
     checked.  _trace_screen_xy, which checks nothing, relies on that.
     """
-    ts = curve._trace_grid(math.radians(t_min_deg), math.radians(t_max_deg), samples)
+    ts = uniform_grid(math.radians(t_min_deg), math.radians(t_max_deg), samples)
     curve._trace_xy(ts[0])
     sx, sy = _trace_screen_xy(ts[:1])
     if not math.isfinite(sx):
@@ -196,6 +209,7 @@ def _drawable_trace_grid(t_min_deg: float, t_max_deg: float, samples: int) -> li
 
 
 def curve_svg(t_min_deg: float, t_max_deg: float, samples: int, precision: int) -> str:
+    _check_t_range(t_min_deg, t_max_deg)
     scene = Scene(precision)
     _paint_axes(scene)
     scene.line(
@@ -273,10 +287,6 @@ def _check_precision(precision: int) -> None:
 
 def _run_curve(args: argparse.Namespace) -> int:
     _check_precision(args.precision)
-    if not 0.0 < args.t_min_deg < args.t_max_deg <= 90.0:
-        raise BadRange(
-            f"need 0 < t-min < t-max <= 90 degrees, got [{args.t_min_deg}, {args.t_max_deg}]"
-        )
     if args.format == "csv":
         text = curve_csv(args.t_min_deg, args.t_max_deg, args.samples, args.precision)
     else:
@@ -300,10 +310,6 @@ def _run_trisect(args: argparse.Namespace) -> int:
 
 def _run_simulate(args: argparse.Namespace) -> int:
     _check_precision(args.precision)
-    if not 0.0 < args.u_min_deg < args.u_max_deg < 180.0:
-        raise BadRange(
-            f"need 0 < u-min < u-max < 180 degrees, got [{args.u_min_deg}, {args.u_max_deg}]"
-        )
     _emit(simulate_csv(args.u_min_deg, args.u_max_deg, args.steps, args.precision), args.out)
     return 0
 

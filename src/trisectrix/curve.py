@@ -69,7 +69,8 @@ def _trace_xy(t: float) -> tuple[float, float]:
     y-coordinate simplifies to 3 - 4 sin^2(t).  A point past the largest
     double raises Point's error.  The CLI's curve CSV and SVG trace
     compute the same expressions in one loop per block, and call this
-    only for its checks, on the grid points that can fail them.
+    only for its checks, on the grid's first point: the one that can
+    fail them.
     """
     if not 0.0 < t <= T_MAX:
         raise OutOfDomain(f"trace parameter must lie in (0, pi/2], got {t}")
@@ -96,20 +97,15 @@ def on_trace(t: float, phi: float) -> bool:
     return abs(math.remainder(3.0 * t - phi, math.tau)) <= TRACE_TOL
 
 
-def _trace_grid(t_min: float, t_max: float, n: int) -> list[float]:
-    """n uniformly spaced t over [t_min, t_max], both ends included.
+def sample_trace(t_min: float, t_max: float, n: int) -> list[Point]:
+    """Trace points at n uniformly spaced t over [t_min, t_max], both ends included.
 
     n is checked (by uniform_grid) before the range.
     """
     ts = uniform_grid(t_min, t_max, n)
     if not 0.0 < t_min < t_max <= T_MAX:
         raise BadRange(f"need 0 < t_min < t_max <= pi/2, got [{t_min}, {t_max}]")
-    return ts
-
-
-def sample_trace(t_min: float, t_max: float, n: int) -> list[Point]:
-    """Trace points at the t of _trace_grid(t_min, t_max, n)."""
-    return [trace_point(t) for t in _trace_grid(t_min, t_max, n)]
+    return [trace_point(t) for t in ts]
 
 
 def intersect_ray(phi: float) -> tuple[Point, float]:

@@ -91,7 +91,7 @@ def _pencils(u: float) -> tuple[float, float, float, float, float, float, float]
 
     state_from_leg_angle wraps it in records.  The CLI's simulate CSV
     computes the same expressions in one loop per block, and calls this
-    only for its checks, on the grid's two end rows.  Only E is checked
+    only for its checks, on the grid's first row.  Only E is checked
     for finiteness: C and D lie a unit from it.
     """
     if not _U_FLOOR < u < math.pi:

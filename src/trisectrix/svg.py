@@ -90,22 +90,6 @@ def to_screen(p: Point) -> tuple[float, float]:
     return (p.x - X_MIN) * SCALE, HEIGHT_PX - (p.y - Y_MIN) * SCALE
 
 
-def screen_xy(world_xy):
-    """Block flattener for Scene.polyline: screen positions, x and y alternating, of rows at world_xy(row)."""
-
-    def flatten(block: list) -> list[float]:
-        # to_screen in line: one call fewer per point of a long trace
-        flat = []
-        append = flat.append
-        for row in block:
-            x, y = world_xy(row)
-            append((x - X_MIN) * SCALE)
-            append(HEIGHT_PX - (y - Y_MIN) * SCALE)
-        return flat
-
-    return flatten
-
-
 def _first_drawn(rows: list, flatten, width: float) -> int:
     """Index of the first of ``rows`` that a polyline of stroke ``width`` draws.
 
@@ -151,7 +135,7 @@ class Scene:
         )
 
     def polyline(self, rows: list, flatten, color: str, width: float, *, cls: str) -> None:
-        """Polyline through the screen positions ``flatten`` (see screen_xy) gives ``rows``.
+        """Polyline through the screen positions, x and y alternating, that ``flatten`` gives ``rows``.
 
         The leading points past the canvas's right edge are dropped, all
         but the last (_first_drawn).  The formatted blocks (fixed_blocks)

@@ -18,7 +18,7 @@ from trisectrix import cli
 from trisectrix.cli import curve_csv, curve_svg, simulate_csv
 from trisectrix.construct import trisect_via_curve, trisect_via_scudder
 from trisectrix.curve import DEFAULT_SAMPLE_T_MIN, T_MAX, _trace_xy, sample_trace, trace_point
-from trisectrix.errors import OutOfDomain, TrisectrixError
+from trisectrix.errors import BadRange, OutOfDomain, TrisectrixError
 from trisectrix.geom import Point, uniform_grid
 from trisectrix.linkage import _pencils
 from trisectrix.svg import (
@@ -639,7 +639,7 @@ class TestNonFiniteInput:
             (("curve", "--t-min-deg", "5e-324", "--samples", "2"), "trace parameter must lie in (0, pi/2], got 0.0"),
             (
                 ("curve", "--t-min-deg", "5e-324", "--samples", "2", "--format", "svg"),
-                "need 0 < t_min < t_max <= pi/2, got [0.0, 1.5707963267948966]",
+                "trace parameter must lie in (0, pi/2], got 0.0",
             ),
             (("simulate", "--u-min-deg", "5e-324", "--u-max-deg", "10", "--steps", "2"), "leg angle must lie in (0, pi), got 0.0"),
             (
@@ -656,6 +656,33 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "t_min, t_max, samples, code",
+        [
+            ("5e-324", "90", "2", 2),
+            ("1e-322", "90", "2", 2),
+            ("3e-322", "3.06e-322", "2", 2),
+            ("1e-320", "1.0005e-320", "2", 2),
+            # adjacent doubles whose radians are one value: a trace of one point, repeated
+            ("58.64371595207594", "58.643715952075944", "3", 0),
+        ],
+    )
+    def test_both_curve_formats_refuse_a_range_alike(self, t_min, t_max, samples, code, capsys):
+        # the degree range is checked once, in degrees, and the first row
+        # refuses what is left: neither format checks the range in radians
+        errors = set()
+        for fmt in ("csv", "svg"):
+            argv = ["curve", "--format", fmt, "--t-min-deg", t_min, "--t-max-deg", t_max, "--samples", samples]
+            assert cli.main(argv) == code
+            out, err = capsys.readouterr()
+            assert (out == "") == (code == 2)
+            errors.add(err)
+        (err,) = errors
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == ""
 
 
 class TestTraceScreenOverflow:
@@ -687,23 +714,46 @@ class TestTraceScreenOverflow:
 
 class TestTraceGrid:
     @pytest.mark.parametrize(
-        "t_min_deg, t_max_deg, samples",
+        "lo_deg, hi_deg, samples",
         [
             (0.3, 90.0, 1),
-            (60.0, 30.0, 1),  # the sample count is checked first
+            (60.0, 30.0, 1),  # the range is checked before the sample count
             (60.0, 30.0, 10),
             (30.0, 30.0, 2),
-            (0.3, 91.0, 5),
+            (0.3, 91.0, 5),  # past the trace's top, inside the compass's range
             (5e-324, 90.0, 2),
             (1e-320, 90.0, 2),
         ],
     )
-    def test_curve_svg_refuses_what_sample_trace_refuses(self, t_min_deg, t_max_deg, samples):
-        with pytest.raises(TrisectrixError) as expected:
-            sample_trace(math.radians(t_min_deg), math.radians(t_max_deg), samples)
-        with pytest.raises(TrisectrixError) as refused:
-            curve_svg(t_min_deg, t_max_deg, samples, 6)
-        assert (type(refused.value), str(refused.value)) == (type(expected.value), str(expected.value))
+    def test_curve_svg_refuses_what_sample_trace_refuses(self, lo_deg, hi_deg, samples, capsys):
+        # each table document checks its own degree range, so each refuses
+        # what cli.main refuses, with the same type and message, and gives
+        # the same bytes where cli.main accepts
+        outcomes = {}
+        t_range = ["--t-min-deg", repr(lo_deg), "--t-max-deg", repr(hi_deg), "--samples", str(samples)]
+        u_range = ["--u-min-deg", repr(lo_deg), "--u-max-deg", repr(hi_deg), "--steps", str(samples)]
+        for document, argv in (
+            (curve_csv, ["curve", "--format", "csv", *t_range]),
+            (curve_svg, ["curve", "--format", "svg", *t_range]),
+            (simulate_csv, ["simulate", *u_range]),
+        ):
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            try:
+                doc = document(lo_deg, hi_deg, samples, 6)
+            except TrisectrixError as exc:
+                assert (code, out, err) == (2, "", f"error: {exc}\n")
+                args = cli.build_parser().parse_args(argv)
+                with pytest.raises(TrisectrixError) as via_main:
+                    args.run(args)  # what cli.main catches and prints
+                assert type(via_main.value) is type(exc)
+                outcomes[document] = (type(exc), str(exc))
+            else:
+                assert (code, out, err) == (0, doc, "")
+                outcomes[document] = None
+        # no range here reaches the SVG's own screen-overflow refusal, so the
+        # two curve formats refuse alike
+        assert outcomes[curve_svg] == outcomes[curve_csv]
 
     def test_peak_memory_is_bounded_by_the_document(self):
         # the formatted blocks are the scene's parts, joined once; the grid
@@ -864,9 +914,11 @@ class TestBlockFormatting:
 
 
 class TestCsvEndRows:
-    """A CSV document passes its grid's two end rows through the per-row
-    kernel before any block: the grid is monotone, and the kernel's point
-    lies farthest out at the smallest angle, so only those rows can fail."""
+    """A CSV document refuses a bad degree range first, then passes its
+    grid's first row through the per-row kernel before any block: an
+    accepted range ends inside the kernel's domain, the grid is monotone,
+    and the kernel's point lies farthest out at the smallest angle, so
+    only that row can fail."""
 
     FIRST_ROW_REFUSED = [
         (curve_csv, _trace_xy, "curve", "t", 5e-324, 90.0),
@@ -886,24 +938,35 @@ class TestCsvEndRows:
         assert capsys.readouterr() == ("", f"error: {expected.value}\n")
 
     @pytest.mark.parametrize(
-        "document, kernel, argv",
+        "document, argv, message",
         [
-            (curve_csv, _trace_xy, ["curve", "--t-min-deg", "0.3", "--t-max-deg", "91"]),
-            (simulate_csv, _pencils, ["simulate", "--u-min-deg", "1", "--u-max-deg", "180"]),
+            (
+                curve_csv,
+                ["curve", "--t-min-deg", "0.3", "--t-max-deg", "91"],
+                "need 0 < t-min < t-max <= 90 degrees, got [0.3, 91.0]",
+            ),
+            (
+                simulate_csv,
+                ["simulate", "--u-min-deg", "1", "--u-max-deg", "180"],
+                "need 0 < u-min < u-max < 180 degrees, got [1.0, 180.0]",
+            ),
+            (
+                curve_csv,
+                ["curve", "--t-min-deg", "0.3", "--t-max-deg", "90.00000000000001"],
+                "need 0 < t-min < t-max <= 90 degrees, got [0.3, 90.00000000000001]",
+            ),
         ],
-        ids=["curve", "simulate"],
+        ids=["curve", "simulate", "curve-one-double-past"],
     )
-    def test_an_end_past_the_range_is_refused(self, document, kernel, argv, capsys):
-        # rows past the range's top are refused with the type the row-by-row
-        # reference raises; the CLI refuses the range before any row
+    def test_an_end_past_the_range_is_refused(self, document, argv, message, capsys):
+        # the document refuses the degree range before any row, with the
+        # CLI's message
         lo, hi = float(argv[2]), float(argv[4])
-        with pytest.raises(TrisectrixError) as expected:
-            _csv_reference("", kernel, lo, hi, 2 * BLOCK_ROWS + 1, 6)
-        with pytest.raises(type(expected.value)):
+        with pytest.raises(BadRange) as refused:
             document(lo, hi, 2 * BLOCK_ROWS + 1, 6)
+        assert str(refused.value) == message
         assert cli.main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _polyline_points(doc):

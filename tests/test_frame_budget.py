@@ -18,7 +18,7 @@ at a time, so a row's cost is the count for a grid of ROWS_HI rows less the
 count for ROWS_LO rows, divided by the difference: both grids are two full
 blocks and a partial one, so the document's fixed setup and its blocks'
 cost cancel.  A block's own cost is the count for one more full block less
-its rows'.
+its rows'.  A trisection's SVG document has its frames pinned whole.
 
 The records an op builds are counted the same way, as the calls of a
 ``_Record`` subclass's ``__init__``: each op builds only the records it
@@ -31,7 +31,7 @@ import sys
 
 import pytest
 
-from trisectrix.cli import curve_csv, curve_svg, simulate_csv
+from trisectrix.cli import curve_csv, curve_svg, simulate_csv, trisect_svg
 from trisectrix.construct import trisect_via_curve, trisect_via_scudder, verify_trisection
 from trisectrix.geom import _Record
 from trisectrix.svg import BLOCK_ROWS
@@ -67,7 +67,7 @@ ANGLES_DEG = (1e-7, 1.0, 30.0, 60.0, 89.9, 90.0, 137.5, 180.0, 200.0, 269.9, 270
 # computes linkage._pencils (simulate_csv) or curve._trace_xy (curve_csv,
 # and each point of curve_svg's trace) in line: a row enters no frame,
 # and no record is built (test_no_records_per_row).  Those kernels run
-# once a document, on the grid's end rows, for their checks.
+# once a document, on the grid's first row, for their checks.
 ROW_COSTS = {
     (3, 11): {"simulate_csv": (0, 74), "curve_csv": (0, 58), "curve_svg": (0, 56)},
 }
@@ -79,6 +79,14 @@ ROW_COSTS = {
 BLOCK_COSTS = {
     (3, 11): {"simulate_csv": (1, 59), "curve_csv": (1, 62), "curve_svg": (1, 59)},
 }
+
+# Frames one trisect_svg document enters at precision 6, by the
+# interpreter's minor version, for the curve method's trisection of 137.5
+# degrees (built beforehand).  Its 600-point trace still goes through
+# curve.sample_trace, three frames a point (trace_point, _trace_xy and
+# Point's __init__), since perfbench times that route; the screen transform
+# runs in one loop a block.  The pin stops a per-point call from coming back.
+TRISECT_SVG_FRAMES = {(3, 11): 1894}
 
 # The documents, with the grid size left out: (low end, high end) in degrees.
 # curve_svg's range lies wholly on the canvas, so its clip's bisection
@@ -277,3 +285,9 @@ def test_no_records_per_row(document):
 @pytest.mark.parametrize("document", DOCUMENTS, ids=lambda fn: fn.__name__)
 def test_block_cost_is_pinned(block_costs, document):
     assert _costs(_per_block, document) == block_costs[document.__name__]
+
+
+def test_trisect_svg_frames_are_pinned():
+    pinned = _pinned(TRISECT_SVG_FRAMES)
+    res = trisect_via_curve(math.radians(137.5))
+    assert _frames(lambda: trisect_svg(res, 6)) == pinned

@@ -18,7 +18,7 @@ import sys
 
 from . import construct, curve, linkage
 from .errors import BadRange, OutOfDomain, OutOfRange, TrisectrixError
-from .geom import Point, Ray, uniform_grid
+from .geom import Point, Ray, grid_step
 from .svg import (
     COLOR_ASYMPTOTE,
     COLOR_AXIS,
@@ -76,67 +76,90 @@ def _point_pair(p: Point) -> list[float]:
 
 def _point_screen_xy(points: list[Point]) -> list[float]:
     """Block flattener for trisect_svg's trace: svg.to_screen in line, x and y alternating, of each Point."""
+    height = float(HEIGHT_PX)  # a float - float subtraction, which the interpreter specialises
     flat = []
-    append = flat.append
     for p in points:
-        append((p.x - X_MIN) * SCALE)
-        append(HEIGHT_PX - (p.y - Y_MIN) * SCALE)
+        flat.append((p.x - X_MIN) * SCALE)
+        flat.append(height - (p.y - Y_MIN) * SCALE)
     return flat
 
 
-def _trace_screen_xy(ts: list[float]) -> list[float]:
-    """Block flattener for curve_svg's trace: screen x and y, alternating, of the trace at each t of ``ts``.
+def _trace_screen_xy(lo: float, step: float, block: range) -> list[float]:
+    """Row loop for curve_svg's trace: screen x and y, alternating, at t = lo + i * step for each i of ``block``.
 
     curve._trace_xy and svg.to_screen in line, without _trace_xy's checks:
     _drawable_trace_grid makes them on the one point that can fail them.
     """
     sin, cos = math.sin, math.cos
+    height = float(HEIGHT_PX)
     flat = []
-    append = flat.append
-    for t in ts:
+    for i in block:
+        t = lo + i * step
         st = sin(t)
-        append((cos(3.0 * t) / st - X_MIN) * SCALE)
-        append(HEIGHT_PX - (sin(3.0 * t) / st - Y_MIN) * SCALE)
+        t3 = 3.0 * t
+        flat.append((cos(t3) / st - X_MIN) * SCALE)
+        flat.append(height - (sin(t3) / st - Y_MIN) * SCALE)
     return flat
+
+
+def _grid_rows(loop, lo: float, hi: float, n: int):
+    """The rows of uniform_grid(lo, hi, n) as indices, range(n), and their block flattener: no list of values.
+
+    The flattener runs ``loop(lo, step, block)``, which computes each row
+    from its index as lo + i * step, uniform_grid's values.  A block that
+    holds the last row gives it to ``loop`` as a grid of its own that
+    starts at hi, so that row is exactly hi.
+    """
+    step = grid_step(lo, hi, n)
+
+    def flatten(block: range) -> list[float]:
+        if block.stop < n:
+            return loop(lo, step, block)
+        return loop(lo, step, block[:-1]) + loop(hi, step, range(1))
+
+    return range(n), flatten
 
 
 # --- content builders ------------------------------------------------------
 
 
-def _csv(header: str, kernel, flatten, lo_deg: float, hi_deg: float, n: int, precision: int) -> str:
-    """The CSV document: ``header``, then a row per grid angle, as ``flatten`` gives a block of them.
+def _csv(header: str, kernel, loop, lo_deg: float, hi_deg: float, n: int, precision: int) -> str:
+    """The CSV document: ``header``, then a row per angle of the degree grid uniform_grid(lo_deg, hi_deg, n).
 
-    ``flatten`` computes ``kernel`` in line and without its checks.  The
+    ``loop`` computes each block's rows from their grid indices
+    (_grid_rows), with ``kernel`` in line and without its checks.  The
     caller's range check keeps the grid's top in the kernel's domain, the
     grid is monotone, and the kernel's point is farthest out at its
     smallest angle: only the first row can fail, and it goes through
     ``kernel`` first.
     """
-    degrees = uniform_grid(lo_deg, hi_deg, n)
-    kernel(math.radians(degrees[0]))
-    blocks = fixed_blocks(degrees, flatten, header.count(",") + 1, precision, "\n")
+    rows, flatten = _grid_rows(loop, lo_deg, hi_deg, n)
+    kernel(math.radians(lo_deg))
+    blocks = fixed_blocks(rows, flatten, header.count(",") + 1, precision, "\n")
     return "\n".join([header, *blocks, ""])
 
 
-def _curve_rows(block: list[float]) -> list[float]:
-    """Each row's degrees, then curve._trace_xy of its radians."""
+def _curve_rows(lo: float, step: float, block: range) -> list[float]:
+    """Each row's degrees, lo + i * step, then curve._trace_xy of its radians."""
     sin, cos, radians = math.sin, math.cos, math.radians
     flat = []
-    append = flat.append
-    for deg in block:
+    for i in block:
+        deg = lo + i * step
         t = radians(deg)
         st = sin(t)
-        append(deg)
-        append(cos(3.0 * t) / st)
-        append(sin(3.0 * t) / st)
+        t3 = 3.0 * t
+        flat.append(deg)
+        flat.append(cos(t3) / st)
+        flat.append(sin(t3) / st)
     return flat
 
 
-def _simulate_rows(block: list[float]) -> list[float]:
-    """Each row's degrees, then linkage._pencils of its radians."""
+def _simulate_rows(lo: float, step: float, block: range) -> list[float]:
+    """Each row's degrees, lo + i * step, then linkage._pencils of its radians."""
     sin, cos, radians = math.sin, math.cos, math.radians
     flat = []
-    for deg in block:
+    for i in block:
+        deg = lo + i * step
         u = radians(deg)
         half = 0.5 * u
         s = cos(half) / sin(half)
@@ -191,8 +214,8 @@ def _paint_axes(scene: Scene) -> None:
     scene.line(Point(0.0, Y_MIN), Point(0.0, Y_MAX), COLOR_AXIS, STROKE_THIN, cls="axis")
 
 
-def _drawable_trace_grid(t_min_deg: float, t_max_deg: float, samples: int) -> list[float]:
-    """The radian grid of ``samples`` t over a checked degree range, refused where its first t fails a check.
+def _drawable_trace_grid(t_min_deg: float, t_max_deg: float, samples: int):
+    """_grid_rows of the trace's radian grid over a checked degree range, refused where its first t fails a check.
 
     That t goes through curve._trace_xy's checks, and is refused if its
     screen x runs past the largest double.  |x(t)| = |cos 3t / sin t|
@@ -200,12 +223,13 @@ def _drawable_trace_grid(t_min_deg: float, t_max_deg: float, samples: int) -> li
     in [-1, 3]: no point lies farther out than the first, so it alone is
     checked.  _trace_screen_xy, which checks nothing, relies on that.
     """
-    ts = uniform_grid(math.radians(t_min_deg), math.radians(t_max_deg), samples)
-    curve._trace_xy(ts[0])
-    sx, sy = _trace_screen_xy(ts[:1])
+    t_min = math.radians(t_min_deg)
+    rows, flatten = _grid_rows(_trace_screen_xy, t_min, math.radians(t_max_deg), samples)
+    curve._trace_xy(t_min)
+    sx, sy = flatten(rows[:1])
     if not math.isfinite(sx):
-        raise OutOfDomain(f"non-finite screen point ({sx}, {sy}) at t = {ts[0]}")
-    return ts
+        raise OutOfDomain(f"non-finite screen point ({sx}, {sy}) at t = {t_min}")
+    return rows, flatten
 
 
 def curve_svg(t_min_deg: float, t_max_deg: float, samples: int, precision: int) -> str:
@@ -215,10 +239,7 @@ def curve_svg(t_min_deg: float, t_max_deg: float, samples: int, precision: int) 
     scene.line(
         Point(X_MIN, 3.0), Point(X_MAX, 3.0), COLOR_ASYMPTOTE, STROKE_THIN, dashed=True, cls="asymptote"
     )
-    # no name holds the grid, so it is freed before to_svg joins the document
-    scene.polyline(
-        _drawable_trace_grid(t_min_deg, t_max_deg, samples), _trace_screen_xy, COLOR_TRACE, STROKE_BOLD, cls="trace"
-    )
+    scene.polyline(*_drawable_trace_grid(t_min_deg, t_max_deg, samples), COLOR_TRACE, STROKE_BOLD, cls="trace")
     scene.witness(Point(0.0, 2.0), "(0,2)", cls="node")
     return scene.to_svg()
 

@@ -55,25 +55,30 @@ def fixed_field(precision: int) -> str:
     return f"{{:z.{precision}f}}"
 
 
-def fixed_blocks(rows: list, flatten, fields: int, precision: int, sep: str) -> list[str]:
+def fixed_blocks(rows, flatten, fields: int, precision: int, sep: str) -> list[str]:
     """``rows`` as text, ``fields`` comma-separated fixed_field numbers a row, rows joined by ``sep``.
 
+    ``rows`` is any sequence that slices, such as a range of grid indices.
     ``flatten(block)`` gives a slice of at most BLOCK_ROWS rows as one flat
     list of its numbers, row by row; each block is formatted by one printf
     template of ``%.<precision>f`` fields, fixed_field less its ``z`` flag.
-    One replace per block then drops the sign of "-0.000...": a "-" only
+    The full blocks share one template, built once (as long as ``rows``
+    if that is shorter); only a shorter last block gets its own.  One
+    replace per block then drops the sign of "-0.000...": a "-" only
     starts a field, and every field has exactly ``precision`` decimals, so
     each match is a whole field.  The blocks, joined by ``sep``, are the
     whole table.
     """
     row = ",".join([f"%.{precision}f"] * fields)
+    per_block = min(len(rows), BLOCK_ROWS)
+    full = sep.join([row] * per_block)
     zero = "0." + "0" * precision
     negative_zero = "-" + zero
     blocks = []
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start : start + BLOCK_ROWS]
-        text = sep.join([row] * len(block)) % tuple(flatten(block))
-        blocks.append(text.replace(negative_zero, zero))
+        template = full if len(block) == per_block else sep.join([row] * len(block))
+        blocks.append((template % tuple(flatten(block))).replace(negative_zero, zero))
     return blocks
 
 
@@ -90,14 +95,15 @@ def to_screen(p: Point) -> tuple[float, float]:
     return (p.x - X_MIN) * SCALE, HEIGHT_PX - (p.y - Y_MIN) * SCALE
 
 
-def _first_drawn(rows: list, flatten, width: float) -> int:
+def _first_drawn(rows, flatten, width: float) -> int:
     """Index of the first of ``rows`` that a polyline of stroke ``width`` draws.
 
     A point is off the canvas when its screen x from ``flatten`` lies past
     the right edge by more than half the stroke.  The points off the
     canvas must be one leading run, as a trace of the trisectrix's are;
     the run's last point is kept, so the segment that enters the canvas
-    is still drawn.  Bisection finds it from O(log n) points.
+    is still drawn.  Bisection finds it from O(log n) one-row slices, so
+    ``rows`` may be a range of grid indices that ``flatten`` maps to points.
     """
     edge = WIDTH_PX + width / 2.0
     lo, hi = 0, len(rows)  # rows[lo] is off unless lo == 0, rows[hi:] are not
@@ -134,12 +140,14 @@ class Scene:
             f' stroke="{color}" stroke-width="{width}"{dash} class="{cls}" />'
         )
 
-    def polyline(self, rows: list, flatten, color: str, width: float, *, cls: str) -> None:
+    def polyline(self, rows, flatten, color: str, width: float, *, cls: str) -> None:
         """Polyline through the screen positions, x and y alternating, that ``flatten`` gives ``rows``.
 
         The leading points past the canvas's right edge are dropped, all
-        but the last (_first_drawn).  The formatted blocks (fixed_blocks)
-        stay parts of the scene, joined once by to_svg.
+        but the last (_first_drawn).  ``rows`` only slices there and in
+        fixed_blocks, so it may be a range of grid indices, each point
+        computed from its index in ``flatten``.  The formatted blocks stay
+        parts of the scene, joined once by to_svg.
         """
         start = _first_drawn(rows, flatten, width)
         blocks = fixed_blocks(rows[start:], flatten, 2, self._precision, " ")

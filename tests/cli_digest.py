@@ -38,7 +38,7 @@ EDGES = (
     0.0, -0.0, -1.0, math.inf, -math.inf, math.nan,
 )
 PRECISIONS = (6, 6, 6, 1, 15, 0, 16, -1)
-COUNTS = (2, 3, 3, 17, 512, 1, 0, -5)
+COUNTS = (2, 3, 3, 17, 512, 513, 1025, 1, 0, -5)
 
 
 def _number(rng: random.Random, top: float) -> float:

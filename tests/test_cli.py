@@ -756,15 +756,28 @@ class TestTraceGrid:
         assert outcomes[curve_svg] == outcomes[curve_csv]
 
     def test_peak_memory_is_bounded_by_the_document(self):
-        # the formatted blocks are the scene's parts, joined once; the grid
-        # is freed before the join
-        tracemalloc.start()
-        try:
-            doc = curve_svg(0.3, 90.0, 10**5, 15)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * len(doc)
+        # the formatted blocks are the scene's parts, joined once, and the
+        # grid is a range of indices, with no list of values
+        doc, peak = _peak_memory(lambda: curve_svg(0.3, 90.0, 10**5, 15))
+        assert peak <= PEAK_PER_DOCUMENT_BYTE * len(doc)
+
+
+# The peak tracemalloc memory of a document of 10^5 rows, per byte of the
+# document, is at most this.  The blocks and their join are alive together,
+# 2 bytes a byte; each document measured 2.001-2.005 (Python 3.11), and
+# the margin of 0.045 is at least 160 kB, more than one block's numbers.
+# A list of the grid's 10^5 values takes 3.2 MB.
+PEAK_PER_DOCUMENT_BYTE = 2.05
+
+
+def _peak_memory(build):
+    """``build()``'s result and the peak tracemalloc memory while it ran."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _reference_fixed(x, precision):
@@ -875,6 +888,13 @@ class TestBlockFormatting:
         doc = curve_svg(0.3, 90.0, rows, precision)
         assert re.search(r'<polyline points="([^"]*)"', doc).group(1) == expected
 
+    @pytest.mark.parametrize("document, lo, hi", [(curve_csv, 0.3, 90.0), (simulate_csv, 1.0, 179.0)])
+    def test_peak_memory_is_bounded_by_the_document(self, document, lo, hi):
+        # the blocks and the document's join are alive together, and the
+        # grid is a range of indices, with no list of values
+        doc, peak = _peak_memory(lambda: document(lo, hi, 10**5, 15))
+        assert peak <= PEAK_PER_DOCUMENT_BYTE * len(doc)
+
     @pytest.mark.parametrize("rows", ROWS)
     def test_tiny_negative_ex_prints_unsigned(self, rows):
         # near u = 180 degrees E's x is a tiny negative: -cot(u/2) to first order
@@ -973,6 +993,50 @@ def _polyline_points(doc):
     return re.search(r'<polyline points="([^"]*)"', doc).group(1).split(" ")
 
 
+class TestLastRow:
+    """Each document computes its rows from their grid indices, as
+    lo + i * step, but its last row is its range's top exactly, as
+    uniform_grid's last value is.  In each case below lo + (n - 1) * step
+    misses the top by enough to show at --precision 15.  With BLOCK_ROWS + 1
+    and 2 * BLOCK_ROWS + 1 rows the last row is alone in its block; the
+    clipped trace starts mid-block, so its blocks are not aligned to the grid's."""
+
+    @staticmethod
+    def _rows(values, lo, hi, n):
+        """The last row's numbers, formatted, at the top and at lo + (n - 1) * step."""
+        step = (hi - lo) / (n - 1)
+        return [_row_by_row([values(x)], 15, "") for x in (hi, lo + (n - 1) * step)]
+
+    @pytest.mark.parametrize(
+        "document, kernel, lo, hi, n",
+        [
+            (curve_csv, _trace_xy, 10.3, 49.1, BLOCK_ROWS + 1),
+            (curve_csv, _trace_xy, 16.7, 56.6, 2 * BLOCK_ROWS + 1),
+            (simulate_csv, _pencils, 9.2, 59.4, BLOCK_ROWS + 1),
+            (simulate_csv, _pencils, 13.2, 52.9, 2 * BLOCK_ROWS + 1),
+        ],
+    )
+    def test_csv(self, document, kernel, lo, hi, n):
+        top, stepped = self._rows(lambda deg: (deg, *kernel(math.radians(deg))), lo, hi, n)
+        assert top != stepped
+        assert document(lo, hi, n, 15).splitlines()[-1] == top
+
+    @pytest.mark.parametrize(
+        "lo_deg, hi_deg, n, dropped",
+        [
+            (13.2, 77.0, BLOCK_ROWS + 1, 0),
+            (15.7, 48.1, 2 * BLOCK_ROWS + 1, 0),
+            (6.6, 46.7, 2 * BLOCK_ROWS + 1, 51),
+        ],
+        ids=["one-block-and-one", "two-blocks-and-one", "clipped-mid-block"],
+    )
+    def test_curve_svg(self, lo_deg, hi_deg, n, dropped):
+        top, stepped = self._rows(lambda t: to_screen(trace_point(t)), math.radians(lo_deg), math.radians(hi_deg), n)
+        assert top != stepped
+        points = _polyline_points(curve_svg(lo_deg, hi_deg, n, 15))
+        assert (n - len(points), points[-1]) == (dropped, top)
+
+
 class TestTraceClip:
     """An SVG trace drops its leading points past the canvas's right edge,
     all but the last.
@@ -1021,6 +1085,7 @@ class TestTraceClip:
         t_min_deg = 10.0**log_t_min
         t_max_deg = t_min_deg + span * (90.0 - t_min_deg)
         assume(t_max_deg > t_min_deg)
+        assume(math.radians(t_min_deg) < math.radians(t_max_deg))
         points = sample_trace(math.radians(t_min_deg), math.radians(t_max_deg), samples)
         self._dropped(curve_svg(t_min_deg, t_max_deg, samples, precision), points, STROKE_BOLD, precision)
 

@@ -64,20 +64,21 @@ ANGLES_DEG = (1e-7, 1.0, 30.0, 60.0, 89.9, 90.0, 137.5, 180.0, 200.0, 269.9, 270
 
 # Frames and instructions per row, by the interpreter's minor version.
 # Every row is written from floats, in its block's one loop, which
-# computes linkage._pencils (simulate_csv) or curve._trace_xy (curve_csv,
-# and each point of curve_svg's trace) in line: a row enters no frame,
-# and no record is built (test_no_records_per_row).  Those kernels run
-# once a document, on the grid's first row, for their checks.
+# computes the row's grid value from its index and then linkage._pencils
+# (simulate_csv) or curve._trace_xy (curve_csv, and each point of
+# curve_svg's trace) in line: a row enters no frame, and no record is
+# built (test_no_records_per_row).  Those kernels run once a document, on
+# the grid's first row, for their checks.
 ROW_COSTS = {
-    (3, 11): {"simulate_csv": (0, 74), "curve_csv": (0, 58), "curve_svg": (0, 56)},
+    (3, 11): {"simulate_csv": (0, 71), "curve_csv": (0, 55), "curve_svg": (0, 53)},
 }
 
-# Frames and instructions per full block, on top of its rows': the call
-# of the loop that flattens the block's numbers, with its locals bound,
-# the tuple of them that one printf template formats, and the replace
-# that drops the sign of a zero.
+# Frames and instructions per full block, on top of its rows': the
+# grid's flattener (cli._grid_rows) and the loop it calls, with its
+# locals bound, the tuple of the block's numbers that one printf template
+# formats, and the replace that drops the sign of a zero.
 BLOCK_COSTS = {
-    (3, 11): {"simulate_csv": (1, 59), "curve_csv": (1, 62), "curve_svg": (1, 59)},
+    (3, 11): {"simulate_csv": (2, 70), "curve_csv": (2, 70), "curve_svg": (2, 72)},
 }
 
 # Frames one trisect_svg document enters at precision 6, by the

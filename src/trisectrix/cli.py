@@ -103,11 +103,11 @@ def _trace_screen_xy(lo: float, step: float, block: range) -> list[float]:
 
 
 def _grid_rows(loop, lo: float, hi: float, n: int):
-    """The rows of uniform_grid(lo, hi, n) as indices, range(n), and their block flattener: no list of values.
+    """The rows of the n-value grid from lo to hi as indices, range(n), and their block flattener: no list of values.
 
     The flattener runs ``loop(lo, step, block)``, which computes each row
-    from its index as lo + i * step, uniform_grid's values.  A block that
-    holds the last row gives it to ``loop`` as a grid of its own that
+    from its index as lo + i * step, as curve.sample_trace does.  A block
+    that holds the last row gives it to ``loop`` as a grid of its own that
     starts at hi, so that row is exactly hi.
     """
     step = grid_step(lo, hi, n)
@@ -124,7 +124,7 @@ def _grid_rows(loop, lo: float, hi: float, n: int):
 
 
 def _csv(header: str, kernel, loop, lo_deg: float, hi_deg: float, n: int, precision: int) -> str:
-    """The CSV document: ``header``, then a row per angle of the degree grid uniform_grid(lo_deg, hi_deg, n).
+    """The CSV document: ``header``, then a row per angle of the n-value degree grid from lo_deg to hi_deg.
 
     ``loop`` computes each block's rows from their grid indices
     (_grid_rows), with ``kernel`` in line and without its checks.  The
@@ -280,6 +280,8 @@ def trisect_svg(res: construct.TrisectionResult, precision: int) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None or out_path == "-":
+        if sys.stdout is None:  # the interpreter started with file descriptor 1 closed
+            raise OSError("standard output is closed")
         sys.stdout.write(text)
         return
     # A fresh file beside the target, created with the mode open(path, "w")

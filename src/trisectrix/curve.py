@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 
 from .errors import BadRange, NoTraceRoot, OutOfDomain, OutOfRange
-from .geom import Point, solve_cubic, uniform_grid
+from .geom import Point, grid_step, solve_cubic
 
 # Upper end of the trace parameter; the curve closes at (0, -1).
 T_MAX = math.pi / 2
@@ -100,12 +100,13 @@ def on_trace(t: float, phi: float) -> bool:
 def sample_trace(t_min: float, t_max: float, n: int) -> list[Point]:
     """Trace points at n uniformly spaced t over [t_min, t_max], both ends included.
 
-    n is checked (by uniform_grid) before the range.
+    Point i is at t = t_min + i * step, and the last at t_max exactly.  n
+    is checked (by geom.grid_step) before the range.
     """
-    ts = uniform_grid(t_min, t_max, n)
+    step = grid_step(t_min, t_max, n)
     if not 0.0 < t_min < t_max <= T_MAX:
         raise BadRange(f"need 0 < t_min < t_max <= pi/2, got [{t_min}, {t_max}]")
-    return [trace_point(t) for t in ts]
+    return [trace_point(t_min + i * step) for i in range(n - 1)] + [trace_point(t_max)]
 
 
 def intersect_ray(phi: float) -> tuple[Point, float]:

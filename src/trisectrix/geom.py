@@ -84,27 +84,16 @@ _point_x, _point_y = _slot_setters(Point)
 
 
 def grid_step(lo: float, hi: float, n: int) -> float:
-    """The step of uniform_grid(lo, hi, n), after its checks of n: value i is lo + i * step, the last exactly hi.
+    """The step of the grid of n >= 2 evenly spaced values from lo to hi, after its checks of n.
 
-    A caller that computes each value from its index needs no list.  The
-    checks are repeated, not shared: uniform_grid calling this would add a
-    frame to every trace that curve.sample_trace builds.
+    Value i is lo + i * step, and the last is exactly hi: a caller computes
+    each value from its index and builds no list of them.
     """
     if n < 2:
         raise BadRange(f"need at least 2 samples, got {n}")
     if n > MAX_GRID_POINTS:
         raise BadRange(f"grid of {n} points exceeds the limit of {MAX_GRID_POINTS}")
     return (hi - lo) / (n - 1)
-
-
-def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
-    """n >= 2 evenly spaced values from lo to hi; the last one is exactly hi."""
-    if n < 2:
-        raise BadRange(f"need at least 2 samples, got {n}")
-    if n > MAX_GRID_POINTS:
-        raise BadRange(f"grid of {n} points exceeds the limit of {MAX_GRID_POINTS}")
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n - 1)] + [hi]
 
 
 class Ray(_Record):

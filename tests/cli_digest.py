@@ -9,14 +9,20 @@ cover every subcommand and format, bad precisions and sample counts, and
 the edge ranges of the degree flags: the smallest doubles, adjacent
 doubles, ends that round to one radian value, and the tops of the ranges.
 
+A quarter of the command argvs write their document with ``--out`` to a
+file in a temporary directory.  Their line also gives the sha256 of that
+file ("no file" where none was written) and the number of ``.tmp`` files
+left beside it.  The argv and stderr name the file as ``<out>``, so the
+lines do not depend on where the directory is.
+
 To compare two trees, run it against each through PYTHONPATH and diff:
 
     PYTHONPATH=../parent/src python tests/cli_digest.py > parent.txt
     PYTHONPATH=src python tests/cli_digest.py > change.txt
     diff parent.txt change.txt
 
-Standard library only; no file is written.  The file name keeps pytest
-from collecting it.
+Standard library only; the temporary directory is removed at exit.  The
+file name keeps pytest from collecting it.
 """
 
 import contextlib
@@ -27,6 +33,7 @@ import os
 import random
 import shlex
 import sys
+import tempfile
 
 # Degree values at the edges of the curve's (0, 90] and the compass's
 # (0, 180): the smallest doubles, values whose radians round to 0 or to
@@ -39,6 +46,9 @@ EDGES = (
 )
 PRECISIONS = (6, 6, 6, 1, 15, 0, 16, -1)
 COUNTS = (2, 3, 3, 17, 512, 513, 1025, 1, 0, -5)
+
+# Stands for the --out file's path in an argv, and in the digest line.
+OUT = "<out>"
 
 
 def _number(rng: random.Random, top: float) -> float:
@@ -67,17 +77,23 @@ def _precision(rng: random.Random) -> list[str]:
     return ["--precision", str(rng.choice(PRECISIONS))] if rng.random() < 0.5 else []
 
 
+def _out(rng: random.Random) -> list[str]:
+    """An --out option, a quarter of the time."""
+    return ["--out", OUT] if rng.random() < 0.25 else []
+
+
 def _curve(rng: random.Random) -> list[str]:
     lo, hi = _range(rng, 90.0)
     count = rng.choice(COUNTS) if rng.random() < 0.7 else rng.randint(2, 3000)
     argv = ["curve", "--format", rng.choice(("csv", "svg")), "--t-min-deg", repr(lo), "--t-max-deg", repr(hi)]
-    return argv + ["--samples", str(count), *_precision(rng)]
+    return argv + ["--samples", str(count), *_precision(rng), *_out(rng)]
 
 
 def _simulate(rng: random.Random) -> list[str]:
     lo, hi = _range(rng, 179.99999999999997)
     count = rng.choice(COUNTS) if rng.random() < 0.7 else rng.randint(2, 3000)
-    return ["simulate", "--u-min-deg", repr(lo), "--u-max-deg", repr(hi), "--steps", str(count), *_precision(rng)]
+    argv = ["simulate", "--u-min-deg", repr(lo), "--u-max-deg", repr(hi), "--steps", str(count)]
+    return argv + [*_precision(rng), *_out(rng)]
 
 
 def _trisect(rng: random.Random) -> list[str]:
@@ -87,7 +103,7 @@ def _trisect(rng: random.Random) -> list[str]:
     argv += ["--format", rng.choice(("json", "svg"))]
     if rng.random() < 0.2:
         argv += ["--tol", repr(rng.choice((0.0, 1e-15, 1e-12, math.nan, math.inf, -1.0)))]
-    return argv + _precision(rng)
+    return argv + [*_precision(rng), *_out(rng)]
 
 
 def _sweep(rng: random.Random) -> list[str]:
@@ -95,7 +111,7 @@ def _sweep(rng: random.Random) -> list[str]:
     hi = rng.choice((lo, math.nextafter(lo, math.inf), lo + rng.uniform(0, 30), 270.0))
     step = rng.choice((1.0, 0.5, max((hi - lo) / rng.randint(1, 200), 1e-300), 0.0, -1.0, math.inf, 1e-300))
     argv = ["sweep", "--from-deg", repr(lo), "--to-deg", repr(hi), "--step-deg", repr(step)]
-    return argv + ["--method", rng.choice(("curve", "scudder", "both"))]
+    return argv + ["--method", rng.choice(("curve", "scudder", "both")), *_out(rng)]
 
 
 def _usage(rng: random.Random) -> list[str]:
@@ -128,23 +144,48 @@ def argvs(count: int, seed: int) -> list[list[str]]:
     return [rng.choices(list(KINDS), list(KINDS.values()))[0](rng) for _ in range(count)]
 
 
-def digest(argv: list[str]) -> str:
-    """``argv``, the exit code, the sha256 of stdout and the stderr text, on one line."""
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _written(directory: str, path: str) -> str:
+    """The sha256 of the file at ``path`` ("no file" if there is none) and the .tmp files beside it, all removed."""
+    try:
+        with open(path, "rb") as fh:
+            written = _sha256(fh.read())
+        os.remove(path)
+    except FileNotFoundError:
+        written = "no file"
+    left = [name for name in os.listdir(directory) if name.endswith(".tmp")]
+    for name in left:
+        os.remove(os.path.join(directory, name))
+    return f"{written}\t{len(left)} tmp"
+
+
+def digest(argv: list[str], directory: str) -> str:
+    """``argv``, the exit code, the sha256 of stdout, the stderr text and, with --out, what was written, on one line.
+
+    ``OUT`` in ``argv`` is the file ``doc`` in ``directory``, an empty
+    directory that is left empty.
+    """
     from trisectrix import cli
 
+    path = os.path.join(directory, "doc")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    sha = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-    return f"{shlex.join(argv)}\t{code}\t{sha}\t{err.getvalue()!r}"
+        code = cli.main([path if arg == OUT else arg for arg in argv])
+    line = f"{shlex.join(argv)}\t{code}\t{_sha256(out.getvalue().encode('utf-8'))}"
+    line += f"\t{err.getvalue().replace(path, OUT)!r}"
+    return f"{line}\t{_written(directory, path)}" if OUT in argv else line
 
 
 def main(args: list[str]) -> int:
     count = int(args[0]) if args else 2500
     seed = int(args[1]) if len(args) > 1 else 0
     os.environ["COLUMNS"] = "80"  # argparse wraps its usage lines to the terminal's width
-    for argv in argvs(count, seed):
-        print(digest(argv))
+    with tempfile.TemporaryDirectory() as directory:
+        for argv in argvs(count, seed):
+            print(digest(argv, directory))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Measures the tests take of results: the package computes these in line, on floats."""
+"""Measures and references the tests take results against: the package computes these in line, on floats."""
 
 import math
 
@@ -35,3 +35,13 @@ def circle_line_xs(cx: float, cy: float, radius: float, y0: float) -> list[float
         return [cx]
     h = math.sqrt(disc)
     return [cx - h, cx + h]
+
+
+def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced values from lo to hi, the last exactly hi: the grid the trace and the tables sample.
+
+    The reference list that curve.sample_trace and the CLI's tables,
+    which compute each value from its index, are checked against.
+    """
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]

@@ -19,7 +19,7 @@ from trisectrix.cli import curve_csv, curve_svg, simulate_csv
 from trisectrix.construct import trisect_via_curve, trisect_via_scudder
 from trisectrix.curve import DEFAULT_SAMPLE_T_MIN, T_MAX, _trace_xy, sample_trace, trace_point
 from trisectrix.errors import BadRange, OutOfDomain, TrisectrixError
-from trisectrix.geom import Point, uniform_grid
+from trisectrix.geom import Point
 from trisectrix.linkage import _pencils
 from trisectrix.svg import (
     BLOCK_ROWS,
@@ -34,6 +34,8 @@ from trisectrix.svg import (
     fixed_field,
     to_screen,
 )
+
+from helpers import uniform_grid
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -584,6 +586,27 @@ class TestOutFile:
         assert code == 2
         assert err == "i/o error: replace refused\n"
         assert out_file.read_bytes() == b"previous\n"
+
+    def test_no_stdout_is_an_io_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert cli.main(["curve", "--samples", "3"]) == 2
+        assert capsys.readouterr() == ("", "i/o error: standard output is closed\n")
+
+    def test_closed_stdout_is_an_io_error(self):
+        # an interpreter started with file descriptor 1 closed sets sys.stdout to None
+        def close_stdout():
+            _cap_memory()
+            os.close(1)
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "trisectrix", "curve", "--samples", "3"],
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=_CLI_TIMEOUT_S,
+            preexec_fn=close_stdout,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert (proc.returncode, proc.stderr) == (2, "i/o error: standard output is closed\n")
 
 
 class TestNonFiniteInput:

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from trisectrix import curve
 from trisectrix.curve import (
@@ -16,9 +17,9 @@ from trisectrix.curve import (
     trace_point,
 )
 from trisectrix.errors import BadRange, NoTraceRoot, OutOfDomain, OutOfRange
-from trisectrix.geom import Point, uniform_grid
+from trisectrix.geom import MAX_GRID_POINTS, Point
 
-from helpers import angle_gap, direction, distance
+from helpers import angle_gap, direction, distance, uniform_grid
 from mirror_branch import mirror_hit
 
 
@@ -127,6 +128,20 @@ class TestSampleTrace:
         with pytest.raises(BadRange):
             sample_trace(0.1, 0.2, 1)
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (1, "need at least 2 samples, got 1"),
+            (MAX_GRID_POINTS + 1, f"grid of {MAX_GRID_POINTS + 1} points exceeds the limit of {MAX_GRID_POINTS}"),
+        ],
+        ids=["too-few", "too-many"],
+    )
+    def test_n_is_checked_before_the_range(self, n, message):
+        # the range is reversed too, but n's message comes first
+        with pytest.raises(BadRange) as refused:
+            sample_trace(0.2, 0.1, n)
+        assert str(refused.value) == message
+
     def test_endpoints_included(self):
         samples = sample_trace(math.pi / 18, math.pi / 2, 3)
         assert len(samples) == 3
@@ -137,6 +152,22 @@ class TestSampleTrace:
         mid = trace_point((math.pi / 18 + math.pi / 2) / 2.0)
         assert samples[1].x == pytest.approx(mid.x, abs=1e-14)
         assert samples[1].y == pytest.approx(mid.y, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "t_min, t_max, n", [(0.03, 0.3, 2), (0.03, 0.29, 17), (0.4, 1.41, 1025), (math.pi / 18, math.pi / 2, 600)]
+    )
+    def test_last_point_is_t_max(self, t_min, t_max, n):
+        # point i is at t_min + i * step, which at i = n - 1 misses t_max
+        stepped = t_min + (n - 1) * ((t_max - t_min) / (n - 1))
+        assert trace_point(stepped) != trace_point(t_max)
+        assert sample_trace(t_min, t_max, n)[-1] == trace_point(t_max)
+
+    @given(st.floats(-300.0, math.log10(T_MAX)), st.floats(0.0, 1.0), st.integers(2, 600))
+    def test_points_are_the_reference_grid_traced(self, log_lo, fraction, n):
+        # low ends from 1e-300 to the last double below the top, and ranges down to two adjacent doubles
+        t_min = min(10.0**log_lo, math.nextafter(T_MAX, 0.0))
+        t_max = min(T_MAX, max(t_min + fraction * (T_MAX - t_min), math.nextafter(t_min, T_MAX)))
+        assert sample_trace(t_min, t_max, n) == [trace_point(t) for t in uniform_grid(t_min, t_max, n)]
 
     def test_all_samples_pass_membership(self):
         ts = uniform_grid(0.001, math.pi / 2, 2000)

@@ -85,9 +85,11 @@ BLOCK_COSTS = {
 # interpreter's minor version, for the curve method's trisection of 137.5
 # degrees (built beforehand).  Its 600-point trace still goes through
 # curve.sample_trace, three frames a point (trace_point, _trace_xy and
-# Point's __init__), since perfbench times that route; the screen transform
-# runs in one loop a block.  The pin stops a per-point call from coming back.
-TRISECT_SVG_FRAMES = {(3, 11): 1894}
+# Point's __init__), since perfbench times that route, and two a trace:
+# geom.grid_step and the list comprehension that computes each point from
+# its index.  The screen transform runs in one loop a block.  The pin stops
+# a per-point call, or a grid list, from coming back.
+TRISECT_SVG_FRAMES = {(3, 11): 1893}
 
 # The documents, with the grid size left out: (low end, high end) in degrees.
 # curve_svg's range lies wholly on the canvas, so its clip's bisection

@@ -17,12 +17,12 @@ from trisectrix.geom import (
     MAX_GRID_POINTS,
     Point,
     Ray,
+    grid_step,
     intersect_circle_line,
     solve_cubic,
-    uniform_grid,
 )
 
-from helpers import angle_gap, circle_line_xs, direction
+from helpers import angle_gap, circle_line_xs, direction, uniform_grid
 
 SQRT3 = math.sqrt(3.0)
 
@@ -45,24 +45,31 @@ class TestPrimitives:
 
 
 class TestUniformGrid:
+    """geom.grid_step, the grid's one rule: value i is lo + i * step, the last is hi."""
+
     def test_ends_exactly_at_both_bounds(self):
-        grid = uniform_grid(0.1, 0.7, 7)
-        assert len(grid) == 7
-        assert grid[0] == 0.1 and grid[-1] == 0.7
-        assert grid[1:-1] == [0.1 + i * ((0.7 - 0.1) / 6) for i in range(1, 6)]
+        step = grid_step(0.1, 0.7, 7)
+        assert step == (0.7 - 0.1) / 6
+        # the tests' reference grid takes the same values
+        assert uniform_grid(0.1, 0.7, 7) == [0.1, *(0.1 + i * step for i in range(1, 6)), 0.7]
 
     def test_two_points_are_the_bounds(self):
+        assert grid_step(-2.5, 3.0, 2) == 5.5
         assert uniform_grid(-2.5, 3.0, 2) == [-2.5, 3.0]
 
     def test_oversized_grid_is_refused(self):
-        with pytest.raises(BadRange):
-            uniform_grid(0.0, 1.0, MAX_GRID_POINTS + 1)
+        assert grid_step(0.0, 1.0, MAX_GRID_POINTS) == 1.0 / (MAX_GRID_POINTS - 1)
+        message = f"grid of {MAX_GRID_POINTS + 1} points exceeds the limit of {MAX_GRID_POINTS}"
+        with pytest.raises(BadRange) as refused:
+            grid_step(0.0, 1.0, MAX_GRID_POINTS + 1)
+        assert str(refused.value) == message
 
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_fewer_than_two_points_are_refused(self, n):
         # one point has no step, and none would leave hi alone in the grid
-        with pytest.raises(BadRange, match=f"need at least 2 samples, got {n}"):
-            uniform_grid(0.0, 1.0, n)
+        with pytest.raises(BadRange) as refused:
+            grid_step(0.0, 1.0, n)
+        assert str(refused.value) == f"need at least 2 samples, got {n}"
 
 
 class TestIntersectCircleLine:
